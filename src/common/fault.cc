@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/macros.h"
 #include "common/stopwatch.h"
@@ -252,17 +251,6 @@ RetryOutcome RetryCall(const RetryPolicy& policy, const std::string& what,
                          << backoff << "s";
     SleepForBackoff(policy, backoff);
   }
-}
-
-Status AtomicWriteFileWithRetry(const std::string& path,
-                                const std::string& content,
-                                bool keep_previous, const RetryPolicy& policy,
-                                RetryOutcome* outcome) {
-  RetryOutcome result =
-      RetryCall(policy, "atomic write of " + path,
-                [&] { return AtomicWriteFile(path, content, keep_previous); });
-  if (outcome != nullptr) *outcome = result;
-  return result.status;
 }
 
 }  // namespace autocts::fault

@@ -33,7 +33,8 @@
 //    (common/stopwatch.h) is installed, backoff advances virtual time
 //    instead of blocking, so retry tests assert exact backoff sequences
 //    without real sleeps. RetryCall() wraps any Status-returning operation;
-//    AtomicWriteFileWithRetry() is the canonical checkpoint-write wrapper.
+//    the searcher, the eval scheduler and the CLI wrap their checkpoint,
+//    artifact and metrics-sink writes in it.
 //
 // Thread safety: the installed plan and the I/O stats counters are guarded
 // for concurrent access (eval-scheduler workers and the driver thread all
@@ -159,15 +160,6 @@ RetryOutcome RetryCall(const RetryPolicy& policy, const std::string& what,
 // kUnavailable). Malformed input (kInvalidArgument), missing files
 // (kNotFound), and logic errors are not — retrying cannot fix them.
 bool IsRetryableIoError(const Status& status);
-
-// AtomicWriteFile (common/file_io.h) under `policy`. On final failure the
-// target file and its ".prev" generation are guaranteed untouched (the
-// atomic protocol fails before publish). `outcome` (optional) reports the
-// attempt count for metrics.
-Status AtomicWriteFileWithRetry(const std::string& path,
-                                const std::string& content,
-                                bool keep_previous, const RetryPolicy& policy,
-                                RetryOutcome* outcome = nullptr);
 
 }  // namespace autocts::fault
 

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sys/stat.h>
@@ -12,6 +13,10 @@
 
 namespace autocts {
 namespace {
+
+// The trailer key of every sealed document (see SealText).
+constexpr char kCrcKey[] = "crc32 = ";
+constexpr size_t kCrcKeySize = sizeof(kCrcKey) - 1;
 
 // Table-driven CRC-32 (reflected 0xEDB88320 = reversed IEEE polynomial).
 const uint32_t* Crc32Table() {
@@ -232,6 +237,72 @@ Status AtomicWriteFile(const std::string& path, const std::string& content,
     }
   }
   return Status::Ok();
+}
+
+std::string SealText(std::string payload) {
+  char trailer[24];
+  std::snprintf(trailer, sizeof(trailer), "%s%08x\n", kCrcKey,
+                Crc32(payload));
+  payload += trailer;
+  return payload;
+}
+
+StatusOr<std::string> UnsealText(const std::string& text) {
+  const size_t marker = text.rfind(kCrcKey);
+  if (marker == std::string::npos ||
+      (marker != 0 && text[marker - 1] != '\n')) {
+    return Status::InvalidArgument("missing crc32 trailer");
+  }
+  const std::string trailer = text.substr(marker + kCrcKeySize);
+  if (trailer.size() != 9 || trailer[8] != '\n' ||
+      trailer.find_first_not_of("0123456789abcdef") != 8) {
+    return Status::InvalidArgument("malformed or truncated crc32 trailer");
+  }
+  const uint32_t expected =
+      static_cast<uint32_t>(std::strtoul(trailer.c_str(), nullptr, 16));
+  std::string payload = text.substr(0, marker);
+  const uint32_t actual = Crc32(payload);
+  if (expected != actual) {
+    char message[64];
+    std::snprintf(message, sizeof(message),
+                  "crc32 mismatch: expected %08x, computed %08x", expected,
+                  actual);
+    return Status::InvalidArgument(message);
+  }
+  return payload;
+}
+
+Status CheckFormatHeader(const TextReader& reader, const std::string& format,
+                         int64_t version) {
+  const StatusOr<std::string> found = reader.Get("format");
+  if (!found.ok() || found.value() != format) {
+    return Status::InvalidArgument(
+        "not a " + format + " document: format = " +
+        (found.ok() ? found.value() : std::string("<missing>")));
+  }
+  const StatusOr<int64_t> found_version = reader.GetInt("version");
+  if (!found_version.ok()) {
+    return Status::InvalidArgument("bad " + format + " version record");
+  }
+  if (found_version.value() != version) {
+    return Status::InvalidArgument(
+        "unsupported " + format + " version " +
+        std::to_string(found_version.value()) + " (expected " +
+        std::to_string(version) + ")");
+  }
+  return Status::Ok();
+}
+
+StatusOr<TextReader> OpenSealedText(const std::string& text,
+                                    const std::string& format,
+                                    int64_t version) {
+  StatusOr<std::string> payload = UnsealText(text);
+  if (!payload.ok()) return payload.status();
+  StatusOr<TextReader> reader = TextReader::Parse(payload.value());
+  if (!reader.ok()) return reader.status();
+  const Status header = CheckFormatHeader(reader.value(), format, version);
+  if (!header.ok()) return header;
+  return reader;
 }
 
 }  // namespace autocts

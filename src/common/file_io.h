@@ -1,14 +1,17 @@
 // Durable small-file I/O for checkpoints and other crash-sensitive state:
-// CRC32 integrity checksums and an atomic write-to-temp-then-rename
-// protocol that keeps the previous generation as "<path>.prev", so a crash
-// at any instant leaves at least one loadable generation on disk.
+// CRC32 integrity checksums, an atomic write-to-temp-then-rename protocol
+// that keeps the previous generation as "<path>.prev" (so a crash at any
+// instant leaves at least one loadable generation on disk), and the sealed
+// text layer every crash-sensitive format is built on.
 #ifndef AUTOCTS_COMMON_FILE_IO_H_
 #define AUTOCTS_COMMON_FILE_IO_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/status.h"
+#include "common/text_codec.h"
 
 namespace autocts {
 
@@ -31,6 +34,70 @@ StatusOr<std::string> ReadFileToString(const std::string& path);
 // new one at `path`, or the old one at "<path>.prev" — never a torn file.
 Status AtomicWriteFile(const std::string& path, const std::string& content,
                        bool keep_previous = true);
+
+// ---------------------------------------------------------------------------
+// Sealed text documents. The search checkpoint, the eval checkpoint and the
+// model artifact are "key = value" documents (common/text_codec.h) that
+// open with `format = <name>` and `version = <n>` records and end with
+//   crc32 = <8 lowercase hex digits>\n
+// over every preceding byte.
+// ---------------------------------------------------------------------------
+
+// Appends the crc32 trailer line to `payload`.
+std::string SealText(std::string payload);
+
+// Verifies the trailer and returns the payload before it. Strict: the
+// trailer is the last line, holds exactly eight lowercase hex digits and
+// ends with a newline, so losing even the final byte is a truncation. Every
+// failure is InvalidArgument.
+StatusOr<std::string> UnsealText(const std::string& text);
+
+// InvalidArgument unless the `format` and `version` records match.
+Status CheckFormatHeader(const TextReader& reader, const std::string& format,
+                         int64_t version);
+
+// UnsealText, then parse the payload and check its header.
+StatusOr<TextReader> OpenSealedText(const std::string& text,
+                                    const std::string& format,
+                                    int64_t version);
+
+// Reads `path` and decodes it; a decode error names the path.
+template <typename T>
+StatusOr<T> LoadFile(
+    const std::string& path,
+    const std::function<StatusOr<T>(const std::string&)>& decode) {
+  StatusOr<std::string> text = ReadFileToString(path);
+  if (!text.ok()) return text.status();
+  StatusOr<T> decoded = decode(text.value());
+  if (!decoded.ok()) {
+    return Status(decoded.status().code(),
+                  path + ": " + decoded.status().message());
+  }
+  return decoded;
+}
+
+// LoadFile(path), falling back to "<path>.prev" when the newest generation
+// is missing or `decode` rejects it. `decode` may check more than the
+// format (the searcher also refuses numerically unhealthy state), so the
+// fallback serves every reason a generation is unusable. `used_prev`
+// (optional) reports which generation loaded.
+template <typename T>
+StatusOr<T> LoadFileOrPrev(
+    const std::string& path,
+    const std::function<StatusOr<T>(const std::string&)>& decode,
+    bool* used_prev) {
+  if (used_prev != nullptr) *used_prev = false;
+  StatusOr<T> primary = LoadFile<T>(path, decode);
+  if (primary.ok() || !FileExists(path + ".prev")) return primary;
+  StatusOr<T> previous = LoadFile<T>(path + ".prev", decode);
+  if (!previous.ok()) {
+    return Status(primary.status().code(),
+                  primary.status().message() +
+                      "; fallback also failed: " + previous.status().message());
+  }
+  if (used_prev != nullptr) *used_prev = true;
+  return previous;
+}
 
 }  // namespace autocts
 

@@ -374,7 +374,7 @@ Status MetricsRegistry::DecodeState(const std::string& text) {
       std::string name;
       int64_t num_bounds = 0;
       if (!(in >> name) || !NextInt(&in, &num_bounds) || !IsToken(name) ||
-          num_bounds < 0 || num_bounds > 4096) {
+          !CountFits(num_bounds, in.rdbuf()->in_avail())) {
         Reset();
         return MalformedState(line);
       }
@@ -402,7 +402,8 @@ Status MetricsRegistry::DecodeState(const std::string& text) {
       int64_t num_values = 0;
       if (!(in >> row.kind) || !NextInt(&in, &row.epoch) ||
           !NextInt(&in, &row.step) || !NextInt(&in, &num_values) ||
-          !IsToken(row.kind) || num_values < 0 || num_values > (1 << 20)) {
+          !IsToken(row.kind) ||
+          !CountFits(num_values, in.rdbuf()->in_avail())) {
         Reset();
         return MalformedState(line);
       }

@@ -57,6 +57,16 @@ std::string FormatExactDouble(double value);
 // the entire token was consumed.
 bool ParseExactDouble(const std::string& token, double* value);
 
+// The count rule of every count-prefixed text field (tensor shapes, index
+// orders, value lists): `count` whitespace-separated items need at least
+// 2 * count - 1 bytes, so a count the `bytes_left` bytes of its record
+// cannot hold is refused before anything sized by it is allocated. Items of
+// several tokens pass `tokens_per_item`. Overflow-safe for any count.
+inline bool CountFits(int64_t count, int64_t bytes_left,
+                      int64_t tokens_per_item = 1) {
+  return count >= 0 && count <= (bytes_left + 1) / 2 / tokens_per_item;
+}
+
 // Splits `text` on `delimiter`, trimming surrounding whitespace per piece.
 std::vector<std::string> SplitString(const std::string& text, char delimiter);
 

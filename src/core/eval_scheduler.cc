@@ -19,6 +19,7 @@
 #include "common/logging.h"
 #include "common/macros.h"
 #include "common/stopwatch.h"
+#include "common/telemetry.h"
 #include "common/text_codec.h"
 #include "common/trace.h"
 #include "core/evaluator.h"
@@ -29,9 +30,6 @@ namespace {
 constexpr char kCheckpointFormat[] = "autocts-eval-checkpoint";
 constexpr char kCandidateSetFormat[] = "autocts-candidate-set";
 constexpr int64_t kCandidateSetVersion = 1;
-// Shared with core/search_checkpoint.cc: the trailer is the last line of the
-// document and checksums every preceding byte.
-constexpr char kCrcKey[] = "crc32 = ";
 
 // SplitMix64 step (Vigna 2015), the same generator common/random.cc uses to
 // expand seeds. Local copy: random.cc keeps it in an anonymous namespace.
@@ -49,42 +47,6 @@ std::string SanitizeLine(std::string text) {
     if (c == '\n' || c == '\r') c = ' ';
   }
   return text;
-}
-
-void AppendCrcTrailer(std::string* payload) {
-  char trailer[24];
-  std::snprintf(trailer, sizeof(trailer), "%s%08x\n", kCrcKey,
-                Crc32(*payload));
-  payload->append(trailer);
-}
-
-// Locates and verifies the crc32 trailer; returns the preceding payload.
-StatusOr<std::string> StripAndVerifyCrc(const std::string& text) {
-  const size_t pos = text.rfind(kCrcKey);
-  if (pos == std::string::npos) {
-    return Status::InvalidArgument("missing crc32 trailer");
-  }
-  if (pos != 0 && text[pos - 1] != '\n') {
-    return Status::InvalidArgument("crc32 trailer not on its own line");
-  }
-  std::string digits = text.substr(pos + std::strlen(kCrcKey));
-  if (!digits.empty() && digits.back() == '\n') digits.pop_back();
-  if (digits.size() != 8 ||
-      digits.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    return Status::InvalidArgument("malformed crc32 trailer");
-  }
-  const uint32_t expected =
-      static_cast<uint32_t>(std::strtoul(digits.c_str(), nullptr, 16));
-  std::string payload = text.substr(0, pos);
-  const uint32_t actual = Crc32(payload);
-  if (expected != actual) {
-    char message[64];
-    std::snprintf(message, sizeof(message),
-                  "crc32 mismatch: expected %08x, computed %08x", expected,
-                  actual);
-    return Status::InvalidArgument(message);
-  }
-  return payload;
 }
 
 // One completed candidate on a single line, every double as an exact
@@ -139,7 +101,8 @@ Status ParseResultRecord(const std::string& text, int64_t* index,
     return fail();
   }
   int64_t horizons = 0;
-  if (!read_int(&horizons) || horizons < 0 || horizons > (1 << 20)) {
+  if (!read_int(&horizons) ||
+      !CountFits(horizons, in.rdbuf()->in_avail(), /*tokens_per_item=*/3)) {
     return fail();
   }
   result->per_horizon.resize(horizons);
@@ -269,18 +232,9 @@ StatusOr<std::vector<Genotype>> DecodeCandidateSet(const std::string& text) {
     if (!genotype.ok()) return genotype.status();
     return std::vector<Genotype>{std::move(genotype).value()};
   }
-  if (format.value() != kCandidateSetFormat) {
-    return Status::InvalidArgument("not a candidate set: format = " +
-                                   format.value());
-  }
-  const StatusOr<int64_t> version = reader.value().GetInt("version");
-  if (!version.ok()) return version.status();
-  if (version.value() != kCandidateSetVersion) {
-    return Status::InvalidArgument(
-        "unsupported candidate-set version " +
-        std::to_string(version.value()) + " (expected " +
-        std::to_string(kCandidateSetVersion) + ")");
-  }
+  const Status checked = CheckFormatHeader(
+      reader.value(), kCandidateSetFormat, kCandidateSetVersion);
+  if (!checked.ok()) return checked;
   const StatusOr<int64_t> count = reader.value().GetInt("count");
   if (!count.ok()) return count.status();
   if (count.value() <= 0 ||
@@ -405,31 +359,13 @@ std::string EncodeEvalCheckpoint(const EvalCheckpoint& checkpoint) {
   for (const auto& [index, message] : checkpoint.failed) {
     out << "failed = " << index << " " << SanitizeLine(message) << "\n";
   }
-  std::string payload = out.str();
-  AppendCrcTrailer(&payload);
-  return payload;
+  return SealText(out.str());
 }
 
 StatusOr<EvalCheckpoint> DecodeEvalCheckpoint(const std::string& text) {
-  StatusOr<std::string> payload = StripAndVerifyCrc(text);
-  if (!payload.ok()) return payload.status();
-  StatusOr<TextReader> reader = TextReader::Parse(payload.value());
+  const StatusOr<TextReader> reader =
+      OpenSealedText(text, kCheckpointFormat, EvalCheckpoint::kFormatVersion);
   if (!reader.ok()) return reader.status();
-
-  const StatusOr<std::string> format = reader.value().Get("format");
-  if (!format.ok()) return format.status();
-  if (format.value() != kCheckpointFormat) {
-    return Status::InvalidArgument("not an eval checkpoint: format = " +
-                                   format.value());
-  }
-  const StatusOr<int64_t> version = reader.value().GetInt("version");
-  if (!version.ok()) return version.status();
-  if (version.value() != EvalCheckpoint::kFormatVersion) {
-    return Status::InvalidArgument(
-        "unsupported eval-checkpoint version " +
-        std::to_string(version.value()) + " (expected " +
-        std::to_string(EvalCheckpoint::kFormatVersion) + ")");
-  }
 
   EvalCheckpoint checkpoint;
   const StatusOr<std::string> config = reader.value().Get("config");
@@ -519,26 +455,13 @@ Status SaveEvalCheckpoint(const EvalCheckpoint& checkpoint,
 }
 
 StatusOr<EvalCheckpoint> LoadEvalCheckpoint(const std::string& path) {
-  StatusOr<std::string> text = ReadFileToString(path);
-  if (!text.ok()) return text.status();
-  return DecodeEvalCheckpoint(text.value());
+  return LoadFile<EvalCheckpoint>(path, DecodeEvalCheckpoint);
 }
 
 StatusOr<EvalCheckpoint> LoadEvalCheckpointOrPrev(const std::string& path,
                                                   bool* used_prev) {
-  if (used_prev != nullptr) *used_prev = false;
-  StatusOr<EvalCheckpoint> primary = LoadEvalCheckpoint(path);
-  if (primary.ok()) return primary;
-  const std::string prev_path = path + ".prev";
-  if (!FileExists(prev_path)) return primary.status();
-  StatusOr<EvalCheckpoint> previous = LoadEvalCheckpoint(prev_path);
-  if (!previous.ok()) {
-    return Status(primary.status().code(),
-                  primary.status().message() +
-                      "; fallback also failed: " + previous.status().message());
-  }
-  if (used_prev != nullptr) *used_prev = true;
-  return previous;
+  return LoadFileOrPrev<EvalCheckpoint>(path, DecodeEvalCheckpoint,
+                                        used_prev);
 }
 
 // --------------------------------------------------------------------------
@@ -945,15 +868,8 @@ StatusOr<EvalBatchResult> EvalScheduler::Evaluate(
           }
         } else {
           if (registry != nullptr && !options_.metrics_path.empty()) {
-            const fault::RetryOutcome sinks = fault::RetryCall(
-                options_.io_retry,
-                "eval metrics sinks " + options_.metrics_path,
-                [&] { return registry->WriteSinks(options_.metrics_path); });
-            record_io(sinks);
-            if (!sinks.status.ok()) {
-              AUTOCTS_LOG(WARNING) << "eval metrics sinks write failed: "
-                                   << sinks.status.message();
-            }
+            record_io(obs::WriteSinksWithRetry(
+                *registry, options_.metrics_path, options_.io_retry));
           }
           if (options_.post_persist_hook) {
             options_.post_persist_hook(
@@ -1002,11 +918,8 @@ StatusOr<EvalBatchResult> EvalScheduler::Evaluate(
     registry->GetGauge(kEvalMetricQueueDepth)->Set(0.0);
     registry->AppendRow("batch", count, 0);
     if (!options_.metrics_path.empty()) {
-      Status sinks = registry->WriteSinks(options_.metrics_path);
-      if (!sinks.ok()) {
-        AUTOCTS_LOG(WARNING) << "eval metrics sinks write failed: "
-                             << sinks.message();
-      }
+      record_io(obs::WriteSinksWithRetry(*registry, options_.metrics_path,
+                                         options_.io_retry));
     }
   }
   return batch;

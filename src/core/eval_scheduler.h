@@ -149,9 +149,9 @@ std::string EvalConfigFingerprint(const std::vector<Genotype>& candidates,
                                   int64_t hidden_dim,
                                   const models::TrainConfig& config);
 
-// Text codec, following the search-checkpoint conventions: exact hex-float
-// doubles and a crc32 trailer over every preceding byte. Decode returns a
-// non-OK Status on any mismatch, truncation, or malformed record.
+// Sealed text codec (common/file_io.h) with exact hex-float doubles. Decode
+// returns InvalidArgument on any CRC mismatch, truncation, or malformed
+// record.
 std::string EncodeEvalCheckpoint(const EvalCheckpoint& checkpoint);
 StatusOr<EvalCheckpoint> DecodeEvalCheckpoint(const std::string& text);
 

@@ -32,14 +32,15 @@ StatusOr<Genotype> Genotype::FromText(const std::string& text) {
   genotype.nodes_per_block = nodes.value();
   StatusOr<int64_t> num_blocks = reader.value().GetInt("num_blocks");
   if (!num_blocks.ok()) return num_blocks.status();
-  genotype.blocks.resize(num_blocks.value());
   for (const std::string& input : reader.value().GetAll("block_input")) {
     genotype.block_inputs.push_back(std::strtoll(input.c_str(), nullptr, 10));
   }
+  // The block count must match the records before it sizes anything.
   if (static_cast<int64_t>(genotype.block_inputs.size()) !=
       num_blocks.value()) {
     return Status::InvalidArgument("block_input count != num_blocks");
   }
+  genotype.blocks.resize(num_blocks.value());
   for (const std::string& edge_text : reader.value().GetAll("edge")) {
     std::istringstream stream(edge_text);
     int64_t block = 0;

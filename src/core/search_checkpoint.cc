@@ -1,56 +1,16 @@
 #include "core/search_checkpoint.h"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "common/file_io.h"
 #include "common/numerics.h"
 #include "common/text_codec.h"
+#include "nn/state_dict.h"
 
 namespace autocts::core {
 namespace {
 
 constexpr char kFormatName[] = "autocts-search-checkpoint";
-constexpr char kCrcKey[] = "crc32 = ";
-// Sanity bound on serialized tensor extents; real checkpoints are far
-// smaller, and the bound keeps a corrupt dimension from driving a huge
-// allocation before the record is rejected.
-constexpr int64_t kMaxTensorElements = int64_t{1} << 31;
-
-void AppendTensor(std::ostringstream* out, const Tensor& tensor) {
-  *out << " " << tensor.ndim();
-  for (int64_t d : tensor.shape()) *out << " " << d;
-  for (int64_t i = 0; i < tensor.size(); ++i) {
-    *out << " " << FormatExactDouble(tensor.data()[i]);
-  }
-}
-
-Status ParseTensor(std::istringstream* stream, const std::string& label,
-                   Tensor* out) {
-  int64_t ndim = 0;
-  if (!(*stream >> ndim) || ndim < 0 || ndim > 8) {
-    return Status::InvalidArgument("bad tensor rank in record: " + label);
-  }
-  Shape shape(ndim);
-  int64_t elements = 1;
-  for (int64_t d = 0; d < ndim; ++d) {
-    if (!(*stream >> shape[d]) || shape[d] < 0 ||
-        shape[d] > kMaxTensorElements || elements * std::max<int64_t>(shape[d], 1) > kMaxTensorElements) {
-      return Status::InvalidArgument("bad tensor shape in record: " + label);
-    }
-    elements *= shape[d];
-  }
-  Tensor value(shape);
-  std::string token;
-  for (int64_t i = 0; i < value.size(); ++i) {
-    if (!(*stream >> token) || !ParseExactDouble(token, &value.data()[i])) {
-      return Status::InvalidArgument("truncated or malformed values in record: " +
-                                     label);
-    }
-  }
-  *out = value;
-  return Status::Ok();
-}
 
 Status ExpectEndOfRecord(std::istringstream* stream, const std::string& label) {
   std::string extra;
@@ -68,13 +28,13 @@ void AppendAdamState(std::ostringstream* out, const std::string& key,
     *out << key << "_m = " << slot << " "
          << (state.first_moment[slot].defined() ? 1 : 0);
     if (state.first_moment[slot].defined()) {
-      AppendTensor(out, state.first_moment[slot]);
+      nn::AppendTensorText(state.first_moment[slot], out);
     }
     *out << "\n";
     *out << key << "_v = " << slot << " "
          << (state.second_moment[slot].defined() ? 1 : 0);
     if (state.second_moment[slot].defined()) {
-      AppendTensor(out, state.second_moment[slot]);
+      nn::AppendTensorText(state.second_moment[slot], out);
     }
     *out << "\n";
   }
@@ -99,11 +59,9 @@ Status ParseMomentRecords(const TextReader& reader, const std::string& key,
       return Status::InvalidArgument("malformed " + key + " record: " + record);
     }
     seen[slot] = true;
-    if (defined == 1) {
-      Status status = ParseTensor(&stream, key, &(*out)[slot]);
-      if (!status.ok()) return status;
-    }
-    Status status = ExpectEndOfRecord(&stream, key);
+    Status status = defined == 1
+                        ? nn::ParseTensorText(&stream, key, &(*out)[slot])
+                        : ExpectEndOfRecord(&stream, key);
     if (!status.ok()) return status;
   }
   return Status::Ok();
@@ -116,7 +74,7 @@ Status ParseAdamState(const TextReader& reader, const std::string& key,
   std::istringstream stream(header.value());
   int64_t slots = 0;
   if (!(stream >> out->step_count >> slots) || out->step_count < 0 ||
-      slots < 0 || slots > (int64_t{1} << 20)) {
+      slots < 0) {
     return Status::InvalidArgument("malformed " + key + " header: " +
                                    header.value());
   }
@@ -147,11 +105,9 @@ Status ParseNamedTensors(
       return Status::InvalidArgument("missing name in " + key + " record");
     }
     Tensor value;
-    Status status = ParseTensor(&stream, key + " " + name, &value);
+    Status status = nn::ParseTensorText(&stream, key + " " + name, &value);
     if (!status.ok()) return status;
-    status = ExpectEndOfRecord(&stream, key + " " + name);
-    if (!status.ok()) return status;
-    out->emplace_back(name, value);
+    out->emplace_back(name, std::move(value));
   }
   return Status::Ok();
 }
@@ -162,7 +118,7 @@ Status ParseIndexOrder(const TextReader& reader, const std::string& key,
   if (!record.ok()) return record.status();
   std::istringstream stream(record.value());
   int64_t n = 0;
-  if (!(stream >> n) || n < 0 || n > (int64_t{1} << 32)) {
+  if (!(stream >> n) || !CountFits(n, stream.rdbuf()->in_avail())) {
     return Status::InvalidArgument("malformed " + key + " record");
   }
   out->assign(n, 0);
@@ -243,13 +199,13 @@ std::string EncodeSearchCheckpoint(const SearchCheckpoint& checkpoint) {
   out << "param_count = " << checkpoint.parameters.size() << "\n";
   for (const auto& [name, value] : checkpoint.parameters) {
     out << "param = " << name;
-    AppendTensor(&out, value);
+    nn::AppendTensorText(value, &out);
     out << "\n";
   }
   out << "arch_count = " << checkpoint.arch_parameters.size() << "\n";
   for (const auto& [name, value] : checkpoint.arch_parameters) {
     out << "arch = " << name;
-    AppendTensor(&out, value);
+    nn::AppendTensorText(value, &out);
     out << "\n";
   }
   AppendAdamState(&out, "adam_w", checkpoint.weight_optimizer);
@@ -273,55 +229,14 @@ std::string EncodeSearchCheckpoint(const SearchCheckpoint& checkpoint) {
       out << "metrics = " << line << "\n";
     }
   }
-  std::string payload = out.str();
-  char trailer[32];
-  std::snprintf(trailer, sizeof(trailer), "%s%08x\n", kCrcKey, Crc32(payload));
-  payload += trailer;
-  return payload;
+  return SealText(out.str());
 }
 
 StatusOr<SearchCheckpoint> DecodeSearchCheckpoint(const std::string& text) {
-  // 1. Locate and verify the CRC trailer (the last line of the file). Any
-  // truncation or byte flip anywhere above it fails here.
-  const size_t marker = text.rfind(kCrcKey);
-  if (marker == std::string::npos ||
-      (marker != 0 && text[marker - 1] != '\n')) {
-    return Status::InvalidArgument("checkpoint missing crc32 trailer");
-  }
-  // Strict trailer: exactly eight lowercase hex digits (the encoder's %08x)
-  // plus an optional final newline. Anything else — including stray bytes
-  // after the digits — is a corrupt file.
-  std::string trailer = text.substr(marker + sizeof(kCrcKey) - 1);
-  if (!trailer.empty() && trailer.back() == '\n') trailer.pop_back();
-  if (trailer.size() != 8 ||
-      trailer.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    return Status::InvalidArgument("malformed crc32 trailer: " + trailer);
-  }
-  const uint32_t expected =
-      static_cast<uint32_t>(std::strtoul(trailer.c_str(), nullptr, 16));
-  const std::string payload = text.substr(0, marker);
-  const uint32_t actual = Crc32(payload);
-  if (actual != expected) {
-    return Status::InvalidArgument("checkpoint crc32 mismatch");
-  }
-
-  // 2. Parse the verified payload.
-  StatusOr<TextReader> parsed = TextReader::Parse(payload);
+  StatusOr<TextReader> parsed =
+      OpenSealedText(text, kFormatName, SearchCheckpoint::kFormatVersion);
   if (!parsed.ok()) return parsed.status();
   const TextReader& reader = parsed.value();
-
-  StatusOr<std::string> format = reader.Get("format");
-  if (!format.ok()) return format.status();
-  if (format.value() != kFormatName) {
-    return Status::InvalidArgument("not a search checkpoint: " +
-                                   format.value());
-  }
-  StatusOr<int64_t> version = reader.GetInt("version");
-  if (!version.ok()) return version.status();
-  if (version.value() != SearchCheckpoint::kFormatVersion) {
-    return Status::InvalidArgument("unsupported checkpoint version: " +
-                                   std::to_string(version.value()));
-  }
 
   SearchCheckpoint checkpoint;
   StatusOr<std::string> config = reader.Get("config");
@@ -401,8 +316,7 @@ StatusOr<SearchCheckpoint> DecodeSearchCheckpoint(const std::string& text) {
   if (metrics_count.ok()) {
     const int64_t count = metrics_count.value();
     const std::vector<std::string> lines = reader.GetAll("metrics");
-    if (count < 0 || count > (1 << 24) ||
-        static_cast<int64_t>(lines.size()) != count) {
+    if (static_cast<int64_t>(lines.size()) != count) {
       return Status::InvalidArgument(
           "metrics_count does not match metrics records");
     }
@@ -423,32 +337,13 @@ Status SaveSearchCheckpoint(const SearchCheckpoint& checkpoint,
 }
 
 StatusOr<SearchCheckpoint> LoadSearchCheckpoint(const std::string& path) {
-  StatusOr<std::string> content = ReadFileToString(path);
-  if (!content.ok()) return content.status();
-  StatusOr<SearchCheckpoint> checkpoint =
-      DecodeSearchCheckpoint(content.value());
-  if (!checkpoint.ok()) {
-    return Status(checkpoint.status().code(),
-                  path + ": " + checkpoint.status().message());
-  }
-  return checkpoint;
+  return LoadFile<SearchCheckpoint>(path, DecodeSearchCheckpoint);
 }
 
 StatusOr<SearchCheckpoint> LoadSearchCheckpointOrPrev(const std::string& path,
                                                       bool* used_prev) {
-  if (used_prev != nullptr) *used_prev = false;
-  StatusOr<SearchCheckpoint> primary = LoadSearchCheckpoint(path);
-  if (primary.ok()) return primary;
-  const std::string prev_path = path + ".prev";
-  if (!FileExists(prev_path)) return primary.status();
-  StatusOr<SearchCheckpoint> previous = LoadSearchCheckpoint(prev_path);
-  if (!previous.ok()) {
-    return Status(primary.status().code(),
-                  primary.status().message() +
-                      "; fallback also failed: " + previous.status().message());
-  }
-  if (used_prev != nullptr) *used_prev = true;
-  return previous;
+  return LoadFileOrPrev<SearchCheckpoint>(path, DecodeSearchCheckpoint,
+                                          used_prev);
 }
 
 Status CheckpointNumericHealth(const SearchCheckpoint& checkpoint) {

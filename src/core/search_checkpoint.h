@@ -33,10 +33,12 @@
 //   crc32 = <8 hex digits over every preceding byte>
 //
 // All doubles use the exact hex-float codec (common/text_codec.h), so a
-// load restores bit-identical values. The CRC trailer makes any truncation
-// or byte flip a detectable (non-OK Status) load failure; files are written
-// via the atomic rename protocol of common/file_io.h, which retains the
-// previous generation at "<path>.prev" as a fallback.
+// load restores bit-identical values. The document is sealed
+// (common/file_io.h): the strict CRC trailer makes any truncation or byte
+// flip an InvalidArgument load failure, and every count is checked against
+// its record before anything is allocated. Files are written via the atomic
+// rename protocol, which retains the previous generation at "<path>.prev"
+// as a fallback.
 #ifndef AUTOCTS_CORE_SEARCH_CHECKPOINT_H_
 #define AUTOCTS_CORE_SEARCH_CHECKPOINT_H_
 

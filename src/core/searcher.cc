@@ -9,9 +9,11 @@
 #include <optional>
 
 #include "common/buffer_pool.h"
+#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
+#include "common/telemetry.h"
 #include "common/trace.h"
 #include "optim/adam.h"
 #include "optim/lr_schedule.h"
@@ -56,59 +58,6 @@ void AxpyInPlace(std::vector<Variable>* parameters,
                autocts::MulScalar(deltas[i], scale));
   }
 }
-
-// Owns the tracer lifetime for one Search() call: starts the trace on
-// construction (when a path is given and no trace is already running) and
-// on destruction — any exit path, including error returns — closes the
-// root "search" span, stops collection, and writes the Chrome JSON plus
-// the "<path>.ops.csv" aggregate table.
-class TraceSession {
- public:
-  explicit TraceSession(const std::string& path) {
-    if (path.empty() || trace::Active()) return;
-    path_ = path;
-    trace::Start();
-    root_.emplace("search");
-  }
-  ~TraceSession() {
-    if (path_.empty()) return;
-    root_.reset();  // close the root while collection is still active
-    trace::Stop();
-    if (!trace::WriteChromeTrace(path_) ||
-        !trace::WriteAggregateCsv(path_ + ".ops.csv")) {
-      AUTOCTS_LOG(WARNING) << "failed to write trace output at " << path_;
-    }
-  }
-
- private:
-  std::string path_;
-  std::optional<trace::Scope> root_;
-};
-
-// Writes the metrics sinks on every exit path, retrying transient I/O
-// failures; telemetry that still cannot be written degrades to a warning.
-class MetricsSinkGuard {
- public:
-  MetricsSinkGuard(const obs::MetricsRegistry* registry, std::string path,
-                   fault::RetryPolicy policy)
-      : registry_(registry), path_(std::move(path)),
-        policy_(std::move(policy)) {}
-  ~MetricsSinkGuard() {
-    if (registry_ == nullptr || path_.empty()) return;
-    const fault::RetryOutcome outcome =
-        fault::RetryCall(policy_, "metrics sinks " + path_,
-                         [&] { return registry_->WriteSinks(path_); });
-    if (!outcome.status.ok()) {
-      AUTOCTS_LOG(WARNING) << "failed to write metrics sinks: "
-                           << outcome.status.ToString();
-    }
-  }
-
- private:
-  const obs::MetricsRegistry* registry_;
-  std::string path_;
-  fault::RetryPolicy policy_;
-};
 
 }  // namespace
 
@@ -216,9 +165,8 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
     metrics = &own_registry;
   }
   if (metrics != nullptr) RegisterSearchMetrics(metrics);
-  MetricsSinkGuard metrics_sink(metrics, options_.metrics_path,
-                                options_.io_retry);
-  TraceSession trace_session(options_.trace_path);
+  obs::TelemetryGuard telemetry(options_.trace_path, "search", metrics,
+                                options_.metrics_path, options_.io_retry);
   // Covers everything up to the epoch loop (supernet + optimizer
   // construction, pseudo-split shuffle, checkpoint restore), which would
   // otherwise show up as unattributed root self-time in the aggregate
@@ -280,25 +228,21 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
   bool resume_mid_epoch = false;
   if (options_.resume && !options_.checkpoint_path.empty()) {
     bool used_prev = false;
-    StatusOr<SearchCheckpoint> loaded =
-        LoadSearchCheckpointOrPrev(options_.checkpoint_path, &used_prev);
     // Last-good generation tracking: a checkpoint that decodes cleanly but
     // holds non-finite state (it predates the write-side health gate, or
-    // was produced elsewhere) must never be resumed; fall back to the
-    // previous generation before giving up.
-    if (loaded.ok()) {
-      Status health = CheckpointNumericHealth(loaded.value());
-      if (!health.ok() && !used_prev) {
-        AUTOCTS_LOG(WARNING)
-            << "checkpoint at " << options_.checkpoint_path
-            << " is numerically unhealthy (" << health.ToString()
-            << "); trying previous generation";
-        used_prev = true;
-        loaded = LoadSearchCheckpoint(options_.checkpoint_path + ".prev");
-        if (loaded.ok()) health = CheckpointNumericHealth(loaded.value());
-      }
-      if (loaded.ok() && !health.ok()) loaded = health;
-    }
+    // was produced elsewhere) must never be resumed, so numeric health is
+    // part of the decoder and an unhealthy generation falls back to the
+    // previous one like a corrupt one does.
+    StatusOr<SearchCheckpoint> loaded = LoadFileOrPrev<SearchCheckpoint>(
+        options_.checkpoint_path,
+        [](const std::string& text) -> StatusOr<SearchCheckpoint> {
+          StatusOr<SearchCheckpoint> decoded = DecodeSearchCheckpoint(text);
+          if (!decoded.ok()) return decoded;
+          const Status health = CheckpointNumericHealth(decoded.value());
+          if (!health.ok()) return health;
+          return decoded;
+        },
+        &used_prev);
     if (!loaded.ok()) {
       AUTOCTS_LOG(WARNING) << "resume requested but no usable checkpoint at "
                            << options_.checkpoint_path << " ("
@@ -401,34 +345,62 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
   int64_t consecutive_skips = 0;
   int64_t healthy_steps_since_snapshot = 0;
 
-  // In-memory last-good snapshot for the rollback tier; cursor semantics
-  // match the on-disk checkpoint block (the first batch a restarted run
-  // executes, rolling over at epoch boundaries).
-  const auto capture_snapshot = [&](int64_t epoch, int64_t next_step,
-                                    int64_t max_steps, double val_loss_sum,
-                                    int64_t steps, double final_loss) {
-    last_good = CaptureSearchState(supernet, weight_optimizer,
-                                   theta_optimizer, rng, pseudo_train,
-                                   pseudo_val);
-    last_good.config_fingerprint = fingerprint;
-    last_good.epoch = epoch;
-    last_good.step = next_step;
-    if (max_steps > 0 && last_good.step >= max_steps) {
-      last_good.epoch = epoch + 1;
-      last_good.step = 0;
-    }
-    last_good.val_loss_sum = val_loss_sum;
-    last_good.epoch_steps = steps;
-    last_good.final_validation_loss = final_loss;
-    last_good.metrics_state =
+  // Snapshots the live search state. The cursor is the first batch a
+  // restarted run executes: a capture after the last batch of an epoch
+  // (next_step == max_steps > 0) rolls over to the next epoch's preamble.
+  const auto capture = [&](int64_t epoch, int64_t next_step,
+                           int64_t max_steps) {
+    SearchCheckpoint checkpoint =
+        CaptureSearchState(supernet, weight_optimizer, theta_optimizer, rng,
+                           pseudo_train, pseudo_val);
+    checkpoint.config_fingerprint = fingerprint;
+    const bool roll_over = max_steps > 0 && next_step >= max_steps;
+    checkpoint.epoch = roll_over ? epoch + 1 : epoch;
+    checkpoint.step = roll_over ? 0 : next_step;
+    checkpoint.val_loss_sum = val_loss_sum;
+    checkpoint.epoch_steps = steps;
+    checkpoint.final_validation_loss = result.final_validation_loss;
+    checkpoint.metrics_state =
         metrics != nullptr ? metrics->EncodeState() : std::string();
+    return checkpoint;
+  };
+  // In-memory last-good snapshot for the rollback tier.
+  const auto capture_snapshot = [&](int64_t epoch, int64_t next_step,
+                                    int64_t max_steps) {
+    last_good = capture(epoch, next_step, max_steps);
     have_last_good = true;
     healthy_steps_since_snapshot = 0;
   };
   if (recovery.enabled) {
-    capture_snapshot(start_epoch, start_step, /*max_steps=*/0, val_loss_sum,
-                     steps, result.final_validation_loss);
+    capture_snapshot(start_epoch, start_step, /*max_steps=*/0);
   }
+  const auto record_io = [&](const fault::RetryOutcome& outcome) {
+    if (metrics == nullptr) return;
+    if (outcome.retries() > 0) {
+      metrics->GetCounter(kMetricIoRetries)->Increment(outcome.retries());
+    }
+    if (!outcome.status.ok()) {
+      metrics->GetCounter(kMetricIoFailures)->Increment();
+    }
+  };
+  // Captures the state after batch `step` and writes it under the retry
+  // policy. Write-side half of last-good generation tracking: never
+  // replace a healthy on-disk generation with an unhealthy one.
+  // Unreachable when the per-step checks work, but cheap insurance for the
+  // scalar fields they do not cover.
+  const auto write_checkpoint = [&](int64_t epoch, int64_t step,
+                                    int64_t max_steps) {
+    const SearchCheckpoint checkpoint = capture(epoch, step + 1, max_steps);
+    const Status health = CheckpointNumericHealth(checkpoint);
+    if (!health.ok()) return health;
+    const fault::RetryOutcome outcome = fault::RetryCall(
+        options_.io_retry, "search checkpoint " + options_.checkpoint_path,
+        [&] {
+          return SaveSearchCheckpoint(checkpoint, options_.checkpoint_path);
+        });
+    record_io(outcome);
+    return outcome.status;
+  };
 
   setup_span.reset();
   bool restart = true;
@@ -690,8 +662,7 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
       consecutive_skips = 0;
       if (recovery.enabled &&
           ++healthy_steps_since_snapshot >= recovery.snapshot_every_n_batches) {
-        capture_snapshot(epoch, step + 1, max_steps, val_loss_sum, steps,
-                         result.final_validation_loss);
+        capture_snapshot(epoch, step + 1, max_steps);
       }
 
       if (checkpointing &&
@@ -703,67 +674,14 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
           // already reflects the checkpoint it restarted from.
           metrics->GetCounter(kMetricCheckpoints)->Increment();
         }
-        SearchCheckpoint checkpoint =
-            CaptureSearchState(supernet, weight_optimizer, theta_optimizer,
-                               rng, pseudo_train, pseudo_val);
-        checkpoint.metrics_state =
-            metrics != nullptr ? metrics->EncodeState() : std::string();
-        checkpoint.config_fingerprint = fingerprint;
-        // Cursor = the first batch the resumed run executes; a checkpoint
-        // on the last batch of an epoch rolls over to the next epoch's
-        // preamble.
-        checkpoint.epoch = epoch;
-        checkpoint.step = step + 1;
-        if (checkpoint.step >= max_steps) {
-          checkpoint.epoch = epoch + 1;
-          checkpoint.step = 0;
-        }
-        checkpoint.val_loss_sum = val_loss_sum;
-        checkpoint.epoch_steps = steps;
-        checkpoint.final_validation_loss = result.final_validation_loss;
-        // Write-side half of last-good generation tracking: never replace a
-        // healthy on-disk generation with an unhealthy one. Unreachable
-        // when the per-step checks above work, but cheap insurance for the
-        // scalar fields they do not cover.
-        const Status health = CheckpointNumericHealth(checkpoint);
-        Status status = health;
-        if (health.ok()) {
-          const fault::RetryOutcome outcome = fault::RetryCall(
-              options_.io_retry,
-              "search checkpoint " + options_.checkpoint_path, [&] {
-                return SaveSearchCheckpoint(checkpoint,
-                                            options_.checkpoint_path);
-              });
-          status = outcome.status;
-          if (metrics != nullptr) {
-            if (outcome.retries() > 0) {
-              metrics->GetCounter(kMetricIoRetries)
-                  ->Increment(outcome.retries());
-            }
-            if (!outcome.status.ok()) {
-              metrics->GetCounter(kMetricIoFailures)->Increment();
-            }
-          }
-        }
+        const Status status = write_checkpoint(epoch, step, max_steps);
         if (!status.ok()) {
           AUTOCTS_LOG(WARNING)
               << "checkpoint write failed: " << status.ToString();
         } else {
           if (metrics != nullptr && !options_.metrics_path.empty()) {
-            const fault::RetryOutcome sink_outcome = fault::RetryCall(
-                options_.io_retry,
-                "metrics sinks " + options_.metrics_path,
-                [&] { return metrics->WriteSinks(options_.metrics_path); });
-            if (sink_outcome.retries() > 0) {
-              metrics->GetCounter(kMetricIoRetries)
-                  ->Increment(sink_outcome.retries());
-            }
-            if (!sink_outcome.status.ok()) {
-              // Telemetry only: degrade to a warning, never kill the search.
-              metrics->GetCounter(kMetricIoFailures)->Increment();
-              AUTOCTS_LOG(WARNING) << "metrics sink write failed: "
-                                   << sink_outcome.status.ToString();
-            }
+            record_io(obs::WriteSinksWithRetry(*metrics, options_.metrics_path,
+                                               options_.io_retry));
           }
           if (options_.post_checkpoint_hook) {
             options_.post_checkpoint_hook(checkpoint_ordinal,
@@ -786,33 +704,7 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
           // Unlike the periodic block this does not advance the checkpoints
           // metric: only periodic writes count, so a run resumed from this
           // checkpoint reports the same counter an uninterrupted run does.
-          SearchCheckpoint checkpoint =
-              CaptureSearchState(supernet, weight_optimizer, theta_optimizer,
-                                 rng, pseudo_train, pseudo_val);
-          checkpoint.metrics_state =
-              metrics != nullptr ? metrics->EncodeState() : std::string();
-          checkpoint.config_fingerprint = fingerprint;
-          checkpoint.epoch = epoch;
-          checkpoint.step = step + 1;
-          if (checkpoint.step >= max_steps) {
-            checkpoint.epoch = epoch + 1;
-            checkpoint.step = 0;
-          }
-          checkpoint.val_loss_sum = val_loss_sum;
-          checkpoint.epoch_steps = steps;
-          checkpoint.final_validation_loss = result.final_validation_loss;
-          const Status health = CheckpointNumericHealth(checkpoint);
-          Status save = health;
-          if (health.ok()) {
-            save = fault::RetryCall(
-                       options_.io_retry,
-                       "final checkpoint " + options_.checkpoint_path,
-                       [&] {
-                         return SaveSearchCheckpoint(
-                             checkpoint, options_.checkpoint_path);
-                       })
-                       .status;
-          }
+          const Status save = write_checkpoint(epoch, step, max_steps);
           if (!save.ok()) {
             AUTOCTS_LOG(WARNING)
                 << "final checkpoint write failed: " << save.ToString();

@@ -2,13 +2,13 @@
 
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "autograd/variable_ops.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "common/telemetry.h"
 #include "common/trace.h"
 #include "nn/state_dict.h"
 #include "optim/adam.h"
@@ -39,55 +39,6 @@ void RegisterTrainMetrics(obs::MetricsRegistry* registry) {
   registry->GetGauge(kEpochSec);
   registry->GetGauge(kBatchesPerSec);
 }
-
-// Same RAII shape as the searcher's TraceSession: starts the tracer when a
-// path is given and no trace is already running; on destruction writes the
-// Chrome JSON and the "<path>.ops.csv" aggregate table.
-class TraceSession {
- public:
-  explicit TraceSession(const std::string& path) {
-    if (path.empty() || trace::Active()) return;
-    path_ = path;
-    trace::Start();
-    root_.emplace("train");
-  }
-  ~TraceSession() {
-    if (path_.empty()) return;
-    root_.reset();
-    trace::Stop();
-    if (!trace::WriteChromeTrace(path_) ||
-        !trace::WriteAggregateCsv(path_ + ".ops.csv")) {
-      AUTOCTS_LOG(WARNING) << "failed to write trace output at " << path_;
-    }
-  }
-
- private:
-  std::string path_;
-  std::optional<trace::Scope> root_;
-};
-
-// Writes the metrics sinks on exit, retrying transient I/O failures under
-// the default policy; telemetry that still cannot be written degrades to a
-// warning (training results never die of a sink).
-class MetricsSinkGuard {
- public:
-  MetricsSinkGuard(const obs::MetricsRegistry* registry, std::string path)
-      : registry_(registry), path_(std::move(path)) {}
-  ~MetricsSinkGuard() {
-    if (registry_ == nullptr || path_.empty()) return;
-    const fault::RetryOutcome outcome =
-        fault::RetryCall(fault::RetryPolicy(), "metrics sinks " + path_,
-                         [&] { return registry_->WriteSinks(path_); });
-    if (!outcome.status.ok()) {
-      AUTOCTS_LOG(WARNING) << "failed to write metrics sinks: "
-                           << outcome.status.ToString();
-    }
-  }
-
- private:
-  const obs::MetricsRegistry* registry_;
-  std::string path_;
-};
 
 }  // namespace
 
@@ -135,8 +86,8 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
     metrics = &own_registry;
   }
   if (metrics != nullptr) RegisterTrainMetrics(metrics);
-  MetricsSinkGuard metrics_sink(metrics, config.metrics_path);
-  TraceSession trace_session(config.trace_path);
+  obs::TelemetryGuard telemetry(config.trace_path, "train", metrics,
+                                config.metrics_path, fault::RetryPolicy());
 
   optim::Adam optimizer(model->Parameters(),
                         {.learning_rate = config.learning_rate,

@@ -1,8 +1,5 @@
 #include "nn/state_dict.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "common/text_codec.h"
 
 namespace autocts::nn {
@@ -10,47 +7,69 @@ namespace {
 
 void AppendTensorRecord(const std::string& key, const std::string& name,
                         const Tensor& value, std::ostringstream* out) {
-  *out << key << " = " << name << " " << value.ndim();
-  for (int64_t d : value.shape()) *out << " " << d;
-  // Hex-float ("%a") output is an exact image of the bits, so every
-  // value — 0.1, denormals, extremes — reloads bit-identically. (The
-  // previous 17-significant-digit decimal form is still accepted by
-  // LoadStateDict for old files.)
-  for (int64_t i = 0; i < value.size(); ++i) {
-    *out << " " << FormatExactDouble(value.data()[i]);
-  }
+  *out << key << " = " << name;
+  AppendTensorText(value, out);
   *out << "\n";
 }
 
 Status ParseTensorRecord(const std::string& record, std::string* name,
                          Tensor* value) {
   std::istringstream stream(record);
-  int64_t ndim = 0;
-  if (!(stream >> *name >> ndim) || ndim < 0 || ndim > 8) {
+  if (!(stream >> *name)) {
     return Status::InvalidArgument("malformed record: " + record);
   }
-  Shape shape(ndim);
-  for (int64_t d = 0; d < ndim; ++d) {
-    if (!(stream >> shape[d]) || shape[d] < 0) {
-      return Status::InvalidArgument("bad shape in record: " + *name);
-    }
-  }
-  *value = Tensor::Uninitialized(shape);
-  // Token-wise strtod parsing: istream extraction does not accept the
-  // hex-float form SaveStateDict writes (LWG 2381).
-  std::string token;
-  for (int64_t i = 0; i < value->size(); ++i) {
-    if (!(stream >> token) || !ParseExactDouble(token, &value->data()[i])) {
-      return Status::InvalidArgument("truncated values for: " + *name);
-    }
-  }
-  if (stream >> token) {
-    return Status::InvalidArgument("trailing values for: " + *name);
-  }
-  return Status::Ok();
+  return ParseTensorText(&stream, *name, value);
 }
 
 }  // namespace
+
+void AppendTensorText(const Tensor& value, std::ostream* out) {
+  *out << " " << value.ndim();
+  for (int64_t d : value.shape()) *out << " " << d;
+  // Hex-float ("%a") output is an exact image of the bits, so every
+  // value — 0.1, denormals, extremes — reloads bit-identically. (The
+  // previous 17-significant-digit decimal form is still accepted for old
+  // files.)
+  for (int64_t i = 0; i < value.size(); ++i) {
+    *out << " " << FormatExactDouble(value.data()[i]);
+  }
+}
+
+Status ParseTensorText(std::istringstream* record, const std::string& label,
+                       Tensor* out) {
+  int64_t ndim = 0;
+  if (!(*record >> ndim) || ndim < 0 || ndim > 8) {
+    return Status::InvalidArgument("bad tensor rank in record: " + label);
+  }
+  Shape shape(ndim);
+  int64_t elements = 1;
+  bool overflow = false;
+  for (int64_t& d : shape) {
+    if (!(*record >> d) || d < 0) {
+      return Status::InvalidArgument("bad tensor shape in record: " + label);
+    }
+    overflow |= __builtin_mul_overflow(elements, d, &elements);
+  }
+  if (overflow || !CountFits(elements, record->rdbuf()->in_avail())) {
+    return Status::InvalidArgument(
+        "tensor shape claims more values than its record holds: " + label);
+  }
+  Tensor value = Tensor::Uninitialized(shape);
+  // Token-wise strtod parsing: istream extraction does not accept the
+  // hex-float form (LWG 2381).
+  std::string token;
+  for (int64_t i = 0; i < value.size(); ++i) {
+    if (!(*record >> token) || !ParseExactDouble(token, &value.data()[i])) {
+      return Status::InvalidArgument("truncated or malformed values in: " +
+                                     label);
+    }
+  }
+  if (*record >> token) {
+    return Status::InvalidArgument("trailing values in: " + label);
+  }
+  *out = std::move(value);
+  return Status::Ok();
+}
 
 std::string SaveStateDict(const Module& module) {
   std::ostringstream out;
@@ -150,21 +169,6 @@ Status LoadStateDict(Module* module, const std::string& text) {
     }
   }
   return Status::Ok();
-}
-
-Status SaveStateDictToFile(const Module& module, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::Internal("cannot open for writing: " + path);
-  out << SaveStateDict(module);
-  return out ? Status::Ok() : Status::Internal("write failed: " + path);
-}
-
-Status LoadStateDictFromFile(Module* module, const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open: " + path);
-  const std::string text{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
-  return LoadStateDict(module, text);
 }
 
 ParameterSnapshot::ParameterSnapshot(const Module& module) {

@@ -12,15 +12,31 @@
 // Files written before buffer records existed still load (the module's
 // buffers keep their current values); an unknown buffer name or shape
 // mismatch is rejected like any architecture mismatch.
+//
+// The "<ndim> <dims...> <values...>" tail is the one tensor text codec of
+// the repository: search checkpoints and model artifacts embed tensors
+// through AppendTensorText/ParseTensorText too.
 #ifndef AUTOCTS_NN_STATE_DICT_H_
 #define AUTOCTS_NN_STATE_DICT_H_
 
+#include <ostream>
+#include <sstream>
 #include <string>
 
 #include "common/status.h"
 #include "nn/module.h"
 
 namespace autocts::nn {
+
+// Appends " <ndim> <dim0> ... <dimk> <v0> ... <vn>" (hex-float values).
+void AppendTensorText(const Tensor& value, std::ostream* out);
+
+// Parses the tensor that ends `record`. The element count the shape claims
+// must fit the bytes left in the record (CountFits in common/text_codec.h),
+// checked with overflow-safe arithmetic before any storage is acquired; a
+// bad rank, shape, value or trailing token is InvalidArgument.
+Status ParseTensorText(std::istringstream* record, const std::string& label,
+                       Tensor* out);
 
 // Serializes every named parameter of `module`.
 std::string SaveStateDict(const Module& module);
@@ -29,10 +45,6 @@ std::string SaveStateDict(const Module& module);
 // must be present in the text with a matching shape; unknown extra records
 // are rejected too (they signal an architecture mismatch).
 Status LoadStateDict(Module* module, const std::string& text);
-
-// Convenience file wrappers.
-Status SaveStateDictToFile(const Module& module, const std::string& path);
-Status LoadStateDictFromFile(Module* module, const std::string& path);
 
 // In-memory snapshot/restore used for best-validation-weights tracking.
 // Snapshot captures deep copies of all parameter values. Intentionally

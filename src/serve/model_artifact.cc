@@ -1,8 +1,5 @@
 #include "serve/model_artifact.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/file_io.h"
@@ -13,49 +10,12 @@ namespace autocts::serve {
 namespace {
 
 constexpr char kFormatName[] = "autocts-model-artifact";
-constexpr char kCrcKey[] = "crc32 = ";
-// Sanity bound on the serialized adjacency extent; a corrupt dimension must
-// not drive a huge allocation before the record is rejected.
-constexpr int64_t kMaxTensorElements = int64_t{1} << 31;
-
-void AppendTensor(std::ostringstream* out, const Tensor& tensor) {
-  *out << " " << tensor.ndim();
-  for (int64_t d : tensor.shape()) *out << " " << d;
-  for (int64_t i = 0; i < tensor.size(); ++i) {
-    *out << " " << FormatExactDouble(tensor.data()[i]);
-  }
-}
-
-Status ParseTensor(std::istringstream* stream, const std::string& label,
-                   Tensor* out) {
-  int64_t ndim = 0;
-  if (!(*stream >> ndim) || ndim < 0 || ndim > 8) {
-    return Status::InvalidArgument("bad tensor rank in record: " + label);
-  }
-  Shape shape(ndim);
-  int64_t elements = 1;
-  for (int64_t d = 0; d < ndim; ++d) {
-    if (!(*stream >> shape[d]) || shape[d] < 0 ||
-        shape[d] > kMaxTensorElements ||
-        elements * std::max<int64_t>(shape[d], 1) > kMaxTensorElements) {
-      return Status::InvalidArgument("bad tensor shape in record: " + label);
-    }
-    elements *= shape[d];
-  }
-  Tensor value(shape);
-  std::string token;
-  for (int64_t i = 0; i < value.size(); ++i) {
-    if (!(*stream >> token) || !ParseExactDouble(token, &value.data()[i])) {
-      return Status::InvalidArgument("truncated or malformed values in: " +
-                                     label);
-    }
-  }
-  *out = value;
-  return Status::Ok();
-}
 
 Status ParseDoubleList(const std::string& text, const std::string& label,
                        int64_t expected, std::vector<double>* out) {
+  if (!CountFits(expected, static_cast<int64_t>(text.size()))) {
+    return Status::InvalidArgument("truncated values in: " + label);
+  }
   std::istringstream stream(text);
   out->assign(expected, 0.0);
   std::string token;
@@ -155,7 +115,7 @@ std::string EncodeModelArtifact(const ModelArtifact& artifact) {
   std::ostringstream adjacency;
   adjacency << (artifact.adjacency.defined() ? 1 : 0);
   if (artifact.adjacency.defined()) {
-    AppendTensor(&adjacency, artifact.adjacency);
+    nn::AppendTensorText(artifact.adjacency, &adjacency);
   }
   writer.Add("adjacency", adjacency.str());
 
@@ -163,54 +123,14 @@ std::string EncodeModelArtifact(const ModelArtifact& artifact) {
               artifact.genotype.ToText());
   AppendLines(&writer, "state_lines", "state", artifact.state_dict);
 
-  const std::string payload = writer.ToString();
-  char trailer[32];
-  std::snprintf(trailer, sizeof(trailer), "%s%08x\n", kCrcKey, Crc32(payload));
-  return payload + trailer;
+  return SealText(writer.ToString());
 }
 
 StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& text) {
-  // 1. Locate and verify the CRC trailer (the last line). Any truncation or
-  // byte flip anywhere above it fails here.
-  const size_t marker = text.rfind(kCrcKey);
-  if (marker == std::string::npos ||
-      (marker != 0 && text[marker - 1] != '\n')) {
-    return Status::InvalidArgument("artifact missing crc32 trailer");
-  }
-  std::string trailer = text.substr(marker + sizeof(kCrcKey) - 1);
-  // The trailer must be newline-terminated: losing even the final byte of
-  // the file is a truncation and must be rejected, not tolerated.
-  if (trailer.empty() || trailer.back() != '\n') {
-    return Status::InvalidArgument("artifact truncated: unterminated trailer");
-  }
-  trailer.pop_back();
-  if (trailer.size() != 8 ||
-      trailer.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    return Status::InvalidArgument("malformed crc32 trailer: " + trailer);
-  }
-  const uint32_t expected =
-      static_cast<uint32_t>(std::strtoul(trailer.c_str(), nullptr, 16));
-  const std::string payload = text.substr(0, marker);
-  if (Crc32(payload) != expected) {
-    return Status::InvalidArgument("artifact crc32 mismatch");
-  }
-
-  // 2. Parse the verified payload.
-  StatusOr<TextReader> parsed = TextReader::Parse(payload);
+  StatusOr<TextReader> parsed =
+      OpenSealedText(text, kFormatName, ModelArtifact::kFormatVersion);
   if (!parsed.ok()) return parsed.status();
   const TextReader& reader = parsed.value();
-
-  StatusOr<std::string> format = reader.Get("format");
-  if (!format.ok()) return format.status();
-  if (format.value() != kFormatName) {
-    return Status::InvalidArgument("not a model artifact: " + format.value());
-  }
-  StatusOr<int64_t> version = reader.GetInt("version");
-  if (!version.ok()) return version.status();
-  if (version.value() != ModelArtifact::kFormatVersion) {
-    return Status::InvalidArgument("unsupported artifact version: " +
-                                   std::to_string(version.value()));
-  }
 
   ModelArtifact artifact;
   struct IntField {
@@ -279,12 +199,11 @@ StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& text) {
     if (!(stream >> defined) || (defined != 0 && defined != 1)) {
       return Status::InvalidArgument("malformed adjacency record");
     }
-    if (defined == 1) {
-      status = ParseTensor(&stream, "adjacency", &artifact.adjacency);
-      if (!status.ok()) return status;
-    }
     std::string extra;
-    if (stream >> extra) {
+    if (defined == 1) {
+      status = nn::ParseTensorText(&stream, "adjacency", &artifact.adjacency);
+      if (!status.ok()) return status;
+    } else if (stream >> extra) {
       return Status::InvalidArgument("trailing tokens in adjacency record");
     }
   }
@@ -309,26 +228,12 @@ Status SaveModelArtifact(const ModelArtifact& artifact,
 }
 
 StatusOr<ModelArtifact> LoadModelArtifact(const std::string& path) {
-  StatusOr<std::string> text = ReadFileToString(path);
-  if (!text.ok()) return text.status();
-  return DecodeModelArtifact(text.value());
+  return LoadFile<ModelArtifact>(path, DecodeModelArtifact);
 }
 
 StatusOr<ModelArtifact> LoadModelArtifactOrPrev(const std::string& path,
                                                 bool* used_prev) {
-  if (used_prev != nullptr) *used_prev = false;
-  StatusOr<ModelArtifact> primary = LoadModelArtifact(path);
-  if (primary.ok()) return primary;
-  const std::string prev_path = path + ".prev";
-  if (!FileExists(prev_path)) return primary.status();
-  StatusOr<ModelArtifact> previous = LoadModelArtifact(prev_path);
-  if (!previous.ok()) {
-    return Status(primary.status().code(),
-                  primary.status().message() +
-                      "; fallback also failed: " + previous.status().message());
-  }
-  if (used_prev != nullptr) *used_prev = true;
-  return previous;
+  return LoadFileOrPrev<ModelArtifact>(path, DecodeModelArtifact, used_prev);
 }
 
 StatusOr<std::unique_ptr<core::DerivedModel>> BuildModelFromArtifact(

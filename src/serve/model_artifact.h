@@ -2,11 +2,11 @@
 // derived architecture without the training pipeline: the genotype, the
 // trained weights (parameters + non-trainable buffers such as BatchNorm
 // running statistics), the fitted normalization scaler, and the dataset
-// window geometry. The format follows the search-checkpoint codec: a
-// line-oriented "key = value" document whose last line is a CRC32 trailer
-// over every preceding byte, written via AtomicWriteFile so a crash leaves
-// either the old generation at `path`, the new one, or the old one at
-// "<path>.prev" — never a torn file.
+// window geometry. Like the checkpoints it is a sealed "key = value"
+// document (common/file_io.h) whose last line is a CRC32 trailer over every
+// preceding byte, written via AtomicWriteFile so a crash leaves either the
+// old generation at `path`, the new one, or the old one at "<path>.prev" —
+// never a torn file.
 //
 // Round-trip contract: a model rebuilt from a loaded artifact produces
 // forecasts bit-identical to the exported model's (eval mode, same input).
@@ -63,7 +63,7 @@ std::string EncodeModelArtifact(const ModelArtifact& artifact);
 StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& text);
 
 // File wrappers: atomic write (previous generation kept as "<path>.prev"),
-// load, and load-with-fallback mirroring LoadSearchCheckpointOrPrev.
+// load, and load-with-fallback (LoadFileOrPrev in common/file_io.h).
 Status SaveModelArtifact(const ModelArtifact& artifact,
                          const std::string& path);
 StatusOr<ModelArtifact> LoadModelArtifact(const std::string& path);

@@ -2,8 +2,9 @@
 //   * kill-point fault injection — abort the search after every checkpoint
 //     boundary, resume, and require the bit-exact genotype / Theta / loss of
 //     an uninterrupted run, under 1 and 4 threads;
-//   * corruption rejection — truncations at every record boundary and
-//     single-byte flips at every offset must load as a non-OK Status;
+//   * post-CRC validation — foreign formats, future versions and
+//     inconsistent record counts are rejected even with a valid trailer
+//     (byte flips and truncations are swept in sealed_format_test);
 //   * previous-generation fallback — a corrupt newest checkpoint falls back
 //     to "<path>.prev" and still reproduces the uninterrupted run;
 //   * exact state-dict round-trips across the whole baseline model zoo.
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -142,54 +144,15 @@ void ExpectCheckpointsBitsEqual(const SearchCheckpoint& a,
   }
 }
 
-// A small hand-built checkpoint exercising pathological doubles (0.1, the
-// smallest denormal, -0.0, huge magnitudes) and a lazy (undefined) Adam
-// moment slot. Codec-level tests run on this instead of a real search
-// snapshot so the byte-flip sweep can afford to cover every offset.
+// The synthetic checkpoint pinned in tests/testdata/sealed_golden_v1/.
+// Codec-level tests run on it instead of a real search snapshot.
 SearchCheckpoint MakeSyntheticCheckpoint() {
-  SearchCheckpoint checkpoint;
-  checkpoint.config_fingerprint = "synthetic fingerprint v1";
-  checkpoint.epoch = 1;
-  checkpoint.step = 2;
-  checkpoint.tau = 4.5;
-  checkpoint.val_loss_sum = 0.1;
-  checkpoint.epoch_steps = 2;
-  checkpoint.final_validation_loss = 1.0 / 3.0;
-  Rng rng(7);
-  (void)rng.Normal();  // Populate the cached Box-Muller half.
-  checkpoint.rng = rng.GetState();
-  checkpoint.pseudo_train = {3, 1, 2};
-  checkpoint.pseudo_val = {0, 4};
-  checkpoint.parameters.emplace_back(
-      "layer.w", Tensor::FromVector({2, 2}, {0.1, -2.5, 4.9406564584124654e-324,
-                                             3.0}));
-  checkpoint.parameters.emplace_back(
-      "layer.b", Tensor::FromVector({2}, {-0.0, 1e308}));
-  checkpoint.arch_parameters.emplace_back(
-      "cell0.alpha", Tensor::FromVector({3}, {0.25, 1.0 / 3.0, -0.1}));
-  checkpoint.weight_optimizer.step_count = 5;
-  checkpoint.weight_optimizer.first_moment = {
-      Tensor::FromVector({2, 2}, {1e-9, -0.3, 0.0, 2.0}), Tensor()};
-  checkpoint.weight_optimizer.second_moment = {
-      Tensor::FromVector({2, 2}, {1e-18, 0.09, 0.0, 4.0}), Tensor()};
-  checkpoint.theta_optimizer.step_count = 4;
-  checkpoint.theta_optimizer.first_moment = {
-      Tensor::FromVector({3}, {0.5, -0.25, 0.125})};
-  checkpoint.theta_optimizer.second_moment = {
-      Tensor::FromVector({3}, {0.25, 0.0625, 1.0 / 64.0})};
-  return checkpoint;
-}
-
-// Re-seals a (possibly hand-edited) payload with a fresh valid CRC trailer,
-// to test post-CRC validation paths in isolation.
-std::string SealWithCrc(const std::string& payload) {
-  char trailer[32];
-  std::snprintf(trailer, sizeof(trailer), "crc32 = %08x\n", Crc32(payload));
-  return payload + trailer;
+  return fixtures::SyntheticSearchCheckpoint();
 }
 
 // ---------------------------------------------------------------------------
-// Codec: round-trip and corruption rejection.
+// Codec: round-trip and post-CRC validation. The corruption sweep over every
+// byte and truncation lives in sealed_format_test.
 // ---------------------------------------------------------------------------
 
 TEST(SearchCheckpointCodec, SyntheticRoundTripIsBitExact) {
@@ -202,64 +165,10 @@ TEST(SearchCheckpointCodec, SyntheticRoundTripIsBitExact) {
   EXPECT_EQ(EncodeSearchCheckpoint(decoded.value()), text);
 }
 
-TEST(SearchCheckpointCodec, RejectsTruncationAtEveryRecordBoundary) {
-  const std::string text =
-      EncodeSearchCheckpoint(MakeSyntheticCheckpoint());
-  int64_t boundaries = 0;
-  for (size_t pos = 0; pos + 1 < text.size(); ++pos) {
-    if (text[pos] != '\n') continue;
-    ++boundaries;
-    const std::string truncated = text.substr(0, pos + 1);
-    EXPECT_FALSE(DecodeSearchCheckpoint(truncated).ok())
-        << "truncation after record boundary at byte " << pos
-        << " was not rejected";
-  }
-  EXPECT_GT(boundaries, 15);  // One per record line.
-}
-
-TEST(SearchCheckpointCodec, RejectsTruncationMidRecord) {
-  const std::string text =
-      EncodeSearchCheckpoint(MakeSyntheticCheckpoint());
-  // Every proper prefix short of the final newline must fail to load; walk
-  // a stride plus the extremes.
-  for (size_t cut = 0; cut + 1 < text.size(); cut += 7) {
-    EXPECT_FALSE(DecodeSearchCheckpoint(text.substr(0, cut)).ok())
-        << "mid-record truncation at byte " << cut << " was not rejected";
-  }
-  EXPECT_FALSE(DecodeSearchCheckpoint("").ok());
-}
-
-TEST(SearchCheckpointCodec, RejectsEverySingleByteFlip) {
-  const std::string text =
-      EncodeSearchCheckpoint(MakeSyntheticCheckpoint());
-  ASSERT_TRUE(DecodeSearchCheckpoint(text).ok());
-  for (size_t pos = 0; pos < text.size(); ++pos) {
-    std::string corrupted = text;
-    corrupted[pos] = static_cast<char>(corrupted[pos] ^ 0x01);
-    EXPECT_FALSE(DecodeSearchCheckpoint(corrupted).ok())
-        << "bit flip at byte " << pos << " ('" << text[pos]
-        << "') was not rejected";
-  }
-  // A high-bit flip sweep at a stride for good measure.
-  for (size_t pos = 0; pos < text.size(); pos += 13) {
-    std::string corrupted = text;
-    corrupted[pos] = static_cast<char>(corrupted[pos] ^ 0x80);
-    EXPECT_FALSE(DecodeSearchCheckpoint(corrupted).ok())
-        << "high-bit flip at byte " << pos << " was not rejected";
-  }
-}
-
-TEST(SearchCheckpointCodec, RejectsTrailingGarbageAfterTrailer) {
-  const std::string text =
-      EncodeSearchCheckpoint(MakeSyntheticCheckpoint());
-  EXPECT_FALSE(DecodeSearchCheckpoint(text + "x").ok());
-  EXPECT_FALSE(DecodeSearchCheckpoint(text + "extra = 1\n").ok());
-}
-
 TEST(SearchCheckpointCodec, RejectsForeignFormatsAndWrongVersion) {
   EXPECT_FALSE(DecodeSearchCheckpoint("hello world\n").ok());
   EXPECT_FALSE(
-      DecodeSearchCheckpoint(SealWithCrc("format = not-a-checkpoint\n")).ok());
+      DecodeSearchCheckpoint(SealText("format = not-a-checkpoint\n")).ok());
   // A structurally valid file from a hypothetical future version must be
   // refused even though its CRC is intact.
   std::string payload = EncodeSearchCheckpoint(MakeSyntheticCheckpoint());
@@ -269,7 +178,7 @@ TEST(SearchCheckpointCodec, RejectsForeignFormatsAndWrongVersion) {
   ASSERT_NE(at, std::string::npos);
   payload.replace(at, marker.size(), "version = 2\n");
   const StatusOr<SearchCheckpoint> result =
-      DecodeSearchCheckpoint(SealWithCrc(payload));
+      DecodeSearchCheckpoint(SealText(payload));
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().ToString().find("version"), std::string::npos);
 }
@@ -283,7 +192,7 @@ TEST(SearchCheckpointCodec, RejectsInconsistentRecordCounts) {
   const size_t at = payload.find(marker);
   ASSERT_NE(at, std::string::npos);
   payload.replace(at, marker.size(), "param_count = 3\n");
-  EXPECT_FALSE(DecodeSearchCheckpoint(SealWithCrc(payload)).ok());
+  EXPECT_FALSE(DecodeSearchCheckpoint(SealText(payload)).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -458,6 +367,43 @@ TEST(SearcherCheckpoint, PrevFallbackRecoversWhenNewestGenerationIsCorrupt) {
     out << content.value().substr(0, content.value().size() / 2);
   }
   ASSERT_FALSE(LoadSearchCheckpoint(path).ok());
+
+  SearchOptions resume_options = CheckpointedOptions(path);
+  resume_options.resume = true;
+  const SearchResult resumed = JointSearcher(resume_options).Search(data);
+  EXPECT_EQ(resumed.genotype, baseline.genotype);
+  EXPECT_EQ(resumed.final_validation_loss, baseline.final_validation_loss);
+  RemoveGenerations(path);
+  RemoveGenerations(base_path);
+}
+
+TEST(SearcherCheckpoint, PrevFallbackRecoversWhenNewestGenerationIsUnhealthy) {
+  const PreparedData data = TinyData();
+  const std::string base_path = TempPath("unhealthy_baseline");
+  RemoveGenerations(base_path);
+  const SearchResult baseline =
+      JointSearcher(CheckpointedOptions(base_path)).Search(data);
+
+  const std::string path = TempPath("unhealthy_fallback");
+  RemoveGenerations(path);
+  SearchOptions killed_options = CheckpointedOptions(path);
+  killed_options.post_checkpoint_hook = [](int64_t ordinal,
+                                           const std::string&) {
+    if (ordinal == 2) throw KillSignal{};
+  };
+  EXPECT_THROW(JointSearcher(killed_options).Search(data), KillSignal);
+  ASSERT_TRUE(FileExists(path + ".prev"));
+  {
+    // A CRC-valid newest generation holding a non-finite tau: it decodes,
+    // but resume must refuse it and fall back to ".prev".
+    StatusOr<SearchCheckpoint> newest = LoadSearchCheckpoint(path);
+    ASSERT_TRUE(newest.ok()) << newest.status().ToString();
+    newest.value().tau = std::numeric_limits<double>::quiet_NaN();
+    ASSERT_TRUE(AtomicWriteFile(path, EncodeSearchCheckpoint(newest.value()),
+                                /*keep_previous=*/false)
+                    .ok());
+  }
+  ASSERT_TRUE(LoadSearchCheckpoint(path).ok());
 
   SearchOptions resume_options = CheckpointedOptions(path);
   resume_options.resume = true;

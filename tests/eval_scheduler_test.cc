@@ -7,8 +7,9 @@
 //   * crash-safe resume — a mid-batch kill at an exact persist boundary
 //     resumes from the checkpoint, re-evaluates only the unfinished
 //     candidates, and reproduces the uninterrupted batch bit-for-bit;
-//   * codec round-trips and corruption rejection for the candidate-set and
-//     eval-checkpoint formats;
+//   * codec round-trips for the candidate-set and eval-checkpoint formats
+//     and rejection of inconsistent records (byte flips and truncations of
+//     the sealed eval checkpoint are swept in sealed_format_test);
 //   * metrics determinism — the non-"wall/" CSV projection is byte-equal
 //     across worker counts.
 #include <gtest/gtest.h>
@@ -188,29 +189,7 @@ TEST(CandidateSetCodec, RejectsCountMismatchAndBadMarkers) {
 // Eval-checkpoint codec.
 // --------------------------------------------------------------------------
 
-EvalCheckpoint SampleCheckpoint() {
-  EvalCheckpoint checkpoint;
-  checkpoint.config_fingerprint = "v1 sample=fingerprint lr=0x1p-10";
-  checkpoint.candidate_count = 4;
-  models::EvalResult first;
-  first.average = {1.5, 2.25, 0.125};
-  first.per_horizon = {{1.0, 2.0, 0.0625}, {0.1, 0.2, 0.3}};
-  first.rrse = 0.75;
-  first.corr = 0.5;
-  first.final_train_loss = 0.1;
-  first.train_seconds_per_epoch = 3.5;
-  first.inference_ms_per_window = 0.25;
-  first.parameter_count = 1234;
-  first.epochs_run = 2;
-  models::EvalResult second;
-  second.final_train_loss = kNaN;  // no batch ever ran
-  second.recoveries = 1;
-  second.skipped_steps = 3;
-  second.last_anomaly = "non-finite gradient in op 'gdcc'";
-  checkpoint.completed = {{0, first}, {2, second}};
-  checkpoint.failed = {{3, "anomaly: non-finite loss (loss=nan)"}};
-  return checkpoint;
-}
+EvalCheckpoint SampleCheckpoint() { return fixtures::SampleEvalCheckpoint(); }
 
 TEST(EvalCheckpointCodec, RoundTripsBitExactly) {
   const EvalCheckpoint checkpoint = SampleCheckpoint();
@@ -237,26 +216,6 @@ TEST(EvalCheckpointCodec, RoundTripsBitExactly) {
   EXPECT_EQ(restored.failed, checkpoint.failed);
   // Re-encoding the decoded checkpoint is byte-identical.
   EXPECT_EQ(EncodeEvalCheckpoint(restored), text);
-}
-
-TEST(EvalCheckpointCodec, RejectsCorruptionAndTruncation) {
-  const std::string text = EncodeEvalCheckpoint(SampleCheckpoint());
-  // Single-byte flips, sampled across the document.
-  for (size_t offset = 0; offset < text.size(); offset += 13) {
-    std::string corrupt = text;
-    corrupt[offset] = corrupt[offset] == 'x' ? 'y' : 'x';
-    if (corrupt == text) continue;
-    EXPECT_FALSE(DecodeEvalCheckpoint(corrupt).ok())
-        << "flip at offset " << offset << " was accepted";
-  }
-  // Truncation at every line boundary.
-  for (size_t pos = text.find('\n'); pos != std::string::npos;
-       pos = text.find('\n', pos + 1)) {
-    if (pos + 1 == text.size()) break;
-    EXPECT_FALSE(DecodeEvalCheckpoint(text.substr(0, pos + 1)).ok())
-        << "truncation at byte " << pos + 1 << " was accepted";
-  }
-  EXPECT_FALSE(DecodeEvalCheckpoint("").ok());
 }
 
 TEST(EvalCheckpointCodec, RejectsInconsistentRecords) {

@@ -3,8 +3,6 @@
 // future-work direction) and early stopping in the trainer.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "core/cost_model.h"
 #include "ops/simple_ops.h"
 #include "core/searcher.h"
@@ -200,20 +198,6 @@ TEST(StateDict, RejectsMismatchedArchitectures) {
   EXPECT_FALSE(nn::LoadStateDict(mtgnn.get(), text).ok());
   EXPECT_FALSE(nn::LoadStateDict(stgcn.get(), "param = bogus 0\n").ok());
   EXPECT_FALSE(nn::LoadStateDict(stgcn.get(), "").ok());
-}
-
-TEST(StateDict, FileRoundTrip) {
-  Rng rng(12);
-  nn::Linear layer(3, 2, &rng);
-  const std::string path = ::testing::TempDir() + "/autocts_state.txt";
-  ASSERT_TRUE(nn::SaveStateDictToFile(layer, path).ok());
-  nn::Linear other(3, 2, &rng);
-  ASSERT_TRUE(nn::LoadStateDictFromFile(&other, path).ok());
-  EXPECT_TRUE(other.Parameters()[0].value().AllClose(
-      layer.Parameters()[0].value(), 1e-12));
-  EXPECT_EQ(nn::LoadStateDictFromFile(&other, "/no/such/file").code(),
-            StatusCode::kNotFound);
-  std::remove(path.c_str());
 }
 
 TEST(StateDict, SnapshotRestore) {

@@ -8,10 +8,10 @@
 //     the rotate and publish steps — the target and ".prev" generations are
 //     never torn, the temp file is cleaned up, and a failed publish rolls
 //     the rotation back;
-//   * search and eval checkpointing under a fault plan — a transient
-//     failure is retried per policy (io/retries counters), a persistent one
-//     degrades to a warning without killing the run, and every surviving
-//     checkpoint stays CRC/codec-valid.
+//   * search and eval checkpointing and metrics sinks under a fault plan —
+//     a transient failure is retried per policy (io/retries counters), a
+//     persistent one degrades to a warning without killing the run, and
+//     every surviving checkpoint stays CRC/codec-valid.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -279,20 +279,6 @@ TEST(AtomicWrite, PublishRenameFailureRollsRotationBack) {
   RemoveGenerations(path);
 }
 
-TEST(AtomicWrite, RetryWrapperSucceedsAfterTransientFaults) {
-  const std::string path = TempPath("aw_retry.bin");
-  RemoveGenerations(path);
-  fault::ScopedFaultPlan scoped("write:ENOSPC@1x2");
-  fault::RetryOutcome outcome;
-  const Status status = AtomicWriteFileWithRetry(
-      path, "payload", /*keep_previous=*/true, RecordingPolicy(nullptr, 3),
-      &outcome);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(outcome.attempts, 3);
-  EXPECT_EQ(ReadAll(path), "payload");
-  RemoveGenerations(path);
-}
-
 TEST(AtomicWrite, UnlinkFailureOnlyWarns) {
   const std::string path = TempPath("aw_unlink.bin");
   RemoveGenerations(path);
@@ -512,6 +498,29 @@ TEST(CheckpointFaults, EvalDegradesWhenEveryWriteFails) {
   EXPECT_FALSE(FileExists(path));
   EXPECT_GE(registry.GetCounter(core::kEvalMetricIoFailures)->value(), 1);
   RemoveGenerations(path);
+}
+
+TEST(CheckpointFaults, EvalMetricsSinksRetryWithoutCheckpoint) {
+  // With no checkpoint path, the end-of-batch flush is the only sink write;
+  // a transient fault on it is retried like every other sink write.
+  const PreparedData data = TinyData();
+  const std::string base = TempPath("cf_eval_metrics");
+  for (const char* suffix : {".csv", ".jsonl"}) {
+    RemoveGenerations(base + suffix);
+  }
+
+  EvalSchedulerOptions options = TinyEvalOptions();
+  options.metrics_path = base;
+  const std::vector<Genotype> candidates = {MakeCandidate(0)};
+  fault::ScopedFaultPlan scoped("write:ENOSPC@1");
+  StatusOr<core::EvalBatchResult> result =
+      EvalScheduler(options).Evaluate(candidates, data);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(FileExists(base + ".csv"));
+  EXPECT_TRUE(FileExists(base + ".jsonl"));
+  for (const char* suffix : {".csv", ".jsonl"}) {
+    RemoveGenerations(base + suffix);
+  }
 }
 
 }  // namespace

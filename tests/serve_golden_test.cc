@@ -40,7 +40,6 @@ namespace {
 
 constexpr char kFormatName[] = "autocts-forecast-golden";
 constexpr int64_t kFormatVersion = 1;
-constexpr char kCrcKey[] = "crc32 = ";
 constexpr int64_t kHiddenDim = 8;
 constexpr uint64_t kDataSeed = 61;
 constexpr uint64_t kInitSeed = 5;
@@ -134,11 +133,7 @@ std::string EncodeFixture(const std::string& name, const std::string& state,
   writer.AddInt("state_lines", static_cast<int64_t>(lines.size()));
   for (const std::string& l : lines) writer.Add("state", l);
   writer.Add("forecast", forecast_hex);
-  std::string payload = writer.ToString();
-  char trailer[24];
-  std::snprintf(trailer, sizeof(trailer), "%s%08x\n", kCrcKey,
-                Crc32(payload));
-  return payload + trailer;
+  return SealText(writer.ToString());
 }
 
 struct Fixture {
@@ -148,30 +143,9 @@ struct Fixture {
 
 StatusOr<Fixture> DecodeFixture(const std::string& text,
                                 const std::string& name) {
-  const size_t trailer = text.rfind(kCrcKey);
-  if (trailer == std::string::npos) {
-    return Status::InvalidArgument("missing crc32 trailer");
-  }
-  const std::string payload = text.substr(0, trailer);
-  StatusOr<TextReader> crc_reader = TextReader::Parse(text.substr(trailer));
-  if (!crc_reader.ok()) return crc_reader.status();
-  StatusOr<std::string> crc_text = crc_reader.value().Get("crc32");
-  if (!crc_text.ok()) return crc_text.status();
-  char expected[16];
-  std::snprintf(expected, sizeof(expected), "%08x", Crc32(payload));
-  if (crc_text.value() != expected) {
-    return Status::InvalidArgument("crc mismatch: fixture corrupted");
-  }
-  StatusOr<TextReader> reader = TextReader::Parse(payload);
+  StatusOr<TextReader> reader =
+      OpenSealedText(text, kFormatName, kFormatVersion);
   if (!reader.ok()) return reader.status();
-  StatusOr<std::string> format = reader.value().Get("format");
-  if (!format.ok() || format.value() != kFormatName) {
-    return Status::InvalidArgument("not a forecast golden file");
-  }
-  StatusOr<int64_t> version = reader.value().GetInt("version");
-  if (!version.ok() || version.value() != kFormatVersion) {
-    return Status::InvalidArgument("unsupported golden version");
-  }
   StatusOr<std::string> model = reader.value().Get("model");
   if (!model.ok() || model.value() != name) {
     return Status::InvalidArgument("fixture names a different model");
@@ -228,6 +202,8 @@ TEST_P(ForecastGoldenTest, ForwardMatchesGoldenByteForByte) {
   models::ForecastingModelPtr model = BuildModel(name);
   const Status loaded = nn::LoadStateDict(model.get(), fixture.value().state);
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  // The state-dict codec round-trips the fixture's weights byte-for-byte.
+  EXPECT_EQ(nn::SaveStateDict(*model), fixture.value().state) << name;
   model->SetTraining(false);
   const Tensor forecast =
       model->Forward(Variable(Context().input, false)).value();

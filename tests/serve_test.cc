@@ -1,8 +1,8 @@
 // Suite for the forecast-serving engine (src/serve/):
-//   * artifact codec round trips byte-for-byte and rejects corruption —
-//     every single-byte flip and every truncation of a full artifact must
-//     fail to decode, and a corrupt newest generation falls back to
-//     "<path>.prev";
+//   * artifact codec round trips byte-for-byte and rejects spot corruption
+//     of a full trained artifact (the exhaustive byte sweep over the compact
+//     artifact lives in sealed_format_test), and a corrupt newest
+//     generation falls back to "<path>.prev";
 //   * the serving determinism contract — PredictBatch is bit-identical,
 //     row for row, to sequential Predicts, the ForecastServer reproduces
 //     the same bits at 1/2/4 workers under micro-batching, and repeated
@@ -32,6 +32,7 @@
 namespace autocts {
 namespace {
 
+using fixtures::CompactArtifact;
 using serve::ArtifactMeta;
 using serve::ForecastServer;
 using serve::InferenceSession;
@@ -168,54 +169,10 @@ TEST(ModelArtifact, RebuiltModelMatchesOriginalBitForBit) {
   }
 }
 
-// A compact but complete artifact — every record type present, small enough
-// that the exhaustive byte-level sweeps below stay fast. Decode validates
-// the document (CRC, format, field ranges), not state-dict consistency, so
-// the embedded state text can be short.
-ModelArtifact CompactArtifact() {
-  ModelArtifact artifact;
-  artifact.meta.num_nodes = 3;
-  artifact.meta.in_features = 2;
-  artifact.meta.input_length = 4;
-  artifact.meta.output_length = 2;
-  artifact.meta.horizon = 0;
-  artifact.meta.target_feature = 0;
-  artifact.meta.hidden_dim = 4;
-  artifact.meta.seed = 17;
-  artifact.meta.zero_is_missing = true;
-  artifact.genotype = fixtures::MakeCandidateGenotype(0);
-  artifact.scaler.mask_null = true;
-  artifact.scaler.null_value = 0.0;
-  artifact.scaler.means = {1.5, -2.25};
-  artifact.scaler.stddevs = {0.5, 3.0};
-  artifact.state_dict = "format = fake\nparam = tiny\n";
-  artifact.adjacency = Tensor::Ones({3, 3});
-  return artifact;
-}
-
-TEST(ModelArtifact, EverySingleByteFlipIsRejected) {
-  const std::string text = serve::EncodeModelArtifact(CompactArtifact());
-  ASSERT_TRUE(serve::DecodeModelArtifact(text).ok());
-  int64_t rejected = 0;
-  for (size_t i = 0; i < text.size(); ++i) {
-    std::string corrupt = text;
-    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x01);
-    if (!serve::DecodeModelArtifact(corrupt).ok()) ++rejected;
-  }
-  EXPECT_EQ(rejected, static_cast<int64_t>(text.size()));
-}
-
-TEST(ModelArtifact, EveryTruncationIsRejected) {
-  const std::string text = serve::EncodeModelArtifact(CompactArtifact());
-  for (size_t len = 0; len < text.size(); ++len) {
-    EXPECT_FALSE(serve::DecodeModelArtifact(text.substr(0, len)).ok())
-        << "truncation to " << len << " bytes decoded";
-  }
-}
-
 TEST(ModelArtifact, TrainedArtifactRejectsSpotCorruptions) {
-  // The exhaustive sweep runs on the compact artifact; the full trained
-  // artifact gets targeted damage at both ends and in the dense payload.
+  // The exhaustive sweep runs on the compact artifact (sealed_format_test);
+  // the full trained artifact gets targeted damage at both ends and in the
+  // dense payload.
   const std::string text = serve::EncodeModelArtifact(Fixture().artifact);
   ASSERT_TRUE(serve::DecodeModelArtifact(text).ok());
   for (size_t i : {size_t{0}, text.size() / 3, text.size() / 2,

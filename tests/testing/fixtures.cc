@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 
 #include "data/synthetic/generators.h"
 
@@ -46,6 +47,86 @@ std::vector<core::Genotype> MakeCandidateGenotypes(int64_t count) {
     candidates.push_back(MakeCandidateGenotype(i));
   }
   return candidates;
+}
+
+core::SearchCheckpoint SyntheticSearchCheckpoint() {
+  core::SearchCheckpoint checkpoint;
+  checkpoint.config_fingerprint = "synthetic fingerprint v1";
+  checkpoint.epoch = 1;
+  checkpoint.step = 2;
+  checkpoint.tau = 4.5;
+  checkpoint.val_loss_sum = 0.1;
+  checkpoint.epoch_steps = 2;
+  checkpoint.final_validation_loss = 1.0 / 3.0;
+  Rng rng(7);
+  (void)rng.Normal();  // Populate the cached Box-Muller half.
+  checkpoint.rng = rng.GetState();
+  checkpoint.pseudo_train = {3, 1, 2};
+  checkpoint.pseudo_val = {0, 4};
+  checkpoint.parameters.emplace_back(
+      "layer.w", Tensor::FromVector({2, 2}, {0.1, -2.5, 4.9406564584124654e-324,
+                                             3.0}));
+  checkpoint.parameters.emplace_back(
+      "layer.b", Tensor::FromVector({2}, {-0.0, 1e308}));
+  checkpoint.arch_parameters.emplace_back(
+      "cell0.alpha", Tensor::FromVector({3}, {0.25, 1.0 / 3.0, -0.1}));
+  checkpoint.weight_optimizer.step_count = 5;
+  checkpoint.weight_optimizer.first_moment = {
+      Tensor::FromVector({2, 2}, {1e-9, -0.3, 0.0, 2.0}), Tensor()};
+  checkpoint.weight_optimizer.second_moment = {
+      Tensor::FromVector({2, 2}, {1e-18, 0.09, 0.0, 4.0}), Tensor()};
+  checkpoint.theta_optimizer.step_count = 4;
+  checkpoint.theta_optimizer.first_moment = {
+      Tensor::FromVector({3}, {0.5, -0.25, 0.125})};
+  checkpoint.theta_optimizer.second_moment = {
+      Tensor::FromVector({3}, {0.25, 0.0625, 1.0 / 64.0})};
+  return checkpoint;
+}
+
+core::EvalCheckpoint SampleEvalCheckpoint() {
+  core::EvalCheckpoint checkpoint;
+  checkpoint.config_fingerprint = "v1 sample=fingerprint lr=0x1p-10";
+  checkpoint.candidate_count = 4;
+  models::EvalResult first;
+  first.average = {1.5, 2.25, 0.125};
+  first.per_horizon = {{1.0, 2.0, 0.0625}, {0.1, 0.2, 0.3}};
+  first.rrse = 0.75;
+  first.corr = 0.5;
+  first.final_train_loss = 0.1;
+  first.train_seconds_per_epoch = 3.5;
+  first.inference_ms_per_window = 0.25;
+  first.parameter_count = 1234;
+  first.epochs_run = 2;
+  models::EvalResult second;
+  // No batch ever ran.
+  second.final_train_loss = std::numeric_limits<double>::quiet_NaN();
+  second.recoveries = 1;
+  second.skipped_steps = 3;
+  second.last_anomaly = "non-finite gradient in op 'gdcc'";
+  checkpoint.completed = {{0, first}, {2, second}};
+  checkpoint.failed = {{3, "anomaly: non-finite loss (loss=nan)"}};
+  return checkpoint;
+}
+
+serve::ModelArtifact CompactArtifact() {
+  serve::ModelArtifact artifact;
+  artifact.meta.num_nodes = 3;
+  artifact.meta.in_features = 2;
+  artifact.meta.input_length = 4;
+  artifact.meta.output_length = 2;
+  artifact.meta.horizon = 0;
+  artifact.meta.target_feature = 0;
+  artifact.meta.hidden_dim = 4;
+  artifact.meta.seed = 17;
+  artifact.meta.zero_is_missing = true;
+  artifact.genotype = MakeCandidateGenotype(0);
+  artifact.scaler.mask_null = true;
+  artifact.scaler.null_value = 0.0;
+  artifact.scaler.means = {1.5, -2.25};
+  artifact.scaler.stddevs = {0.5, 3.0};
+  artifact.state_dict = "format = fake\nparam = tiny\n";
+  artifact.adjacency = Tensor::Ones({3, 3});
+  return artifact;
 }
 
 std::string TempPath(const std::string& prefix, const std::string& name) {

@@ -14,8 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "core/eval_scheduler.h"
 #include "core/genotype.h"
+#include "core/search_checkpoint.h"
 #include "models/trainer.h"
+#include "serve/model_artifact.h"
 
 namespace autocts::fixtures {
 
@@ -29,6 +32,19 @@ models::PreparedData TinyPreparedData(uint64_t seed);
 // variant so every candidate trains to a different result.
 core::Genotype MakeCandidateGenotype(int64_t variant);
 std::vector<core::Genotype> MakeCandidateGenotypes(int64_t count);
+
+// One small, complete instance of each sealed format: every record type is
+// present, and each is small enough for exhaustive byte-level sweeps. Their
+// encodings are pinned in tests/testdata/sealed_golden_v1/.
+//   * a search checkpoint with pathological doubles (0.1, the smallest
+//     denormal, -0.0, huge magnitudes) and a lazy (undefined) Adam slot;
+//   * an eval checkpoint with a NaN train loss, an anomaly record and a
+//     failure record;
+//   * a model artifact whose embedded state text is short (artifact decode
+//     validates the document, not state-dict consistency).
+core::SearchCheckpoint SyntheticSearchCheckpoint();
+core::EvalCheckpoint SampleEvalCheckpoint();
+serve::ModelArtifact CompactArtifact();
 
 // "<gtest temp dir><prefix>_<name>".
 std::string TempPath(const std::string& prefix, const std::string& name);

@@ -9,12 +9,13 @@
 # src/common/buffer_pool.h) so the unpooled fallback path stays green and
 # the pooled/unpooled parity guarantee is checked from both sides.
 #
-# The crash/corruption suites (checkpoint_test, numerics_test, and
-# eval_scheduler_test, ctest label "faultinject"), the injected-I/O-failure
-# and cancellation suites (fault_io_test and cancellation_test, label
-# "faultio"), the buffer-pool suite (label "pool"), the end-to-end
-# pipeline suite (label "e2e", which drives the real CLI binary through
-# kill/resume and signal/resume cycles), the forecast-serving suites
+# The crash/corruption suites (checkpoint_test, numerics_test,
+# eval_scheduler_test, and sealed_format_test, ctest label "faultinject"),
+# the injected-I/O-failure and cancellation suites (fault_io_test and
+# cancellation_test, label "faultio"), the buffer-pool suite (label
+# "pool"), the end-to-end pipeline suite (label "e2e", which drives the
+# real CLI binary through kill/resume and signal/resume cycles), the
+# forecast-serving suites
 # (serve_test, serve_golden_test, and bounded_queue_test, label "serve",
 # whose server threads, promise/future handoffs, and artifact corruption
 # sweeps are lifetime-bug habitat), and the network suites
@@ -65,7 +66,8 @@ AUTOCTS_TENSOR_POOL=0 ctest --test-dir "${BUILD_DIR}" \
 if [[ -z "${AUTOCTS_SANITIZE:-}" && -z "${AUTOCTS_SKIP_ASAN:-}" ]]; then
   cmake -B build-address -S . -DAUTOCTS_SANITIZE=address
   cmake --build build-address -j --target checkpoint_test \
-      --target numerics_test --target buffer_pool_test \
+      --target numerics_test --target sealed_format_test \
+      --target buffer_pool_test \
       --target eval_scheduler_test --target pipeline_e2e_test \
       --target fault_io_test --target cancellation_test \
       --target serve_test --target serve_golden_test \
