@@ -123,6 +123,10 @@ thread_local bool g_trace_active = false;
 thread_local int64_t g_trace_next_index = 0;
 thread_local NumericTraceReport g_trace_report;
 
+// Grad mode (see NoGradScope). thread_local for the same reason: a
+// serving worker's forward pass must not stop a training thread's tape.
+thread_local bool g_grad_enabled = true;
+
 bool HasNonFinite(const Tensor& tensor) {
   if (!tensor.defined()) return false;
   const double* values = tensor.data();
@@ -144,23 +148,19 @@ void RecordTraceHit(const internal::Node* node, bool in_backward) {
 
 namespace internal {
 
-void AccumulateGrad(Node* node, const Tensor& g) {
+void AccumulateGrad(Node* node, Tensor g) {
   AUTOCTS_CHECK(g.shape() == node->value.shape())
       << "gradient shape " << ShapeToString(g.shape())
       << " does not match value shape "
       << ShapeToString(node->value.shape());
-  if (!node->grad.defined()) {
-    if (node->grad_scratch.defined() &&
-        node->grad_scratch.shape() == g.shape()) {
-      node->grad = std::move(node->grad_scratch);
-      node->grad.CopyFrom(g);
-    } else {
-      node->grad = g.Clone();
-    }
-    node->grad_scratch = Tensor();
-  } else {
+  if (node->grad.defined()) {
     AddInPlace(&node->grad, g);
+    return;
   }
+  // The use_count rule of PyTorch's AccumulateGrad: a buffer no other
+  // handle holds can become the gradient as is, since later in-place
+  // accumulation is invisible to everyone else.
+  node->grad = g.unique() ? std::move(g) : g.Clone();
 }
 
 }  // namespace internal
@@ -198,9 +198,6 @@ bool Variable::has_grad() const { return defined() && node_->grad.defined(); }
 
 void Variable::ClearGrad() {
   AUTOCTS_CHECK(defined());
-  // Park the buffer for the next accumulation (see Node::grad_scratch)
-  // rather than bouncing it through the buffer pool.
-  node_->grad_scratch = std::move(node_->grad);
   node_->grad = Tensor();
 }
 
@@ -280,6 +277,9 @@ void Variable::Backward(const Tensor& seed) {
           }
         }
       }
+      // Fully propagated: an interior gradient lives for one backward pass
+      // (a second pass through this node must not count it again).
+      node->grad = Tensor();
     }
   }
 }
@@ -297,14 +297,18 @@ Variable MakeNode(Tensor value, std::vector<Variable> inputs,
   node->value = std::move(value);
   node->op = op_name;
   bool requires_grad = false;
-  node->inputs.reserve(inputs.size());
   for (const Variable& input : inputs) {
     AUTOCTS_CHECK(input.defined());
-    node->inputs.push_back(input.node());
     requires_grad = requires_grad || input.node()->requires_grad;
   }
-  node->requires_grad = requires_grad;
-  if (requires_grad) node->backward = std::move(backward);
+  // Backward() never visits a node that does not require grad, so such a
+  // node keeps neither its inputs nor its closure (nor what they capture).
+  if (requires_grad && g_grad_enabled) {
+    node->requires_grad = true;
+    node->inputs.reserve(inputs.size());
+    for (const Variable& input : inputs) node->inputs.push_back(input.node());
+    node->backward = std::move(backward);
+  }
   if (g_trace_active) {
     node->trace_index = g_trace_next_index++;
     if (HasNonFinite(node->value)) {
@@ -313,6 +317,12 @@ Variable MakeNode(Tensor value, std::vector<Variable> inputs,
   }
   return Variable::FromNode(std::move(node));
 }
+
+NoGradScope::NoGradScope() : previous_(g_grad_enabled) {
+  g_grad_enabled = false;
+}
+
+NoGradScope::~NoGradScope() { g_grad_enabled = previous_; }
 
 std::string NumericTraceReport::ToString() const {
   if (!triggered) return "no non-finite value traced";

@@ -5,7 +5,8 @@
 // node's gradient to its inputs. Calling Backward() on a (scalar) Variable
 // topologically sorts the reachable subgraph and runs the closures in
 // reverse order, accumulating gradients into every node with
-// requires_grad set (typically the model parameters).
+// requires_grad set (typically the model parameters). The tape holds only
+// what a backward pass still needs (DESIGN.md, "Tape lifetime").
 #ifndef AUTOCTS_AUTOGRAD_VARIABLE_H_
 #define AUTOCTS_AUTOGRAD_VARIABLE_H_
 
@@ -24,11 +25,9 @@ namespace internal {
 // convolution in nn/) can build their own nodes via MakeNode below.
 struct Node {
   Tensor value;
-  Tensor grad;  // Undefined until first accumulation.
-  // Grad buffer parked by Variable::ClearGrad; the next AccumulateGrad
-  // first-use overwrites it in place instead of allocating. Long-lived
-  // parameter nodes therefore keep one grad buffer across training steps.
-  Tensor grad_scratch;
+  // Undefined until first accumulation; on an interior node, undefined
+  // again once Backward() has run its closure.
+  Tensor grad;
   bool requires_grad = false;
   std::vector<std::shared_ptr<Node>> inputs;
   // Propagates this node's grad into inputs' grads. May be empty for leaves.
@@ -45,9 +44,10 @@ struct Node {
   uint64_t visit_epoch = 0;
 };
 
-// Adds `g` (same shape as the node value) into `node`'s gradient,
-// initializing it to zeros on first use.
-void AccumulateGrad(Node* node, const Tensor& g);
+// Adds `g` (same shape as the node value) into `node`'s gradient. The
+// first accumulation keeps `g`'s buffer when no other handle shares it (a
+// kernel result passed as a temporary) and copies it otherwise.
+void AccumulateGrad(Node* node, Tensor g);
 
 }  // namespace internal
 
@@ -76,6 +76,8 @@ class Variable {
   void AccumulateGrad(const Tensor& g);
 
   // Runs backpropagation seeding this (single-element) variable with 1.
+  // Gradients reach leaves only: an interior node's gradient lives for one
+  // backward pass, so has_grad() is false on it afterwards.
   void Backward();
   // Runs backpropagation with an explicit seed gradient (same shape).
   void Backward(const Tensor& seed);
@@ -98,11 +100,29 @@ class Variable {
 // Builds an interior tape node for a custom operation. `backward` receives
 // the node (whose grad is fully accumulated) and must propagate into
 // node->inputs via internal::AccumulateGrad. requires_grad is inferred from
-// the inputs. `op_name` labels the node for the numeric trace; it must
-// point to storage outliving the node (string literals).
+// the inputs (always false under a NoGradScope); a node that does not
+// require grad keeps neither its inputs nor `backward`. `op_name` labels
+// the node for the numeric trace; it must point to storage outliving the
+// node (string literals).
 Variable MakeNode(Tensor value, std::vector<Variable> inputs,
                   std::function<void(internal::Node*)> backward,
                   const char* op_name = nullptr);
+
+// Turns tape recording off on the calling thread while alive: MakeNode
+// builds value-only nodes, so a forward pass holds no graph and frees
+// every intermediate as soon as its last handle goes. Forward values are
+// unchanged. Scopes nest (each restores the mode it found) and are
+// thread-local: other threads keep recording.
+class NoGradScope {
+ public:
+  NoGradScope();
+  ~NoGradScope();
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+ private:
+  bool previous_;
+};
 
 // --------------------------------------------------------------------------
 // Numeric trace (debug mode): attributes the FIRST non-finite value produced

@@ -1,6 +1,7 @@
 #include "autograd/variable_ops.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/trace.h"
 #include "tensor/tensor_ops.h"
@@ -56,11 +57,15 @@ const char* const kOpIndexSelect = RegisterOpLabel("index_select");
 const char* const kOpHuberLoss = RegisterOpLabel("huber_loss");
 
 // Accumulates `g` into input slot `slot` of `node`, reducing over any
-// broadcast axes first.
-void AccumulateReduced(Node* node, size_t slot, const Tensor& g) {
+// broadcast axes first. By value, so a kernel result passed as a temporary
+// reaches AccumulateGrad unshared and becomes the gradient without a copy.
+void AccumulateReduced(Node* node, size_t slot, Tensor g) {
   Node* input = node->inputs[slot].get();
   if (!input->requires_grad) return;
-  AccumulateGrad(input, ReduceTo(g, input->value.shape()));
+  if (g.shape() != input->value.shape()) {
+    g = ReduceTo(g, input->value.shape());
+  }
+  AccumulateGrad(input, std::move(g));
 }
 
 }  // namespace
@@ -101,9 +106,8 @@ Variable Div(const Variable& a, const Variable& b) {
   Tensor vb = b.value();
   return MakeNode(autocts::Div(va, vb), {a, b}, [va, vb](Node* node) {
     AccumulateReduced(node, 0, autocts::Div(node->grad, vb));
-    const Tensor db = autocts::Neg(autocts::Div(
-        autocts::Mul(node->grad, va), autocts::Mul(vb, vb)));
-    AccumulateReduced(node, 1, db);
+    AccumulateReduced(node, 1, autocts::Neg(autocts::Div(
+        autocts::Mul(node->grad, va), autocts::Mul(vb, vb))));
   }, kOpDiv);
 }
 
@@ -145,8 +149,8 @@ Variable Sqrt(const Variable& a) {
   AUTOCTS_TRACE_SCOPE(kOpSqrt);
   Tensor y = autocts::Sqrt(a.value());
   return MakeNode(y, {a}, [y](Node* node) {
-    const Tensor dx = autocts::Div(autocts::MulScalar(node->grad, 0.5), y);
-    AccumulateReduced(node, 0, dx);
+    AccumulateReduced(node, 0,
+                      autocts::Div(autocts::MulScalar(node->grad, 0.5), y));
   }, kOpSqrt);
 }
 
@@ -262,9 +266,8 @@ Variable SoftmaxWithTemperature(const Variable& a, int64_t axis, double tau) {
     // dx = (1/tau) * y * (g - sum(g * y, axis))
     const Tensor gy = autocts::Mul(node->grad, y);
     const Tensor total = autocts::Sum(gy, norm_axis, /*keepdim=*/true);
-    const Tensor dx = autocts::MulScalar(
-        autocts::Mul(y, autocts::Sub(node->grad, total)), 1.0 / tau);
-    AccumulateReduced(node, 0, dx);
+    AccumulateReduced(node, 0, autocts::MulScalar(
+        autocts::Mul(y, autocts::Sub(node->grad, total)), 1.0 / tau));
   }, kOpSoftmax);
 }
 
@@ -310,9 +313,10 @@ Variable Concat(const std::vector<Variable>& parts, int64_t axis) {
                   [norm_axis, extents](Node* node) {
                     int64_t offset = 0;
                     for (size_t i = 0; i < extents.size(); ++i) {
-                      const Tensor piece = autocts::Slice(
-                          node->grad, norm_axis, offset, extents[i]);
-                      AccumulateReduced(node, i, piece);
+                      AccumulateReduced(
+                          node, i,
+                          autocts::Slice(node->grad, norm_axis, offset,
+                                         extents[i]));
                       offset += extents[i];
                     }
                   }, kOpConcat);
@@ -387,7 +391,7 @@ Variable IndexSelect(const Variable& a, int64_t axis,
                         for (int64_t i = 0; i < inner; ++i) target[i] += row[i];
                       }
                     }
-                    AccumulateReduced(node, 0, grad_in);
+                    AccumulateReduced(node, 0, std::move(grad_in));
                   }, kOpIndexSelect);
 }
 

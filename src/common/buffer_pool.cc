@@ -15,12 +15,18 @@ bool PoolEnabledFromEnv() {
   return value == nullptr || std::string(value) != "0";
 }
 
+// An unpooled block's payload at its allocated capacity.
+int64_t UnpooledBytes(const internal::BufferBlock& block) {
+  return static_cast<int64_t>(block.storage.capacity() * sizeof(double));
+}
+
 }  // namespace
 
 namespace internal {
 
 void ReleaseBufferBlock(BufferBlock* block) {
   if (block->bucket < 0) {
+    BufferPool::Global().AddLiveBytes(-UnpooledBytes(*block));
     delete block;
     return;
   }
@@ -59,11 +65,10 @@ BufferRef BufferPool::AcquireBlock(int64_t n, bool zero_fill) {
   AUTOCTS_CHECK(n >= 0) << "negative buffer size: " << n;
   const int bucket_index = enabled() ? BucketIndex(n) : -1;
   if (bucket_index < 0) {
-    bypass_.fetch_add(1, std::memory_order_relaxed);
     auto* block = new internal::BufferBlock();
     // Unpooled blocks are exact-sized; value-init already zero-fills.
     block->storage.resize(static_cast<size_t>(n));
-    return BufferRef(block);
+    return TrackUnpooled(block);
   }
 
   Bucket& bucket = buckets_[bucket_index];
@@ -86,6 +91,8 @@ BufferRef BufferPool::AcquireBlock(int64_t n, bool zero_fill) {
   } else {
     block->refs.store(1, std::memory_order_relaxed);
   }
+  AddLiveBytes(BucketCapacity(bucket_index) *
+               static_cast<int64_t>(sizeof(double)));
   if (zero_fill && n > 0) {
     // Only the first n elements are the tensor's payload; the bucket tail
     // is never read, so it keeps recycled contents.
@@ -103,13 +110,29 @@ BufferRef BufferPool::AcquireUninitialized(int64_t n) {
 }
 
 BufferRef BufferPool::Adopt(std::vector<double> values) {
-  bypass_.fetch_add(1, std::memory_order_relaxed);
   auto* block = new internal::BufferBlock();
   block->storage = std::move(values);
+  return TrackUnpooled(block);
+}
+
+BufferRef BufferPool::TrackUnpooled(internal::BufferBlock* block) {
+  bypass_.fetch_add(1, std::memory_order_relaxed);
+  AddLiveBytes(UnpooledBytes(*block));
   return BufferRef(block);
 }
 
+void BufferPool::AddLiveBytes(int64_t bytes) {
+  const int64_t live =
+      live_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  int64_t peak = peak_live_bytes_.load(std::memory_order_relaxed);
+  while (live > peak && !peak_live_bytes_.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+}
+
 void BufferPool::Release(internal::BufferBlock* block) {
+  AddLiveBytes(-BucketCapacity(block->bucket) *
+               static_cast<int64_t>(sizeof(double)));
   Bucket& bucket = buckets_[block->bucket];
   bool recycle = false;
   {
@@ -130,6 +153,8 @@ void BufferPool::Release(internal::BufferBlock* block) {
 BufferPoolStats BufferPool::Stats() const {
   BufferPoolStats stats;
   stats.bypass = bypass_.load(std::memory_order_relaxed);
+  stats.live_bytes = live_bytes_.load(std::memory_order_relaxed);
+  stats.peak_live_bytes = peak_live_bytes_.load(std::memory_order_relaxed);
   stats.buckets.resize(kNumBuckets);
   for (int i = 0; i < kNumBuckets; ++i) {
     const Bucket& bucket = buckets_[i];
@@ -164,6 +189,11 @@ void BufferPool::ResetStats() {
   }
 }
 
+void BufferPool::ResetPeak() {
+  peak_live_bytes_.store(live_bytes_.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+}
+
 void BufferPool::Trim() {
   for (Bucket& bucket : buckets_) {
     std::vector<internal::BufferBlock*> parked;
@@ -183,7 +213,9 @@ std::string BufferPool::StatsString() const {
       << " hit_rate=" << stats.hit_rate() << " bypass=" << stats.bypass
       << " returns=" << stats.returns << " drops=" << stats.drops
       << " outstanding=" << stats.outstanding
-      << " cached_bytes=" << stats.cached_bytes << "\n";
+      << " cached_bytes=" << stats.cached_bytes
+      << " live_bytes=" << stats.live_bytes
+      << " peak_live_bytes=" << stats.peak_live_bytes << "\n";
   for (const BufferPoolBucketStats& bucket : stats.buckets) {
     if (bucket.hits == 0 && bucket.misses == 0 && bucket.free == 0) continue;
     out << "  cap=" << bucket.capacity << " hits=" << bucket.hits
@@ -215,6 +247,8 @@ void RegisterBufferPoolMetrics(obs::MetricsRegistry* registry) {
   registry->GetGauge("wall/tensor_pool/bypass");
   registry->GetGauge("wall/tensor_pool/outstanding");
   registry->GetGauge("wall/tensor_pool/cached_bytes");
+  registry->GetGauge("wall/tensor_pool/live_bytes");
+  registry->GetGauge("wall/tensor_pool/peak_live_bytes");
   for (int i = 0; i < BufferPool::kNumBuckets; ++i) {
     registry->GetGauge(BucketMetricName(i, "hits"));
     registry->GetGauge(BucketMetricName(i, "misses"));
@@ -236,6 +270,10 @@ void UpdateBufferPoolMetrics(obs::MetricsRegistry* registry) {
       ->Set(static_cast<double>(stats.outstanding));
   registry->GetGauge("wall/tensor_pool/cached_bytes")
       ->Set(static_cast<double>(stats.cached_bytes));
+  registry->GetGauge("wall/tensor_pool/live_bytes")
+      ->Set(static_cast<double>(stats.live_bytes));
+  registry->GetGauge("wall/tensor_pool/peak_live_bytes")
+      ->Set(static_cast<double>(stats.peak_live_bytes));
   for (int i = 0; i < BufferPool::kNumBuckets; ++i) {
     const BufferPoolBucketStats& bucket = stats.buckets[i];
     registry->GetGauge(BucketMetricName(i, "hits"))

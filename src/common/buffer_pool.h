@@ -101,6 +101,13 @@ class BufferRef {
 
   bool defined() const { return block_ != nullptr; }
   double* data() const { return block_->storage.data(); }
+  // True when this is the only handle to its block, so no one else can
+  // observe a write through it. Acquire pairs with the release in Reset()
+  // of a handle that another thread dropped.
+  bool unique() const {
+    return block_ != nullptr &&
+           block_->refs.load(std::memory_order_acquire) == 1;
+  }
   // True when both handles share the same block (Reshape views do).
   bool SharesStorageWith(const BufferRef& other) const {
     return block_ != nullptr && block_ == other.block_;
@@ -111,7 +118,8 @@ class BufferRef {
 };
 
 // Point-in-time pool counters (all cumulative except outstanding/free/
-// cached_bytes, which are current levels).
+// cached_bytes/live_bytes, which are current levels, and peak_live_bytes,
+// a high-water mark since the last ResetPeak()).
 struct BufferPoolBucketStats {
   int64_t capacity = 0;  // elements per block in this bucket
   int64_t hits = 0;      // acquisitions served from the free list
@@ -132,6 +140,10 @@ struct BufferPoolStats {
   int64_t bypass = 0;
   int64_t outstanding = 0;
   int64_t cached_bytes = 0;  // bytes parked across all free lists
+  // Bytes of every block held by a live handle — pooled, bypassed or
+  // adopted — at its allocated capacity: the tensor memory in use.
+  int64_t live_bytes = 0;
+  int64_t peak_live_bytes = 0;  // high-water mark of live_bytes
   std::vector<BufferPoolBucketStats> buckets;  // kNumBuckets entries
 
   // Tensor-storage heap allocations = misses + bypass.
@@ -186,8 +198,11 @@ class BufferPool {
 
   BufferPoolStats Stats() const;
   // Zeroes the cumulative counters (hits/misses/returns/drops/bypass);
-  // levels (outstanding/free) are live and unaffected.
+  // levels (outstanding/free/live bytes) and the peak are unaffected.
   void ResetStats();
+  // Restarts the high-water mark at the current live bytes, so the next
+  // Stats().peak_live_bytes measures the phase that follows.
+  void ResetPeak();
   // Frees every parked block (counted as drops). Outstanding blocks are
   // untouched and still return to the (now empty) free lists.
   void Trim();
@@ -205,7 +220,11 @@ class BufferPool {
 
   BufferPool();
   BufferRef AcquireBlock(int64_t n, bool zero_fill);
+  // Wraps a new unpooled block (bypass and Adopt) and counts it live.
+  BufferRef TrackUnpooled(internal::BufferBlock* block);
   void Release(internal::BufferBlock* block);
+  // Moves live_bytes_ by `bytes` (negative on release), raising the peak.
+  void AddLiveBytes(int64_t bytes);
 
   struct Bucket {
     mutable std::mutex mutex;
@@ -219,6 +238,8 @@ class BufferPool {
 
   std::atomic<bool> enabled_;
   std::atomic<int64_t> bypass_{0};
+  std::atomic<int64_t> live_bytes_{0};
+  std::atomic<int64_t> peak_live_bytes_{0};
   Bucket buckets_[kNumBuckets];
 };
 

@@ -48,7 +48,6 @@ struct AutoCtsResult {
   Genotype genotype;
   models::EvalResult eval;
   double search_seconds = 0.0;
-  double estimated_memory_mb = 0.0;
 };
 
 }  // namespace autocts::core

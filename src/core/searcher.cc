@@ -750,17 +750,6 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
     result.top_genotypes = {result.genotype};
   }
 
-  // Rough peak memory: parameters + Adam moments (x3) + one batch of mixed
-  // activations across all cells/edges/ops.
-  const double param_bytes =
-      static_cast<double>(result.supernet_parameters) * 8.0 * 3.0;
-  const double act_elems =
-      static_cast<double>(options_.batch_size) * data.window.input_length *
-      data.num_nodes * supernet_config.hidden_dim *
-      supernet_config.op_set.size() * NumPairs(supernet_config.micro_nodes) *
-      supernet_config.macro_blocks /
-      std::max<int64_t>(1, supernet_config.partial_denominator);
-  result.estimated_memory_mb = (param_bytes + act_elems * 8.0) / (1024.0 * 1024.0);
   result.search_seconds = timer.Seconds();
   return result;
 }

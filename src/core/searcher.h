@@ -176,9 +176,6 @@ struct SearchResult {
   // 1. Feed these to core::EvalScheduler for the evaluation stage.
   std::vector<Genotype> top_genotypes;
   double search_seconds = 0.0;
-  // Rough peak-memory estimate: parameters + optimizer state + one batch of
-  // supernet activations, in MB (Table 7 reports search memory).
-  double estimated_memory_mb = 0.0;
   int64_t supernet_parameters = 0;
   double final_validation_loss = 0.0;
 

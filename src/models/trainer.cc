@@ -360,6 +360,7 @@ void Predict(ForecastingModel* model, const PreparedData& data,
              const data::WindowDataset& windows, int64_t batch_size,
              Tensor* predictions, Tensor* truths) {
   AUTOCTS_TRACE_SCOPE("train/predict");
+  const NoGradScope no_grad;
   const bool was_training = model->training();
   model->SetTraining(false);
   std::vector<Tensor> prediction_parts;
@@ -387,6 +388,7 @@ double EvaluateLoss(ForecastingModel* model, const PreparedData& data,
                     const data::WindowDataset& windows, int64_t batch_size) {
   (void)data;
   AUTOCTS_TRACE_SCOPE("train/eval_loss");
+  const NoGradScope no_grad;
   const bool was_training = model->training();
   model->SetTraining(false);
   double total = 0.0;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "autograd/variable.h"
 #include "common/trace.h"
 
 namespace autocts::serve {
@@ -62,8 +63,10 @@ StatusOr<Tensor> InferenceSession::PredictBatch(const Tensor& windows) {
   AUTOCTS_TRACE_SCOPE("serve/forward");
   const int64_t batch = windows.dim(0);
   const Tensor normalized = scaler_.Transform(windows);
-  // No-grad forward: the input is a non-differentiable constant and no
-  // backward pass ever runs, so the tape is transient scratch.
+  // No backward pass ever runs here, so the forward records no tape: each
+  // intermediate is freed once its consumer is built, although the model
+  // parameters require grad.
+  const NoGradScope no_grad;
   const Variable x(normalized, /*requires_grad=*/false);
   const Tensor out = model_->Forward(x).value();  // [K, Q, N, 1]
   const Tensor denormalized =

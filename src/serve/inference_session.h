@@ -1,5 +1,6 @@
-// A loaded model ready to answer forecast requests: no-grad eval-mode
-// forwards over a DerivedModel rebuilt from a ModelArtifact, plus a
+// A loaded model ready to answer forecast requests: a DerivedModel rebuilt
+// from a ModelArtifact and run in eval mode under a NoGradScope
+// (autograd/variable.h), so a forecast records no autograd tape, plus a
 // per-session sliding input-window ring buffer so a steady-state client
 // ships only the newest observation tick instead of the full window.
 //

@@ -75,6 +75,8 @@ class Tensor {
 
   double* data() { return buffer_.data(); }
   const double* data() const { return buffer_.data(); }
+  // True when no other tensor (copy or Reshape view) shares the buffer.
+  bool unique() const { return buffer_.unique(); }
 
   // Element access by multi-index (slow; intended for tests and setup code).
   double& At(const std::vector<int64_t>& index);

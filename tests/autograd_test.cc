@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <future>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "autograd/grad_check.h"
@@ -69,6 +72,110 @@ TEST(Variable, SharedSubexpressionUsedTwice) {
   Variable loss = ag::SumAll(ag::Add(b, ag::MulScalar(b, 3.0)));
   loss.Backward();
   EXPECT_DOUBLE_EQ(a.grad().data()[1], 8.0);
+}
+
+TEST(Variable, SharedInteriorNodeCountsOncePerBackward) {
+  // x = 3a feeds two separate backward passes: d/da sum(x) = 3, then
+  // d/da sum(2x) = 6. The second pass must not re-propagate the gradient
+  // the first pass left on x (which would give 3 + 3 * 3 = 12).
+  Variable a(Tensor::Ones({2}), true);
+  Variable x = ag::MulScalar(a, 3.0);
+  ag::SumAll(x).Backward();
+  ag::SumAll(ag::MulScalar(x, 2.0)).Backward();
+  EXPECT_DOUBLE_EQ(a.grad().data()[0], 9.0);
+  EXPECT_DOUBLE_EQ(a.grad().data()[1], 9.0);
+}
+
+TEST(Variable, BackwardDropsInteriorGradsAndKeepsLeafGrads) {
+  Variable a(Tensor::Full({2}, 2.0), true);
+  Variable b(Tensor::Full({2}, 5.0), true);
+  Variable product = ag::Mul(a, b);
+  Variable shifted = ag::AddScalar(product, 1.0);
+  Variable loss = ag::SumAll(shifted);
+  loss.Backward();
+  EXPECT_FALSE(product.has_grad());
+  EXPECT_FALSE(shifted.has_grad());
+  EXPECT_FALSE(loss.has_grad());
+  ASSERT_TRUE(a.has_grad());
+  ASSERT_TRUE(b.has_grad());
+  EXPECT_DOUBLE_EQ(a.grad().data()[0], 5.0);
+  EXPECT_DOUBLE_EQ(b.grad().data()[0], 2.0);
+}
+
+TEST(Variable, AccumulateGradKeepsOnlyUnsharedBuffers) {
+  // A tensor the caller still holds is copied, so accumulating in place
+  // later cannot reach the caller's tensor.
+  Variable held_target(Tensor::Zeros({4}), true);
+  const Tensor held = Tensor::Full({4}, 1.0);
+  internal::AccumulateGrad(held_target.node().get(), held);
+  EXPECT_NE(held_target.grad().data(), held.data());
+  internal::AccumulateGrad(held_target.node().get(), held);
+  EXPECT_DOUBLE_EQ(held_target.grad().data()[0], 2.0);
+  EXPECT_DOUBLE_EQ(held.data()[0], 1.0);
+
+  // A tensor nobody else holds becomes the gradient without a copy.
+  Variable fresh_target(Tensor::Zeros({4}), true);
+  Tensor fresh = Tensor::Full({4}, 1.0);
+  const double* storage = fresh.data();
+  internal::AccumulateGrad(fresh_target.node().get(), std::move(fresh));
+  EXPECT_EQ(fresh_target.grad().data(), storage);
+  EXPECT_DOUBLE_EQ(fresh_target.grad().data()[3], 1.0);
+}
+
+TEST(NoGradScope, NodesRecordNoInputsOrClosure) {
+  Variable a(Tensor::Full({2}, 1.5), true);
+  {
+    const NoGradScope no_grad;
+    const Variable y = ag::MulScalar(a, 2.0);
+    EXPECT_FALSE(y.requires_grad());
+    EXPECT_TRUE(y.node()->inputs.empty());
+    EXPECT_FALSE(y.node()->backward);
+    EXPECT_DOUBLE_EQ(y.value().data()[0], 3.0);
+  }
+  const Variable z = ag::MulScalar(a, 2.0);
+  EXPECT_TRUE(z.requires_grad());
+  EXPECT_EQ(z.node()->inputs.size(), 1u);
+}
+
+TEST(NoGradScope, NestedScopesRestoreTheModeTheyFound) {
+  Variable a(Tensor::Ones({2}), true);
+  const auto records = [&a] { return ag::MulScalar(a, 2.0).requires_grad(); };
+  EXPECT_TRUE(records());
+  {
+    const NoGradScope outer;
+    EXPECT_FALSE(records());
+    {
+      const NoGradScope inner;
+      EXPECT_FALSE(records());
+    }
+    EXPECT_FALSE(records());
+  }
+  EXPECT_TRUE(records());
+}
+
+TEST(NoGradScope, DoesNotReachAnotherThreadsTape) {
+  Variable a(Tensor::Ones({2}), true);
+  const auto records = [&a] { return ag::MulScalar(a, 2.0).requires_grad(); };
+  // This thread holds a scope while another thread builds a node.
+  {
+    const NoGradScope no_grad;
+    bool other_records = false;
+    std::thread([&] { other_records = records(); }).join();
+    EXPECT_TRUE(other_records);
+    EXPECT_FALSE(records());
+  }
+  // Another thread holds a scope while this thread builds a node.
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::thread holder([&] {
+    const NoGradScope no_grad;
+    entered.set_value();
+    release.get_future().wait();
+  });
+  entered.get_future().wait();
+  EXPECT_TRUE(records());
+  release.set_value();
+  holder.join();
 }
 
 TEST(Variable, DetachStopsGradients) {

@@ -1,14 +1,16 @@
 // Tests for the size-bucketed tensor buffer pool (common/buffer_pool.h):
 // bucket mapping, zero-fill-on-acquire, block recycling, the kill switch,
-// and — the load-bearing guarantee — bit-identical search results with the
-// pool on vs off at 1 and 4 threads.
+// live/peak tensor-byte accounting, and — the load-bearing guarantee —
+// bit-identical search results with the pool on vs off at 1 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/buffer_pool.h"
+#include "common/metrics_registry.h"
 #include "common/parallel.h"
 #include "core/searcher.h"
 #include "data/synthetic/generators.h"
@@ -114,6 +116,69 @@ TEST(BufferPool, KillSwitchBypassesRecycling) {
   EXPECT_EQ(after.misses, before.misses);
   EXPECT_EQ(after.returns, before.returns);
   EXPECT_GE(after.bypass, before.bypass + 1);
+}
+
+TEST(BufferPool, LiveBytesCountEveryBlockAtItsCapacity) {
+  BufferPool& pool = BufferPool::Global();
+  constexpr int64_t kDouble = sizeof(double);
+  const int64_t base = pool.Stats().live_bytes;
+  {
+    ScopedPoolEnabled enabled(true);
+    // Pooled: counted at the bucket capacity (128 elements), once per
+    // block however many handles share it; released blocks parked in the
+    // free list are cached, not live.
+    BufferRef pooled = pool.Acquire(100);
+    BufferRef copy = pooled;
+    EXPECT_EQ(pool.Stats().live_bytes, base + 128 * kDouble);
+    pooled.Reset();
+    EXPECT_EQ(pool.Stats().live_bytes, base + 128 * kDouble);
+    copy.Reset();
+    EXPECT_EQ(pool.Stats().live_bytes, base);
+  }
+  {
+    // Bypassed: an exact-sized heap block.
+    ScopedPoolEnabled disabled(false);
+    BufferRef bypassed = pool.Acquire(100);
+    EXPECT_EQ(pool.Stats().live_bytes, base + 100 * kDouble);
+  }
+  EXPECT_EQ(pool.Stats().live_bytes, base);
+  {
+    // Adopted: counted at the vector's allocated capacity, not its size.
+    std::vector<double> values(10, 1.0);
+    values.reserve(32);
+    const int64_t capacity = static_cast<int64_t>(values.capacity());
+    BufferRef adopted = pool.Adopt(std::move(values));
+    EXPECT_EQ(pool.Stats().live_bytes, base + capacity * kDouble);
+  }
+  EXPECT_EQ(pool.Stats().live_bytes, base);
+}
+
+TEST(BufferPool, PeakLiveBytesIsAHighWaterMarkUntilReset) {
+  ScopedPoolEnabled enabled(true);
+  BufferPool& pool = BufferPool::Global();
+  pool.ResetPeak();
+  const int64_t base = pool.Stats().live_bytes;
+  EXPECT_EQ(pool.Stats().peak_live_bytes, base);
+  {
+    BufferRef a = pool.Acquire(1000);  // 1024-element bucket
+    BufferRef b = pool.AcquireUninitialized(1000);
+  }
+  BufferPoolStats stats = pool.Stats();
+  EXPECT_EQ(stats.live_bytes, base);
+  EXPECT_EQ(stats.peak_live_bytes,
+            base + 2 * 1024 * static_cast<int64_t>(sizeof(double)));
+
+  // Both figures are published as wall/tensor_pool gauges.
+  obs::MetricsRegistry registry;
+  RegisterBufferPoolMetrics(&registry);
+  EXPECT_EQ(registry.GetGauge("wall/tensor_pool/live_bytes")->value(),
+            static_cast<double>(stats.live_bytes));
+  EXPECT_EQ(registry.GetGauge("wall/tensor_pool/peak_live_bytes")->value(),
+            static_cast<double>(stats.peak_live_bytes));
+
+  pool.ResetPeak();
+  stats = pool.Stats();
+  EXPECT_EQ(stats.peak_live_bytes, stats.live_bytes);
 }
 
 TEST(BufferPool, PoisonedRecycledBlocksDoNotLeakIntoResults) {

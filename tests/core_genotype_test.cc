@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/file_io.h"
 #include "core/derived_model.h"
 #include "core/genotype.h"
@@ -385,6 +387,33 @@ TEST(DerivedModel, GradientsReachAllParameters) {
   for (const auto& [name, parameter] : model.NamedParameters()) {
     EXPECT_TRUE(parameter.has_grad()) << name;
   }
+}
+
+TEST(DerivedModel, NoGradForwardIsByteIdenticalToTapedForward) {
+  core::DerivedModel model(ExampleGenotype(), SmallModelContext());
+  model.SetTraining(false);
+  // Give the zero-initialized head weight so the whole backbone, including
+  // the probsparse attention edges, reaches the output.
+  for (auto& [name, parameter] : model.NamedParameters()) {
+    if (name.find("head.fc2") != std::string::npos) {
+      parameter.mutable_value().Fill(0.5);
+    }
+  }
+  Rng rng(10);
+  const Variable x(Tensor::Rand({2, 8, 4, 2}, &rng, -1.0, 1.0), false);
+  const Variable taped = model.Forward(x);
+  ASSERT_TRUE(taped.requires_grad());
+  Tensor untaped;
+  {
+    const NoGradScope no_grad;
+    const Variable forward = model.Forward(x);
+    EXPECT_FALSE(forward.requires_grad());
+    untaped = forward.value();
+  }
+  ASSERT_EQ(untaped.shape(), taped.shape());
+  EXPECT_EQ(std::memcmp(untaped.data(), taped.value().data(),
+                        static_cast<size_t>(untaped.size()) * sizeof(double)),
+            0);
 }
 
 TEST(DerivedModel, InvalidGenotypeDies) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/buffer_pool.h"
 #include "core/evaluator.h"
 #include "core/macro_only.h"
 #include "core/searcher.h"
@@ -42,12 +43,18 @@ SearchOptions TinyOptions() {
 TEST(Searcher, ProducesValidGenotypeAndStats) {
   const PreparedData data = TinyData();
   JointSearcher searcher(TinyOptions());
+  BufferPool::Global().ResetPeak();
+  const int64_t live_before = BufferPool::Global().Stats().live_bytes;
   const SearchResult result = searcher.Search(data);
   EXPECT_TRUE(result.genotype.Validate().ok());
   EXPECT_EQ(result.genotype.num_blocks(), 2);
   EXPECT_EQ(result.genotype.nodes_per_block, 3);
   EXPECT_GT(result.search_seconds, 0.0);
-  EXPECT_GT(result.estimated_memory_mb, 0.0);
+  // Search memory is measured: the tensor high-water mark over the search.
+  const BufferPoolStats pool = BufferPool::Global().Stats();
+  EXPECT_GT(pool.peak_live_bytes, 0);
+  EXPECT_GT(pool.peak_live_bytes, live_before);
+  EXPECT_GE(pool.peak_live_bytes, pool.live_bytes);
   EXPECT_GT(result.supernet_parameters, 0);
   EXPECT_GT(result.final_validation_loss, 0.0);
 }

@@ -51,8 +51,9 @@ fi
 
 cmake -B "${BUILD_DIR}" -S . "${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}"
 cmake --build "${BUILD_DIR}" -j
-ctest --test-dir "${BUILD_DIR}" --output-on-failure -j
-AUTOCTS_NUM_THREADS=4 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j
+# An explicit job count: ctest 3.25 reads a bare trailing -j as serial.
+ctest --test-dir "${BUILD_DIR}" --output-on-failure -j"$(nproc)"
+AUTOCTS_NUM_THREADS=4 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j"$(nproc)"
 
 # Pool-off parity pass: the kill switch must leave every result unchanged.
 # Scoped to the suites that exercise tensor storage hardest; bench_alloc is
