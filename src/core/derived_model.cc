@@ -35,7 +35,7 @@ DerivedModel::DerivedModel(const Genotype& genotype,
       adaptive_(model_context.adjacency.defined()
                     ? nullptr
                     : std::make_shared<graph::AdaptiveAdjacency>(
-                          model_context.num_nodes, /*embedding_dim=*/8,
+                          model_context.num_nodes, kAdaptiveEmbeddingDim,
                           &rng_)),
       embedding_(model_context.in_features, model_context.hidden_dim, &rng_),
       head_(model_context.hidden_dim, model_context.output_length, &rng_) {

@@ -23,7 +23,8 @@
 // semantics as an in-process ForecastServer::Submit deadline.
 //
 // Clients are not thread-safe: one connection serves one request at a
-// time. Open one client per concurrent stream (see bench/bench_net.cc).
+// time. Open one client per concurrent stream, as the load generator in
+// perfbench/serve_tcp.cc does.
 #ifndef AUTOCTS_NET_CLIENT_H_
 #define AUTOCTS_NET_CLIENT_H_
 

@@ -82,46 +82,50 @@ std::string SaveStateDict(const Module& module) {
   return out.str();
 }
 
-Status LoadStateDict(Module* module, const std::string& text) {
-  AUTOCTS_CHECK(module != nullptr);
+const Tensor* StateDict::FindParam(const std::string& name) const {
+  for (const auto& [record_name, value] : params) {
+    if (record_name == name) return &value;
+  }
+  return nullptr;
+}
+
+StatusOr<StateDict> ParseStateDict(const std::string& text) {
   StatusOr<TextReader> reader = TextReader::Parse(text);
   if (!reader.ok()) return reader.status();
+  StateDict state;
+  for (const auto& [key, out] : {std::pair{"param", &state.params},
+                                 std::pair{"buffer", &state.buffers}}) {
+    for (const std::string& record : reader.value().GetAll(key)) {
+      std::string name;
+      Tensor value;
+      Status status = ParseTensorRecord(record, &name, &value);
+      if (!status.ok()) return status;
+      out->emplace_back(name, value);
+    }
+  }
+  return state;
+}
 
-  // Parse all records first.
-  std::vector<std::pair<std::string, Tensor>> records;
-  for (const std::string& record : reader.value().GetAll("param")) {
-    std::string name;
-    Tensor value;
-    Status status = ParseTensorRecord(record, &name, &value);
-    if (!status.ok()) return status;
-    records.emplace_back(name, value);
-  }
-  std::vector<std::pair<std::string, Tensor>> buffer_records;
-  for (const std::string& record : reader.value().GetAll("buffer")) {
-    std::string name;
-    Tensor value;
-    Status status = ParseTensorRecord(record, &name, &value);
-    if (!status.ok()) return status;
-    buffer_records.emplace_back(name, value);
-  }
+Status LoadStateDict(Module* module, const std::string& text) {
+  StatusOr<StateDict> state = ParseStateDict(text);
+  if (!state.ok()) return state.status();
+  return LoadStateDict(module, state.value());
+}
+
+Status LoadStateDict(Module* module, const StateDict& state) {
+  AUTOCTS_CHECK(module != nullptr);
 
   // Match against the module's parameters.
   std::vector<std::pair<std::string, Variable>> parameters =
       module->NamedParameters();
-  if (records.size() != parameters.size()) {
+  if (state.params.size() != parameters.size()) {
     return Status::InvalidArgument(
         "parameter count mismatch: file has " +
-        std::to_string(records.size()) + ", module has " +
+        std::to_string(state.params.size()) + ", module has " +
         std::to_string(parameters.size()));
   }
   for (auto& [name, parameter] : parameters) {
-    const Tensor* found = nullptr;
-    for (const auto& [record_name, value] : records) {
-      if (record_name == name) {
-        found = &value;
-        break;
-      }
-    }
+    const Tensor* found = state.FindParam(name);
     if (found == nullptr) return Status::NotFound("missing parameter: " + name);
     if (found->shape() != parameter.shape()) {
       return Status::InvalidArgument("shape mismatch for: " + name);
@@ -134,7 +138,7 @@ Status LoadStateDict(Module* module, const std::string& text) {
   // architecture mismatch, rejected like a bad param record.
   std::vector<std::pair<std::string, Tensor*>> buffers =
       module->NamedBuffers();
-  for (const auto& [record_name, value] : buffer_records) {
+  for (const auto& [record_name, value] : state.buffers) {
     Tensor* found = nullptr;
     for (const auto& [name, buffer] : buffers) {
       if (name == record_name) {
@@ -153,14 +157,9 @@ Status LoadStateDict(Module* module, const std::string& text) {
 
   // All validated; now write values.
   for (auto& [name, parameter] : parameters) {
-    for (const auto& [record_name, value] : records) {
-      if (record_name == name) {
-        parameter.mutable_value() = value.Clone();
-        break;
-      }
-    }
+    parameter.mutable_value() = state.FindParam(name)->Clone();
   }
-  for (const auto& [record_name, value] : buffer_records) {
+  for (const auto& [record_name, value] : state.buffers) {
     for (auto& [name, buffer] : buffers) {
       if (name == record_name) {
         *buffer = value.Clone();

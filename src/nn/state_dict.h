@@ -22,6 +22,8 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "nn/module.h"
@@ -41,9 +43,21 @@ Status ParseTensorText(std::istringstream* record, const std::string& label,
 // Serializes every named parameter of `module`.
 std::string SaveStateDict(const Module& module);
 
+// The records of a state-dict text, parsed (every shape under the count
+// rule of ParseTensorText) but not yet matched against a module.
+struct StateDict {
+  std::vector<std::pair<std::string, Tensor>> params;
+  std::vector<std::pair<std::string, Tensor>> buffers;
+
+  // The parameter record named `name`, or nullptr.
+  const Tensor* FindParam(const std::string& name) const;
+};
+StatusOr<StateDict> ParseStateDict(const std::string& text);
+
 // Restores parameter values into `module`. Every parameter of the module
 // must be present in the text with a matching shape; unknown extra records
 // are rejected too (they signal an architecture mismatch).
+Status LoadStateDict(Module* module, const StateDict& state);
 Status LoadStateDict(Module* module, const std::string& text);
 
 // In-memory snapshot/restore used for best-validation-weights tracking.

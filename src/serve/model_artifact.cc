@@ -59,6 +59,39 @@ Status ParseLines(const TextReader& reader, const std::string& count_key,
   return Status::Ok();
 }
 
+// The geometry fields size the model's weights, and the decoder bounds them
+// only from below. The state dict's shapes are bounded by its bytes (the
+// count rule of nn::ParseTensorText), so the fields must match them before
+// a model is built from the fields.
+Status CheckGeometry(const ModelArtifact& artifact,
+                     const nn::StateDict& state) {
+  const ArtifactMeta& meta = artifact.meta;
+  const auto expect = [&](const std::string& name, const Shape& shape) {
+    const Tensor* found = state.FindParam(name);
+    return found != nullptr && found->shape() == shape
+               ? Status::Ok()
+               : Status::InvalidArgument(
+                     "geometry does not match the shape of " + name);
+  };
+  Status status =
+      expect("embedding.weight", {meta.in_features, meta.hidden_dim});
+  if (!status.ok()) return status;
+  // hidden_dim now matches a parsed shape, so 2 * hidden_dim cannot
+  // overflow.
+  status =
+      expect("head.fc2.weight", {2 * meta.hidden_dim, meta.output_length});
+  if (!status.ok()) return status;
+  if (!artifact.adjacency.defined()) {
+    return expect("adaptive.source_embedding",
+                  {meta.num_nodes, core::kAdaptiveEmbeddingDim});
+  }
+  if (artifact.adjacency.shape() != Shape{meta.num_nodes, meta.num_nodes}) {
+    return Status::InvalidArgument(
+        "geometry does not match the shape of the adjacency");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 ModelArtifact MakeModelArtifact(const core::DerivedModel& model,
@@ -238,17 +271,22 @@ StatusOr<ModelArtifact> LoadModelArtifactOrPrev(const std::string& path,
 
 StatusOr<std::unique_ptr<core::DerivedModel>> BuildModelFromArtifact(
     const ModelArtifact& artifact) {
-  models::ModelContext context;
-  context.num_nodes = artifact.meta.num_nodes;
-  context.in_features = artifact.meta.in_features;
-  context.input_length = artifact.meta.input_length;
-  context.output_length = artifact.meta.output_length;
-  context.hidden_dim = artifact.meta.hidden_dim;
-  context.adjacency = artifact.adjacency;
-  context.seed = artifact.meta.seed;
-  auto model = std::make_unique<core::DerivedModel>(artifact.genotype,
-                                                    context);
-  Status status = nn::LoadStateDict(model.get(), artifact.state_dict);
+  StatusOr<nn::StateDict> state = nn::ParseStateDict(artifact.state_dict);
+  Status status =
+      state.ok() ? CheckGeometry(artifact, state.value()) : state.status();
+  std::unique_ptr<core::DerivedModel> model;
+  if (status.ok()) {
+    models::ModelContext context;
+    context.num_nodes = artifact.meta.num_nodes;
+    context.in_features = artifact.meta.in_features;
+    context.input_length = artifact.meta.input_length;
+    context.output_length = artifact.meta.output_length;
+    context.hidden_dim = artifact.meta.hidden_dim;
+    context.adjacency = artifact.adjacency;
+    context.seed = artifact.meta.seed;
+    model = std::make_unique<core::DerivedModel>(artifact.genotype, context);
+    status = nn::LoadStateDict(model.get(), state.value());
+  }
   if (!status.ok()) {
     return Status(status.code(),
                   "artifact state dict does not match the genotype's "

@@ -1,6 +1,6 @@
 // End-to-end suite for the TCP serving front-end (src/net/): real sockets
-// on loopback, the real client library, and (for the signal test) the real
-// shipped CLI binary.
+// on loopback, the real client library, and (for the signal and CLI cases)
+// the real shipped CLI binary.
 //
 // The central contract: a forecast fetched over the wire is byte-identical
 // to the in-process InferenceSession::PredictBatch result — at every tested
@@ -16,26 +16,26 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/cancellation.h"
-#include "core/evaluator.h"
-#include "data/synthetic/generators.h"
+#include "common/file_io.h"
 #include "net/client.h"
 #include "net/tcp_server.h"
 #include "net/wire_codec.h"
@@ -45,69 +45,25 @@
 namespace autocts {
 namespace {
 
+using fixtures::ExpectBitsEqual;
+using fixtures::RawWindows;
+using fixtures::TrainedServingModel;
 using net::ForecastClient;
 using net::ForecastClientOptions;
 using net::TcpForecastServer;
 using net::TcpServeOptions;
 using serve::ArtifactMeta;
 using serve::InferenceSession;
-using serve::ModelArtifact;
 
 #ifndef AUTOCTS_CLI_PATH
 #error "AUTOCTS_CLI_PATH must be defined by the build"
 #endif
 
-constexpr int64_t kHiddenDim = 8;
-
-// One tiny trained artifact shared across the suite (training dominates
-// the runtime; every test is read-only on it). Variant 2 includes the
-// ProbSparse attention ops — the hardest to keep batch-decoupled, hence
-// the sharpest probe of the wire's byte-identity claim.
-const ModelArtifact& Artifact() {
-  static const ModelArtifact* artifact = [] {
-    const models::PreparedData data = fixtures::TinyPreparedData(53);
-    models::TrainConfig config;
-    config.epochs = 1;
-    config.batch_size = 8;
-    config.max_batches_per_epoch = 2;
-    config.seed = 11;
-    StatusOr<core::TrainedGenotype> trained = core::TrainGenotypeWithStatus(
-        fixtures::MakeCandidateGenotype(2), data, kHiddenDim, config);
-    AUTOCTS_CHECK(trained.ok()) << trained.status().ToString();
-    return new ModelArtifact(serve::MakeModelArtifact(
-        *trained.value().model, data, kHiddenDim, config.seed));
-  }();
-  return *artifact;
-}
-
-std::vector<Tensor> RawWindows(int64_t count, uint64_t seed = 99) {
-  const ArtifactMeta& meta = Artifact().meta;
-  data::TrafficSpeedConfig config;
-  config.num_nodes = meta.num_nodes;
-  config.num_steps = meta.input_length + count + 8;
-  config.seed = seed;
-  const data::CtsDataset dataset = data::GenerateTrafficSpeed(config);
-  std::vector<Tensor> windows;
-  windows.reserve(count);
-  for (int64_t w = 0; w < count; ++w) {
-    Tensor window({meta.input_length, meta.num_nodes, meta.in_features});
-    for (int64_t p = 0; p < meta.input_length; ++p) {
-      for (int64_t n = 0; n < meta.num_nodes; ++n) {
-        for (int64_t f = 0; f < meta.in_features; ++f) {
-          window.At({p, n, f}) = dataset.values.At({w + p, n, f});
-        }
-      }
-    }
-    windows.push_back(std::move(window));
-  }
-  return windows;
-}
-
 // The in-process ground truth: all windows through one PredictBatch call.
 std::vector<Tensor> ReferenceForecasts(const std::vector<Tensor>& windows) {
-  const ArtifactMeta& meta = Artifact().meta;
+  const ArtifactMeta& meta = TrainedServingModel().artifact.meta;
   StatusOr<std::unique_ptr<InferenceSession>> session =
-      InferenceSession::Create(Artifact());
+      InferenceSession::Create(TrainedServingModel().artifact);
   AUTOCTS_CHECK(session.ok()) << session.status().ToString();
   const int64_t k = static_cast<int64_t>(windows.size());
   Tensor stacked = Tensor::Uninitialized(
@@ -131,15 +87,6 @@ std::vector<Tensor> ReferenceForecasts(const std::vector<Tensor>& windows) {
     rows.push_back(std::move(row));
   }
   return rows;
-}
-
-void ExpectBitsEqual(const Tensor& a, const Tensor& b,
-                     const std::string& label) {
-  ASSERT_EQ(a.shape(), b.shape()) << label;
-  EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                        static_cast<size_t>(a.size()) * sizeof(double)),
-            0)
-      << label;
 }
 
 TcpServeOptions LoopbackOptions(int64_t workers, int64_t max_batch) {
@@ -170,7 +117,7 @@ TEST(NetTest, LoopbackMatchesInProcessPredictBatchAcrossSweep) {
   const std::pair<int64_t, int64_t> sweep[] = {
       {1, 1}, {1, 4}, {2, 1}, {2, 8}, {4, 8}};
   for (const auto& [workers, max_batch] : sweep) {
-    TcpForecastServer server(Artifact(),
+    TcpForecastServer server(TrainedServingModel().artifact,
                              LoopbackOptions(workers, max_batch));
     ASSERT_TRUE(server.Start().ok());
     constexpr int kClients = 3;
@@ -218,7 +165,8 @@ TEST(NetTest, LoopbackMatchesInProcessPredictBatchAcrossSweep) {
 // every time — no per-request state leaks into the forward.
 TEST(NetTest, RepeatedRequestsAreBitStable) {
   const std::vector<Tensor> windows = RawWindows(1);
-  TcpForecastServer server(Artifact(), LoopbackOptions(2, 4));
+  TcpForecastServer server(TrainedServingModel().artifact,
+                           LoopbackOptions(2, 4));
   ASSERT_TRUE(server.Start().ok());
   ForecastClient client(ClientFor(server));
   ASSERT_TRUE(client.Connect().ok());
@@ -237,7 +185,8 @@ TEST(NetTest, RepeatedRequestsAreBitStable) {
 // Typed failure outcomes across the wire.
 
 TEST(NetTest, ExpiredWireDeadlineComesBackAsDeadlineExceeded) {
-  TcpForecastServer server(Artifact(), LoopbackOptions(1, 1));
+  TcpForecastServer server(TrainedServingModel().artifact,
+                           LoopbackOptions(1, 1));
   ASSERT_TRUE(server.Start().ok());
   ForecastClient client(ClientFor(server));
   ASSERT_TRUE(client.Connect().ok());
@@ -257,7 +206,7 @@ TEST(NetTest, CancelledTokenFailsRequestsWithCancelledOverTheWire) {
   CancellationToken token;
   TcpServeOptions options = LoopbackOptions(1, 1);
   options.serve.cancel = &token;
-  TcpForecastServer server(Artifact(), options);
+  TcpForecastServer server(TrainedServingModel().artifact, options);
   ASSERT_TRUE(server.Start().ok());
   ForecastClient client(ClientFor(server));
   ASSERT_TRUE(client.Connect().ok());
@@ -274,7 +223,8 @@ TEST(NetTest, CancelledTokenFailsRequestsWithCancelledOverTheWire) {
 // makes the rejection deterministic (a real full-queue race is probed
 // separately below).
 TEST(NetTest, ShedRequestsComeBackAsUnavailable) {
-  TcpForecastServer server(Artifact(), LoopbackOptions(1, 1));
+  TcpForecastServer server(TrainedServingModel().artifact,
+                           LoopbackOptions(1, 1));
   ASSERT_TRUE(server.Start().ok());
   server.forecast_server().Stop();
   ForecastClient client(ClientFor(server));
@@ -291,7 +241,7 @@ TEST(NetTest, ShedRequestsComeBackAsUnavailable) {
 TEST(NetTest, QueueFullBurstConservesEveryRequest) {
   TcpServeOptions options = LoopbackOptions(1, 1);
   options.serve.queue_capacity = 1;
-  TcpForecastServer server(Artifact(), options);
+  TcpForecastServer server(TrainedServingModel().artifact, options);
   ASSERT_TRUE(server.Start().ok());
   const std::vector<Tensor> windows = RawWindows(1);
   const std::vector<Tensor> references = ReferenceForecasts(windows);
@@ -368,7 +318,8 @@ std::string RawReadAll(int fd) {
 // connection is closed — after damage the stream framing cannot be
 // trusted, so the server refuses to resynchronize.
 TEST(NetTest, CorruptFrameGetsStatusReplyAndConnectionClose) {
-  TcpForecastServer server(Artifact(), LoopbackOptions(1, 1));
+  TcpForecastServer server(TrainedServingModel().artifact,
+                           LoopbackOptions(1, 1));
   ASSERT_TRUE(server.Start().ok());
   std::string frame = net::EncodePredictRequest(RawWindows(1)[0]);
   frame[net::kFrameHeaderBytes] ^= 0x40;  // flip one payload bit
@@ -391,7 +342,8 @@ TEST(NetTest, CorruptFrameGetsStatusReplyAndConnectionClose) {
 
 // A client that vanishes mid-frame must not wedge or kill the server.
 TEST(NetTest, MidFrameDisconnectIsCountedAndServerSurvives) {
-  TcpForecastServer server(Artifact(), LoopbackOptions(1, 1));
+  TcpForecastServer server(TrainedServingModel().artifact,
+                           LoopbackOptions(1, 1));
   ASSERT_TRUE(server.Start().ok());
   const std::string frame = net::EncodePredictRequest(RawWindows(1)[0]);
   // Once inside the header, once inside the payload.
@@ -416,7 +368,8 @@ TEST(NetTest, MidFrameDisconnectIsCountedAndServerSurvives) {
 // An empty connect/close (a health checker, a port scanner) is a clean
 // EOF, not a protocol error.
 TEST(NetTest, EmptyConnectionIsNotAProtocolError) {
-  TcpForecastServer server(Artifact(), LoopbackOptions(1, 1));
+  TcpForecastServer server(TrainedServingModel().artifact,
+                           LoopbackOptions(1, 1));
   ASSERT_TRUE(server.Start().ok());
   const int fd = RawConnect(server.port());
   ::close(fd);
@@ -435,7 +388,7 @@ TEST(NetTest, EmptyConnectionIsNotAProtocolError) {
 
 TEST(NetTest, BadServeOptionsFailTcpStartWithInvalidArgument) {
   TcpServeOptions options = LoopbackOptions(0, 8);  // workers = 0
-  TcpForecastServer server(Artifact(), options);
+  TcpForecastServer server(TrainedServingModel().artifact, options);
   const Status started = server.Start();
   ASSERT_FALSE(started.ok());
   EXPECT_EQ(started.code(), StatusCode::kInvalidArgument);
@@ -444,11 +397,85 @@ TEST(NetTest, BadServeOptionsFailTcpStartWithInvalidArgument) {
 }
 
 // ---------------------------------------------------------------------------
-// SIGTERM during in-flight requests, against the real CLI binary.
+// The shipped CLI binary: serve-tcp under SIGTERM, and the serving commands
+// end to end.
 
 std::string TempPath(const std::string& name) {
   return fixtures::TempPath("net_test", name);
 }
+
+// The CLI run as a child process with its stdout and stderr in `log_path`.
+// The destructor kills and reaps a child that is still running, so a failed
+// assertion leaves no server behind.
+class CliProcess {
+ public:
+  CliProcess(const std::vector<std::string>& args, std::string log_path)
+      : log_path_(std::move(log_path)) {
+    std::vector<char*> argv = {const_cast<char*>(AUTOCTS_CLI_PATH)};
+    for (const std::string& arg : args) {
+      argv.push_back(const_cast<char*>(arg.c_str()));
+    }
+    argv.push_back(nullptr);
+    pid_ = ::fork();
+    AUTOCTS_CHECK_GE(pid_, 0);
+    if (pid_ == 0) {
+      // Child: only async-signal-safe calls until exec.
+      const int fd = ::open(log_path_.c_str(),
+                            O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+      if (fd < 0 || ::dup2(fd, STDOUT_FILENO) < 0 ||
+          ::dup2(fd, STDERR_FILENO) < 0) {
+        std::_Exit(126);
+      }
+      ::execv(AUTOCTS_CLI_PATH, argv.data());
+      std::_Exit(127);  // exec failed
+    }
+  }
+  CliProcess(const CliProcess&) = delete;
+  CliProcess& operator=(const CliProcess&) = delete;
+  ~CliProcess() {
+    if (pid_ > 0) {
+      ::kill(pid_, SIGKILL);
+      Wait();
+    }
+  }
+
+  // The port from serve-tcp's "listening on 127.0.0.1:PORT" line, or 0
+  // when the line does not appear within 30 s.
+  int WaitForPort() const {
+    const std::string prefix = "listening on 127.0.0.1:";
+    for (int spin = 0; spin < 600; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      std::istringstream log(Output());
+      std::string line;
+      while (std::getline(log, line)) {
+        if (line.rfind(prefix, 0) == 0) {
+          return std::atoi(line.c_str() + prefix.size());
+        }
+      }
+    }
+    return 0;
+  }
+
+  bool Signal(int signal) const { return ::kill(pid_, signal) == 0; }
+
+  // Reaps the child: its exit code, or -1 when a signal ended it.
+  int Wait() {
+    int raw_status = 0;
+    const pid_t waited = ::waitpid(pid_, &raw_status, 0);
+    pid_ = -1;
+    return waited > 0 && WIFEXITED(raw_status) ? WEXITSTATUS(raw_status)
+                                               : -1;
+  }
+
+  std::string Output() const {
+    StatusOr<std::string> text = ReadFileToString(log_path_);
+    return text.ok() ? text.value() : std::string();
+  }
+
+ private:
+  std::string log_path_;
+  pid_t pid_ = -1;
+};
 
 // Serve-tcp under fire: launch the shipped binary, keep a request stream
 // going, SIGTERM it mid-flight. The process must drain (every response that
@@ -456,35 +483,13 @@ std::string TempPath(const std::string& name) {
 // repo-wide SIGTERM code 143.
 TEST(NetTest, SigtermDuringInflightRequestsDrainsAndExits143) {
   const std::string artifact_path = TempPath("model.artifact");
-  ASSERT_TRUE(serve::SaveModelArtifact(Artifact(), artifact_path).ok());
+  ASSERT_TRUE(
+      serve::SaveModelArtifact(TrainedServingModel().artifact, artifact_path)
+          .ok());
   const std::string log_path = TempPath("serve.log");
-
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // Child: stdout/stderr to the log the parent polls for the port.
-    std::freopen(log_path.c_str(), "w", stdout);
-    std::freopen(log_path.c_str(), "w", stderr);
-    ::execl(AUTOCTS_CLI_PATH, AUTOCTS_CLI_PATH, "serve-tcp", "--artifact",
-            artifact_path.c_str(), "--port", "0",
-            static_cast<char*>(nullptr));
-    std::_Exit(127);  // exec failed
-  }
-
-  // Parent: wait for "listening on 127.0.0.1:PORT".
-  int port = 0;
-  for (int spin = 0; spin < 600 && port == 0; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    std::ifstream log(log_path);
-    std::string line;
-    while (std::getline(log, line)) {
-      const std::string prefix = "listening on 127.0.0.1:";
-      if (line.rfind(prefix, 0) == 0) {
-        port = std::atoi(line.c_str() + prefix.size());
-        break;
-      }
-    }
-  }
+  CliProcess server({"serve-tcp", "--artifact", artifact_path, "--port", "0"},
+                    log_path);
+  const int port = server.WaitForPort();
   ASSERT_GT(port, 0) << "server never reported its port";
 
   const std::vector<Tensor> windows = RawWindows(1);
@@ -519,24 +524,94 @@ TEST(NetTest, SigtermDuringInflightRequestsDrainsAndExits143) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_GE(completed.load(), 1);
-  ASSERT_EQ(::kill(pid, SIGTERM), 0);
-
-  int raw_status = 0;
-  ASSERT_EQ(::waitpid(pid, &raw_status, 0), pid);
+  EXPECT_TRUE(server.Signal(SIGTERM));
+  const int exit_code = server.Wait();
   stop.store(true);
   pump.join();
 
-  ASSERT_TRUE(WIFEXITED(raw_status));
-  EXPECT_EQ(WEXITSTATUS(raw_status), 143);  // 128 + SIGTERM
+  EXPECT_EQ(exit_code, 143);  // 128 + SIGTERM
   EXPECT_FALSE(mismatch.load())
       << "a drained response differed from the in-process reference";
   // The drain stats line made it out before exit.
-  std::ifstream log(log_path);
-  std::stringstream buffer;
-  buffer << log.rdbuf();
-  EXPECT_NE(buffer.str().find("serve-tcp drained:"), std::string::npos);
+  EXPECT_NE(server.Output().find("serve-tcp drained:"), std::string::npos);
   fixtures::RemoveGenerations(artifact_path);
   std::remove(log_path.c_str());
+}
+
+// Runs the CLI to completion: its exit code, with what it printed in
+// *output.
+int RunCli(const std::vector<std::string>& args, std::string* output) {
+  const std::string log_path = TempPath("cli.log");
+  CliProcess cli(args, log_path);
+  const int exit_code = cli.Wait();
+  *output = cli.Output();
+  std::remove(log_path.c_str());
+  return exit_code;
+}
+
+// The `exact q*` lines of a predict or predict-remote output.
+std::string ExactLines(const std::string& output) {
+  std::istringstream stream(output);
+  std::string exact;
+  std::string line;
+  while (std::getline(stream, line)) {
+    if (line.rfind("exact q", 0) == 0) exact += line + "\n";
+  }
+  return exact;
+}
+
+// The serving commands end to end: export-artifact trains on a tiny
+// dataset, then `predict` (in process) and `serve-tcp` + `predict-remote`
+// (over the wire) forecast the same window, and their exact hex-float lines
+// are byte-identical.
+TEST(NetTest, CliPredictRemoteMatchesPredictByteForByte) {
+  const std::string genotype_path = TempPath("cli_genotype.txt");
+  const std::string artifact_path = TempPath("cli_model.artifact");
+  const std::string serve_log = TempPath("cli_serve.log");
+  ASSERT_TRUE(AtomicWriteFile(genotype_path,
+                              fixtures::MakeCandidateGenotype(2).ToText(),
+                              /*keep_previous=*/false)
+                  .ok());
+  const auto with_data = [](std::vector<std::string> args) {
+    for (const char* flag :
+         {"--kind", "traffic-speed", "--nodes", "4", "--steps", "200",
+          "--input", "6", "--output", "3"}) {
+      args.push_back(flag);
+    }
+    return args;
+  };
+  std::string output;
+  ASSERT_EQ(RunCli(with_data({"export-artifact", "--genotype", genotype_path,
+                              "--out", artifact_path, "--hidden", "8",
+                              "--epochs", "1", "--batch", "8",
+                              "--max-batches", "2"}),
+                   &output),
+            0)
+      << output;
+  ASSERT_EQ(RunCli(with_data({"predict", "--artifact", artifact_path}),
+                   &output),
+            0)
+      << output;
+  const std::string local = ExactLines(output);
+
+  CliProcess server({"serve-tcp", "--artifact", artifact_path, "--port", "0"},
+                    serve_log);
+  const int port = server.WaitForPort();
+  ASSERT_GT(port, 0) << "server never reported its port";
+  ASSERT_EQ(RunCli(with_data({"predict-remote", "--port",
+                              std::to_string(port)}),
+                   &output),
+            0)
+      << output;
+  const std::string remote = ExactLines(output);
+
+  EXPECT_EQ(std::count(local.begin(), local.end(), '\n'), 3) << local;
+  EXPECT_EQ(remote, local);
+  EXPECT_TRUE(server.Signal(SIGTERM));
+  EXPECT_EQ(server.Wait(), 143);
+  std::remove(genotype_path.c_str());
+  fixtures::RemoveGenerations(artifact_path);
+  std::remove(serve_log.c_str());
 }
 
 }  // namespace

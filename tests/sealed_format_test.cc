@@ -10,7 +10,8 @@
 //   * every count-prefixed field given a hostile count is InvalidArgument,
 //     and nothing of the claimed size is allocated: no unpooled BufferPool
 //     block (the only kind above 2^24 elements) and no growth of the
-//     resident high-water mark.
+//     resident high-water mark. An artifact geometry field that its state
+//     dict does not bound gets the same check through the model build.
 // The state-dict codec, embedded in every artifact, gets the same
 // hostile-shape cases.
 //
@@ -23,6 +24,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -59,6 +61,8 @@ struct SealedFormat {
   std::function<std::string()> encode_fixture;
   Codec round_trip;  // decode, then re-encode
   std::vector<HostileCount> hostile_counts;
+  // What the hostile-count sweep runs, when more than round_trip.
+  Codec load = nullptr;
 };
 
 template <typename T>
@@ -73,6 +77,25 @@ Codec RoundTrip(StatusOr<T> (*decode)(const std::string&),
 
 // A claim far above the largest pool bucket (2^24 elements).
 constexpr char kHuge[] = "100000000";
+
+// Decodes an artifact and builds its model, the step that sizes weights
+// from the geometry fields.
+StatusOr<std::string> LoadArtifactModel(const std::string& text) {
+  StatusOr<serve::ModelArtifact> decoded = serve::DecodeModelArtifact(text);
+  if (!decoded.ok()) return decoded.status();
+  const Status built = serve::BuildModelFromArtifact(decoded.value()).status();
+  if (!built.ok()) return built;
+  return text;
+}
+
+// A state-dict record of zeros with the given shape.
+std::string ZeroParam(const std::string& name, const Shape& shape) {
+  std::ostringstream record;
+  record << "state = param = " << name;
+  nn::AppendTensorText(Tensor::Zeros(shape), &record);
+  record << "\n";
+  return record.str();
+}
 
 std::vector<SealedFormat> Formats() {
   const std::string huge = kHuge;
@@ -124,7 +147,16 @@ std::vector<SealedFormat> Formats() {
          {{"\ngenotype = num_blocks = 2\n",
            "\ngenotype = num_blocks = " + huge + "\n"}}},
         {"state_lines",
-         {{"\nstate_lines = 2\n", "\nstate_lines = " + huge + "\n"}}}}},
+         {{"\nstate_lines = 2\n", "\nstate_lines = " + huge + "\n"}}},
+        // The state dict fits the golden geometry (2 features, hidden 4,
+        // Q = 2), so only the geometry check can refuse hidden_dim 2^20,
+        // which would size [2^20, 2^21] head weights.
+        {"hidden_dim beyond the state dict",
+         {{"\nhidden_dim = 4\n", "\nhidden_dim = 1048576\n"},
+          {"\nstate = format = fake\nstate = param = tiny\n",
+           "\n" + ZeroParam("embedding.weight", {2, 4}) +
+               ZeroParam("head.fc2.weight", {8, 2})}}}},
+       LoadArtifactModel},
   };
 }
 
@@ -258,9 +290,11 @@ TEST_P(SealedFormatTest, HostileCountsAreRejectedBeforeAllocating) {
           << hostile.field << ": ambiguous edit";
       edited.replace(at, edit.from.size(), edit.to);
     }
+    const Codec& load =
+        GetParam().load ? GetParam().load : GetParam().round_trip;
     Status status;
-    const Footprint footprint = Measure(
-        [&] { status = GetParam().round_trip(SealText(edited)).status(); });
+    const Footprint footprint =
+        Measure([&] { status = load(SealText(edited)).status(); });
     ExpectInvalidArgument(status, hostile.field);
     ExpectNoAllocationForClaim(footprint, hostile.field);
   }

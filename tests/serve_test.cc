@@ -24,8 +24,6 @@
 #include "common/cancellation.h"
 #include "common/file_io.h"
 #include "common/metrics_registry.h"
-#include "core/evaluator.h"
-#include "data/synthetic/generators.h"
 #include "serve/forecast_server.h"
 #include "testing/fixtures.h"
 
@@ -33,84 +31,20 @@ namespace autocts {
 namespace {
 
 using fixtures::CompactArtifact;
+using fixtures::ExpectBitsEqual;
+using fixtures::RawWindows;
+using fixtures::TrainedServingModel;
 using serve::ArtifactMeta;
 using serve::ForecastServer;
 using serve::InferenceSession;
 using serve::ModelArtifact;
 using serve::ServeOptions;
 
-constexpr int64_t kHiddenDim = 8;
-
-// One tiny trained model + its exported artifact, shared across the suite
-// (training dominates the runtime; every test below is read-only on it).
-// The genotype variant contains inf_s / inf_t edges on purpose: ProbSparse
-// attention selects an active-query set per sample, which is the hardest
-// op to keep batch-decoupled.
-struct ServeFixture {
-  models::PreparedData data;
-  std::unique_ptr<core::DerivedModel> model;
-  ModelArtifact artifact;
-};
-
-const ServeFixture& Fixture() {
-  static const ServeFixture* fixture = [] {
-    auto* f = new ServeFixture{fixtures::TinyPreparedData(53), nullptr, {}};
-    models::TrainConfig config;
-    config.epochs = 1;
-    config.batch_size = 8;
-    config.max_batches_per_epoch = 2;
-    config.seed = 11;
-    StatusOr<core::TrainedGenotype> trained = core::TrainGenotypeWithStatus(
-        fixtures::MakeCandidateGenotype(2), f->data, kHiddenDim, config);
-    AUTOCTS_CHECK(trained.ok()) << trained.status().ToString();
-    f->model = std::move(trained.value().model);
-    f->artifact =
-        serve::MakeModelArtifact(*f->model, f->data, kHiddenDim, config.seed);
-    return f;
-  }();
-  return *fixture;
-}
-
-// Distinct raw (denormalized) windows with the artifact's geometry, sliced
-// stride-1 from a fresh synthetic series.
-std::vector<Tensor> RawWindows(int64_t count, uint64_t seed = 99) {
-  const ArtifactMeta& meta = Fixture().artifact.meta;
-  data::TrafficSpeedConfig config;
-  config.num_nodes = meta.num_nodes;
-  config.num_steps = meta.input_length + count + 8;
-  config.seed = seed;
-  const data::CtsDataset dataset = data::GenerateTrafficSpeed(config);
-  AUTOCTS_CHECK_EQ(dataset.num_features(), meta.in_features);
-  std::vector<Tensor> windows;
-  windows.reserve(count);
-  for (int64_t w = 0; w < count; ++w) {
-    Tensor window({meta.input_length, meta.num_nodes, meta.in_features});
-    for (int64_t p = 0; p < meta.input_length; ++p) {
-      for (int64_t n = 0; n < meta.num_nodes; ++n) {
-        for (int64_t f = 0; f < meta.in_features; ++f) {
-          window.At({p, n, f}) = dataset.values.At({w + p, n, f});
-        }
-      }
-    }
-    windows.push_back(std::move(window));
-  }
-  return windows;
-}
-
 std::unique_ptr<InferenceSession> MakeSession() {
   StatusOr<std::unique_ptr<InferenceSession>> session =
-      InferenceSession::Create(Fixture().artifact);
+      InferenceSession::Create(TrainedServingModel().artifact);
   AUTOCTS_CHECK(session.ok()) << session.status().ToString();
   return std::move(session).value();
-}
-
-void ExpectBitsEqual(const Tensor& a, const Tensor& b,
-                     const std::string& label) {
-  ASSERT_EQ(a.shape(), b.shape()) << label;
-  EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                        static_cast<size_t>(a.size()) * sizeof(double)),
-            0)
-      << label;
 }
 
 std::string TempPath(const std::string& name) {
@@ -122,7 +56,7 @@ std::string TempPath(const std::string& name) {
 // ---------------------------------------------------------------------------
 
 TEST(ModelArtifact, EncodeDecodeRoundTripIsByteExact) {
-  const ModelArtifact& artifact = Fixture().artifact;
+  const ModelArtifact& artifact = TrainedServingModel().artifact;
   const std::string text = serve::EncodeModelArtifact(artifact);
   StatusOr<ModelArtifact> decoded = serve::DecodeModelArtifact(text);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -136,14 +70,14 @@ TEST(ModelArtifact, EncodeDecodeRoundTripIsByteExact) {
 TEST(ModelArtifact, StateDictCarriesBatchNormBuffers) {
   // The derived model wraps ops in BatchNorm, so a faithful artifact must
   // carry its running statistics as "buffer = " records.
-  const ModelArtifact& artifact = Fixture().artifact;
+  const ModelArtifact& artifact = TrainedServingModel().artifact;
   EXPECT_NE(artifact.state_dict.find("buffer = "), std::string::npos);
   EXPECT_NE(artifact.state_dict.find("running_mean"), std::string::npos);
   EXPECT_NE(artifact.state_dict.find("running_var"), std::string::npos);
 }
 
 TEST(ModelArtifact, RebuiltModelMatchesOriginalBitForBit) {
-  const ServeFixture& fixture = Fixture();
+  const fixtures::ServingModel& fixture = TrainedServingModel();
   StatusOr<std::unique_ptr<core::DerivedModel>> rebuilt =
       serve::BuildModelFromArtifact(fixture.artifact);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
@@ -169,11 +103,31 @@ TEST(ModelArtifact, RebuiltModelMatchesOriginalBitForBit) {
   }
 }
 
+// Every geometry field the model is sized from must match the state
+// dict's shapes (or, for num_nodes, the adjacency). A num_nodes off by one
+// used to build without complaint.
+TEST(ModelArtifact, GeometryThatDisagreesWithTheStateDictIsRejected) {
+  const std::pair<const char*, void (*)(ModelArtifact*)> edits[] = {
+      {"num_nodes", [](ModelArtifact* a) { ++a->meta.num_nodes; }},
+      {"in_features", [](ModelArtifact* a) { ++a->meta.in_features; }},
+      {"hidden_dim", [](ModelArtifact* a) { ++a->meta.hidden_dim; }},
+      {"output_length", [](ModelArtifact* a) { ++a->meta.output_length; }},
+      {"learned graph", [](ModelArtifact* a) { a->adjacency = Tensor(); }},
+  };
+  for (const auto& [field, edit] : edits) {
+    ModelArtifact artifact = TrainedServingModel().artifact;
+    edit(&artifact);
+    EXPECT_EQ(serve::BuildModelFromArtifact(artifact).status().code(),
+              StatusCode::kInvalidArgument)
+        << field;
+  }
+}
+
 TEST(ModelArtifact, TrainedArtifactRejectsSpotCorruptions) {
   // The exhaustive sweep runs on the compact artifact (sealed_format_test);
   // the full trained artifact gets targeted damage at both ends and in the
   // dense payload.
-  const std::string text = serve::EncodeModelArtifact(Fixture().artifact);
+  const std::string text = serve::EncodeModelArtifact(TrainedServingModel().artifact);
   ASSERT_TRUE(serve::DecodeModelArtifact(text).ok());
   for (size_t i : {size_t{0}, text.size() / 3, text.size() / 2,
                    2 * text.size() / 3, text.size() - 2}) {
@@ -243,7 +197,7 @@ TEST(InferenceSession, RepeatedPredictIsBitIdentical) {
 
 TEST(InferenceSession, BatchedForwardMatchesSequentialBitForBit) {
   std::unique_ptr<InferenceSession> session = MakeSession();
-  const ArtifactMeta& meta = Fixture().artifact.meta;
+  const ArtifactMeta& meta = TrainedServingModel().artifact.meta;
   const int64_t k = 8;
   const std::vector<Tensor> windows = RawWindows(k);
   const int64_t window_size =
@@ -272,7 +226,7 @@ TEST(InferenceSession, BatchedForwardMatchesSequentialBitForBit) {
 
 TEST(InferenceSession, RejectsWrongWindowShape) {
   std::unique_ptr<InferenceSession> session = MakeSession();
-  const ArtifactMeta& meta = Fixture().artifact.meta;
+  const ArtifactMeta& meta = TrainedServingModel().artifact.meta;
   Tensor wrong({meta.input_length + 1, meta.num_nodes, meta.in_features});
   EXPECT_FALSE(session->Predict(wrong).ok());
   Tensor wrong_batch(
@@ -282,7 +236,7 @@ TEST(InferenceSession, RejectsWrongWindowShape) {
 
 TEST(InferenceSession, RingBufferMatchesStatelessPredict) {
   std::unique_ptr<InferenceSession> session = MakeSession();
-  const ArtifactMeta& meta = Fixture().artifact.meta;
+  const ArtifactMeta& meta = TrainedServingModel().artifact.meta;
   const int64_t extra = 3;
   const std::vector<Tensor> windows = RawWindows(extra + 1);
   // windows[0..extra] are stride-1 slices of one series: tick t of the
@@ -351,7 +305,7 @@ TEST(ForecastServer, WorkerSweepIsBitIdenticalToSequential) {
     ServeOptions options;
     options.workers = workers;
     options.max_batch = 8;
-    ForecastServer server(Fixture().artifact, options);
+    ForecastServer server(TrainedServingModel().artifact, options);
     ASSERT_TRUE(server.Start().ok());
     std::vector<std::future<StatusOr<Tensor>>> futures;
     for (const Tensor& window : windows) {
@@ -392,7 +346,7 @@ TEST(ForecastServer, StartRejectsNonPositiveOptionsWithInvalidArgument) {
     options.workers = bad.workers;
     options.max_batch = bad.max_batch;
     options.queue_capacity = bad.queue_capacity;
-    ForecastServer server(Fixture().artifact, options);
+    ForecastServer server(TrainedServingModel().artifact, options);
     const Status started = server.Start();
     ASSERT_FALSE(started.ok()) << bad.knob;
     EXPECT_EQ(started.code(), StatusCode::kInvalidArgument) << bad.knob;
@@ -411,7 +365,7 @@ TEST(ForecastServer, StartRejectsNonPositiveOptionsWithInvalidArgument) {
   minimal.workers = 1;
   minimal.max_batch = 1;
   minimal.queue_capacity = 1;
-  ForecastServer server(Fixture().artifact, minimal);
+  ForecastServer server(TrainedServingModel().artifact, minimal);
   ASSERT_TRUE(server.Start().ok());
   EXPECT_TRUE(server.Predict(RawWindows(1)[0]).ok());
   server.Stop();
@@ -420,7 +374,7 @@ TEST(ForecastServer, StartRejectsNonPositiveOptionsWithInvalidArgument) {
 TEST(ForecastServer, StopIsGracefulAndRejectsLateSubmissions) {
   ServeOptions options;
   options.workers = 2;
-  ForecastServer server(Fixture().artifact, options);
+  ForecastServer server(TrainedServingModel().artifact, options);
   ASSERT_TRUE(server.Start().ok());
   const std::vector<Tensor> windows = RawWindows(4);
   std::vector<std::future<StatusOr<Tensor>>> futures;
@@ -441,7 +395,7 @@ TEST(ForecastServer, StopIsGracefulAndRejectsLateSubmissions) {
 TEST(ForecastServer, ExpiredDeadlinesFailWithoutForwarding) {
   ServeOptions options;
   options.workers = 1;
-  ForecastServer server(Fixture().artifact, options);
+  ForecastServer server(TrainedServingModel().artifact, options);
   ASSERT_TRUE(server.Start().ok());
   const std::vector<Tensor> windows = RawWindows(3);
   std::vector<std::future<StatusOr<Tensor>>> futures;
@@ -463,7 +417,7 @@ TEST(ForecastServer, CancelledTokenFailsNewSubmissions) {
   ServeOptions options;
   options.workers = 1;
   options.cancel = &token;
-  ForecastServer server(Fixture().artifact, options);
+  ForecastServer server(TrainedServingModel().artifact, options);
   ASSERT_TRUE(server.Start().ok());
   token.Cancel();
   const std::vector<Tensor> windows = RawWindows(1);
@@ -482,7 +436,7 @@ TEST(ForecastServer, BurstConservesEveryRequest) {
   options.workers = 1;
   options.max_batch = 4;
   options.queue_capacity = 2;
-  ForecastServer server(Fixture().artifact, options);
+  ForecastServer server(TrainedServingModel().artifact, options);
   ASSERT_TRUE(server.Start().ok());
   const int64_t total = 32;
   const std::vector<Tensor> windows = RawWindows(4);
@@ -512,7 +466,7 @@ TEST(ForecastServer, MetricsFlushOnStop) {
   ServeOptions options;
   options.workers = 2;
   options.metrics = &registry;
-  ForecastServer server(Fixture().artifact, options);
+  ForecastServer server(TrainedServingModel().artifact, options);
   ASSERT_TRUE(server.Start().ok());
   const std::vector<Tensor> windows = RawWindows(6);
   std::vector<std::future<StatusOr<Tensor>>> futures;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <limits>
 
+#include "core/evaluator.h"
 #include "data/synthetic/generators.h"
 
 namespace autocts::fixtures {
@@ -47,6 +49,59 @@ std::vector<core::Genotype> MakeCandidateGenotypes(int64_t count) {
     candidates.push_back(MakeCandidateGenotype(i));
   }
   return candidates;
+}
+
+const ServingModel& TrainedServingModel() {
+  static const ServingModel* serving = [] {
+    auto* f = new ServingModel{TinyPreparedData(53), nullptr, {}};
+    models::TrainConfig config;
+    config.epochs = 1;
+    config.batch_size = 8;
+    config.max_batches_per_epoch = 2;
+    config.seed = 11;
+    constexpr int64_t kHiddenDim = 8;
+    StatusOr<core::TrainedGenotype> trained = core::TrainGenotypeWithStatus(
+        MakeCandidateGenotype(2), f->data, kHiddenDim, config);
+    AUTOCTS_CHECK(trained.ok()) << trained.status().ToString();
+    f->model = std::move(trained.value().model);
+    f->artifact =
+        serve::MakeModelArtifact(*f->model, f->data, kHiddenDim, config.seed);
+    return f;
+  }();
+  return *serving;
+}
+
+std::vector<Tensor> RawWindows(int64_t count, uint64_t seed) {
+  const serve::ArtifactMeta& meta = TrainedServingModel().artifact.meta;
+  data::TrafficSpeedConfig config;
+  config.num_nodes = meta.num_nodes;
+  config.num_steps = meta.input_length + count + 8;
+  config.seed = seed;
+  const data::CtsDataset dataset = data::GenerateTrafficSpeed(config);
+  AUTOCTS_CHECK_EQ(dataset.num_features(), meta.in_features);
+  std::vector<Tensor> windows;
+  windows.reserve(count);
+  for (int64_t w = 0; w < count; ++w) {
+    Tensor window({meta.input_length, meta.num_nodes, meta.in_features});
+    for (int64_t p = 0; p < meta.input_length; ++p) {
+      for (int64_t n = 0; n < meta.num_nodes; ++n) {
+        for (int64_t f = 0; f < meta.in_features; ++f) {
+          window.At({p, n, f}) = dataset.values.At({w + p, n, f});
+        }
+      }
+    }
+    windows.push_back(std::move(window));
+  }
+  return windows;
+}
+
+void ExpectBitsEqual(const Tensor& a, const Tensor& b,
+                     const std::string& label) {
+  ASSERT_EQ(a.shape(), b.shape()) << label;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        static_cast<size_t>(a.size()) * sizeof(double)),
+            0)
+      << label;
 }
 
 core::SearchCheckpoint SyntheticSearchCheckpoint() {

@@ -1,7 +1,8 @@
 // Shared builders for the crash-safety / scheduler / e2e / serving suites:
 // one tiny-but-real synthetic dataset, hand-built candidate genotypes in
-// the exact shape Derive() emits, and temp-file helpers that clean up every
-// generation an atomic writer may leave behind (<path>, <path>.prev,
+// the exact shape Derive() emits, the serving suites' trained model with
+// its window and bit-compare helpers, and temp-file helpers that clean up
+// every generation an atomic writer may leave behind (<path>, <path>.prev,
 // <path>.tmp).
 //
 // Dataset seeds stay explicit at every call site on purpose: the suites
@@ -11,9 +12,11 @@
 #define AUTOCTS_TESTS_TESTING_FIXTURES_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/derived_model.h"
 #include "core/eval_scheduler.h"
 #include "core/genotype.h"
 #include "core/search_checkpoint.h"
@@ -32,6 +35,26 @@ models::PreparedData TinyPreparedData(uint64_t seed);
 // variant so every candidate trains to a different result.
 core::Genotype MakeCandidateGenotype(int64_t variant);
 std::vector<core::Genotype> MakeCandidateGenotypes(int64_t count);
+
+// The serving suites' model: MakeCandidateGenotype(2) trained for one
+// epoch of 2 batches (batch 8, seed 11, hidden 8) on TinyPreparedData(53),
+// and its exported artifact. Variant 2 holds the ProbSparse attention ops,
+// the hardest to keep batch-decoupled. Trained once per process; callers
+// only read it.
+struct ServingModel {
+  models::PreparedData data;
+  std::unique_ptr<core::DerivedModel> model;
+  serve::ModelArtifact artifact;
+};
+const ServingModel& TrainedServingModel();
+
+// `count` distinct raw (denormalized) windows with the serving artifact's
+// geometry, sliced stride-1 from a fresh synthetic series.
+std::vector<Tensor> RawWindows(int64_t count, uint64_t seed = 99);
+
+// Shapes equal and every double bit-identical (memcmp, no tolerance).
+void ExpectBitsEqual(const Tensor& a, const Tensor& b,
+                     const std::string& label);
 
 // One small, complete instance of each sealed format: every record type is
 // present, and each is small enough for exhaustive byte-level sweeps. Their

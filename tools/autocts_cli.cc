@@ -12,9 +12,6 @@
 //                                into a serving artifact (serve/)
 //   predict  [options]           one-shot forecast from an artifact; prints
 //                                exact hex-float values for bit-comparison
-//   serve-bench [options]        closed-loop load driver against the
-//                                batched ForecastServer; prints p50/p99
-//                                latency and QPS, batched vs unbatched
 //   serve-tcp [options]          serve an artifact over the TCP wire
 //                                protocol (src/net/); runs until
 //                                SIGINT/SIGTERM, then drains and exits
@@ -72,19 +69,12 @@
 //
 // Serving options (src/serve/):
 //   --artifact F    artifact file (export-artifact output; predict and
-//                   serve-bench input). Loads fall back to F.prev when F is
+//                   serve-tcp input). Loads fall back to F.prev when F is
 //                   corrupt, mirroring checkpoint loads.
-//   --at T          predict: forecast from the window ending at timestamp T
-//                   (exclusive; default = the end of the series). The last
-//                   `input` ticks are streamed through the session's
-//                   sliding-window ring buffer.
-//   --serve-workers N      serve-bench: server worker threads (default 2);
-//                   any value returns bit-identical forecasts
-//   --max-batch K   serve-bench: micro-batch coalescing limit (default 8)
-//   --clients C     serve-bench: concurrent closed-loop clients (default 8)
-//   --requests N    serve-bench: total requests per pass (default 256)
-//   --queue-cap N   serve-bench/serve-tcp: bounded queue capacity
-//                   (default 256)
+//   --at T          predict/predict-remote: forecast from the window ending
+//                   at timestamp T (exclusive; default = the end of the
+//                   series). predict streams the last `input` ticks through
+//                   the session's sliding-window ring buffer.
 //
 // Network serving options (src/net/):
 //   --port P        serve-tcp: TCP port to listen on (default 7077;
@@ -92,6 +82,10 @@
 //                   predict-remote: the server's port
 //   --bind A        serve-tcp: IPv4 bind address (default 127.0.0.1;
 //                   use 0.0.0.0 to serve a network)
+//   --serve-workers N      serve-tcp: server worker threads (default 2);
+//                   any value returns bit-identical forecasts
+//   --max-batch K   serve-tcp: micro-batch coalescing limit (default 8)
+//   --queue-cap N   serve-tcp: bounded queue capacity (default 256)
 //   --host A        predict-remote: server IPv4 address (default
 //                   127.0.0.1)
 //   --timeout S     predict-remote: per-request wall timeout in seconds
@@ -99,7 +93,6 @@
 //   --deadline S    predict-remote: server-side deadline budget carried on
 //                   the wire (default 0 = none); an expired budget comes
 //                   back as a DeadlineExceeded status frame
-//   serve-tcp reuses --serve-workers / --max-batch / --queue-cap, and
 //   predict-remote reuses --io-retries for connect/transport retries.
 //
 // Resilience options (common/fault.h, common/cancellation.h):
@@ -155,10 +148,9 @@
 //       --genotype genotype.txt --epochs 4 --out model.artifact
 //   autocts_cli predict --kind traffic-flow --nodes 10 --steps 1200 \
 //       --artifact model.artifact
-//   autocts_cli serve-bench --kind traffic-flow --nodes 10 --steps 1200 \
-//       --artifact model.artifact --serve-workers 4 --max-batch 8
-#include <algorithm>
-#include <atomic>
+//   autocts_cli serve-tcp --artifact model.artifact --serve-workers 4
+//   autocts_cli predict-remote --kind traffic-flow --nodes 10 --steps 1200 \
+//       --port 7077
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -180,12 +172,11 @@
 #include "core/searcher.h"
 #include "data/csv.h"
 #include "data/synthetic/generators.h"
-#include "common/stopwatch.h"
 #include "models/trainer.h"
 #include "net/client.h"
 #include "net/tcp_server.h"
 #include "ops/op_registry.h"
-#include "serve/forecast_server.h"
+#include "serve/inference_session.h"
 #include "tensor/tensor_ops.h"
 
 namespace {
@@ -216,7 +207,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: autocts_cli "
                "<list-ops|generate|search|evaluate|evaluate-topk|"
-               "export-artifact|predict|serve-bench|serve-tcp|"
+               "export-artifact|predict|serve-tcp|"
                "predict-remote> "
                "[--key value ...]\n(see the header of tools/autocts_cli.cc "
                "for the full option list)\n");
@@ -631,6 +622,31 @@ int ExportArtifact(const Args& args) {
   return 0;
 }
 
+// Prints a [Q, N] forecast twice per step: rounded for reading, and as
+// exact hex-float images that tests and operators compare bit-for-bit
+// across machines, batch sizes, worker counts and the wire (the wire
+// carries IEEE-754 bit patterns), so `predict` and `predict-remote` output
+// diff clean.
+void PrintForecast(int64_t at, const Tensor& forecast) {
+  const int64_t output_length = forecast.dim(0);
+  const int64_t num_nodes = forecast.dim(1);
+  std::printf("forecast from t=%lld (%lld steps, %lld nodes)\n",
+              static_cast<long long>(at),
+              static_cast<long long>(output_length),
+              static_cast<long long>(num_nodes));
+  for (int64_t q = 0; q < output_length; ++q) {
+    std::printf("step %lld:", static_cast<long long>(q + 1));
+    for (int64_t n = 0; n < num_nodes; ++n) {
+      std::printf(" %.4f", forecast.At({q, n}));
+    }
+    std::printf("\nexact q%lld =", static_cast<long long>(q + 1));
+    for (int64_t n = 0; n < num_nodes; ++n) {
+      std::printf(" %s", FormatExactDouble(forecast.At({q, n})).c_str());
+    }
+    std::printf("\n");
+  }
+}
+
 int PredictOnce(const Args& args) {
   const std::string path = args.Get("artifact", "model.artifact");
   bool used_prev = false;
@@ -689,187 +705,7 @@ int PredictOnce(const Args& args) {
                  forecast.status().ToString().c_str());
     return 1;
   }
-  std::printf("forecast from t=%lld (%lld steps, %lld nodes)\n",
-              static_cast<long long>(at),
-              static_cast<long long>(meta.output_length),
-              static_cast<long long>(meta.num_nodes));
-  for (int64_t q = 0; q < meta.output_length; ++q) {
-    std::printf("step %lld:", static_cast<long long>(q + 1));
-    for (int64_t n = 0; n < meta.num_nodes; ++n) {
-      std::printf(" %.4f", forecast.value().At({q, n}));
-    }
-    std::printf("\n");
-    // Exact hex-float images: tests and operators compare these tokens
-    // bit-for-bit across machines, batch sizes, and worker counts.
-    std::printf("exact q%lld =", static_cast<long long>(q + 1));
-    for (int64_t n = 0; n < meta.num_nodes; ++n) {
-      std::printf(" %s",
-                  FormatExactDouble(forecast.value().At({q, n})).c_str());
-    }
-    std::printf("\n");
-  }
-  return 0;
-}
-
-// One closed-loop serve-bench pass: `clients` threads submit `requests`
-// windows round-robin and wait for each response before sending the next.
-// Returns false on any failed request; forecasts land in (*outputs)[i] for
-// request i (deterministic: request i always carries window i % windows).
-struct ServePassResult {
-  double wall_seconds = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  serve::ForecastServer::Stats stats;
-};
-
-bool RunServePass(const serve::ModelArtifact& artifact,
-                  const std::vector<Tensor>& windows, int64_t workers,
-                  int64_t max_batch, int64_t queue_capacity,
-                  int64_t requests, int64_t clients,
-                  std::vector<Tensor>* outputs, ServePassResult* result) {
-  serve::ServeOptions options;
-  options.workers = workers;
-  options.max_batch = max_batch;
-  options.queue_capacity = queue_capacity;
-  options.cancel = &ShutdownToken();
-  serve::ForecastServer server(artifact, options);
-  const Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "server start failed: %s\n",
-                 started.ToString().c_str());
-    return false;
-  }
-  outputs->assign(requests, Tensor());
-  std::vector<double> latencies(requests, 0.0);
-  std::atomic<int64_t> next{0};
-  std::atomic<bool> failed{false};
-  const int64_t start_nanos = SteadyNowNanos();
-  std::vector<std::thread> pool;
-  pool.reserve(clients);
-  for (int64_t c = 0; c < clients; ++c) {
-    pool.emplace_back([&] {
-      while (true) {
-        const int64_t i = next.fetch_add(1);
-        if (i >= requests) return;
-        const int64_t t0 = SteadyNowNanos();
-        const Tensor& window = windows[i % windows.size()];
-        // Queue-full rejections are back-pressure, not errors: yield and
-        // retry (bounded; with one outstanding request per client the
-        // queue cannot stay full).
-        StatusOr<Tensor> forecast = server.Submit(window.Clone()).get();
-        for (int attempt = 0;
-             !forecast.ok() &&
-             forecast.status().code() == StatusCode::kUnavailable &&
-             attempt < 1000;
-             ++attempt) {
-          std::this_thread::yield();
-          forecast = server.Submit(window.Clone()).get();
-        }
-        if (!forecast.ok()) {
-          failed.store(true);
-          return;
-        }
-        latencies[i] = static_cast<double>(SteadyNowNanos() - t0) * 1e-6;
-        (*outputs)[i] = std::move(forecast).value();
-      }
-    });
-  }
-  for (std::thread& thread : pool) thread.join();
-  result->wall_seconds =
-      static_cast<double>(SteadyNowNanos() - start_nanos) * 1e-9;
-  server.Stop();
-  result->stats = server.stats();
-  if (failed.load()) return false;
-  std::sort(latencies.begin(), latencies.end());
-  result->p50_ms = latencies[static_cast<size_t>(requests / 2)];
-  result->p99_ms = latencies[std::min<size_t>(
-      latencies.size() - 1, static_cast<size_t>(requests * 99 / 100))];
-  return true;
-}
-
-int ServeBench(const Args& args) {
-  const std::string path = args.Get("artifact", "model.artifact");
-  const StatusOr<serve::ModelArtifact> artifact =
-      serve::LoadModelArtifactOrPrev(path);
-  if (!artifact.ok()) {
-    std::fprintf(stderr, "cannot load artifact %s: %s\n", path.c_str(),
-                 artifact.status().ToString().c_str());
-    return 1;
-  }
-  const serve::ArtifactMeta& meta = artifact.value().meta;
-  const data::CtsDataset dataset = MakeDataset(args);
-  if (dataset.num_nodes() != meta.num_nodes ||
-      dataset.num_features() != meta.in_features ||
-      dataset.num_steps() <= meta.input_length) {
-    std::fprintf(stderr, "dataset does not match the artifact geometry\n");
-    return 1;
-  }
-  // Distinct raw windows, stride 1, capped at 64 — the workload cycles
-  // through them so consecutive requests are not identical.
-  const int64_t available = dataset.num_steps() - meta.input_length + 1;
-  const int64_t num_windows = std::min<int64_t>(64, available);
-  std::vector<Tensor> windows;
-  windows.reserve(num_windows);
-  for (int64_t w = 0; w < num_windows; ++w) {
-    Tensor window({meta.input_length, meta.num_nodes, meta.in_features});
-    for (int64_t p = 0; p < meta.input_length; ++p) {
-      for (int64_t n = 0; n < meta.num_nodes; ++n) {
-        for (int64_t f = 0; f < meta.in_features; ++f) {
-          window.At({p, n, f}) = dataset.values.At({w + p, n, f});
-        }
-      }
-    }
-    windows.push_back(std::move(window));
-  }
-  const int64_t workers = args.GetInt("serve-workers", 2);
-  const int64_t max_batch = args.GetInt("max-batch", 8);
-  const int64_t clients = args.GetInt("clients", 8);
-  const int64_t requests = args.GetInt("requests", 256);
-  const int64_t queue_capacity = args.GetInt("queue-cap", 256);
-
-  std::printf("serve-bench: workers=%lld clients=%lld requests=%lld\n",
-              static_cast<long long>(workers),
-              static_cast<long long>(clients),
-              static_cast<long long>(requests));
-  std::vector<Tensor> unbatched, batched;
-  ServePassResult base, coalesced;
-  if (!RunServePass(artifact.value(), windows, workers, /*max_batch=*/1,
-                    queue_capacity, requests, clients, &unbatched, &base) ||
-      !RunServePass(artifact.value(), windows, workers, max_batch,
-                    queue_capacity, requests, clients, &batched,
-                    &coalesced)) {
-    return 1;
-  }
-  const double base_qps = static_cast<double>(requests) / base.wall_seconds;
-  const double coalesced_qps =
-      static_cast<double>(requests) / coalesced.wall_seconds;
-  std::printf(
-      "  unbatched (max-batch 1):    %8.1f QPS  p50 %7.2f ms  p99 %7.2f ms\n",
-      base_qps, base.p50_ms, base.p99_ms);
-  std::printf(
-      "  batched   (max-batch %lld): %8.1f QPS  p50 %7.2f ms  p99 %7.2f ms  "
-      "(max fill %lld, %.2fx QPS)\n",
-      static_cast<long long>(max_batch), coalesced_qps, coalesced.p50_ms,
-      coalesced.p99_ms,
-      static_cast<long long>(coalesced.stats.max_batch_observed),
-      coalesced_qps / base_qps);
-
-  // The determinism contract: batching must not change any forecast bit.
-  for (int64_t i = 0; i < requests; ++i) {
-    const Tensor& a = unbatched[i];
-    const Tensor& b = batched[i];
-    if (a.size() != b.size() ||
-        std::memcmp(a.data(), b.data(),
-                    static_cast<size_t>(a.size()) * sizeof(double)) != 0) {
-      std::fprintf(stderr,
-                   "BIT-IDENTITY VIOLATION: request %lld differs between "
-                   "batched and unbatched passes\n",
-                   static_cast<long long>(i));
-      return 1;
-    }
-  }
-  std::printf("bit-identity: OK (%lld forecasts identical across passes)\n",
-              static_cast<long long>(requests));
+  PrintForecast(at, forecast.value());
   return 0;
 }
 
@@ -968,27 +804,7 @@ int PredictRemote(const Args& args) {
                  forecast.status().ToString().c_str());
     return FailureExitCode(forecast.status());
   }
-  const int64_t output_length = forecast.value().dim(0);
-  const int64_t num_nodes = forecast.value().dim(1);
-  std::printf("forecast from t=%lld (%lld steps, %lld nodes)\n",
-              static_cast<long long>(at),
-              static_cast<long long>(output_length),
-              static_cast<long long>(num_nodes));
-  for (int64_t q = 0; q < output_length; ++q) {
-    std::printf("step %lld:", static_cast<long long>(q + 1));
-    for (int64_t n = 0; n < num_nodes; ++n) {
-      std::printf(" %.4f", forecast.value().At({q, n}));
-    }
-    std::printf("\n");
-    // Same exact hex-float images as `predict`: the wire carries IEEE-754
-    // bit patterns, so these tokens match the local output bit for bit.
-    std::printf("exact q%lld =", static_cast<long long>(q + 1));
-    for (int64_t n = 0; n < num_nodes; ++n) {
-      std::printf(" %s",
-                  FormatExactDouble(forecast.value().At({q, n})).c_str());
-    }
-    std::printf("\n");
-  }
+  PrintForecast(at, forecast.value());
   return 0;
 }
 
@@ -1025,7 +841,7 @@ int main(int argc, char** argv) {
   // Long-running commands get graceful SIGINT/SIGTERM shutdown.
   if (args.command == "search" || args.command == "evaluate" ||
       args.command == "evaluate-topk" || args.command == "export-artifact" ||
-      args.command == "serve-bench" || args.command == "serve-tcp") {
+      args.command == "serve-tcp") {
     InstallShutdownHandlers(&ShutdownToken());
   }
 
@@ -1036,7 +852,6 @@ int main(int argc, char** argv) {
   if (args.command == "evaluate-topk") return EvaluateTopK(args);
   if (args.command == "export-artifact") return ExportArtifact(args);
   if (args.command == "predict") return PredictOnce(args);
-  if (args.command == "serve-bench") return ServeBench(args);
   if (args.command == "serve-tcp") return ServeTcp(args);
   if (args.command == "predict-remote") return PredictRemote(args);
   return Usage();
