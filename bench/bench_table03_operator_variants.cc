@@ -74,7 +74,7 @@ void Run() {
   bench::PrintRule();
   for (const auto& [label, op] : variants) {
     std::printf("%s", bench::Cell(label, 20).c_str());
-    for (const std::string& key : {"metr-la", "pems03"}) {
+    for (const char* key : {"metr-la", "pems03"}) {
       const bench::DatasetPreset preset = bench::MakePreset(key);
       const models::PreparedData prepared = bench::Prepare(preset);
       models::ModelContext context;

@@ -22,7 +22,7 @@ void Run() {
   std::printf("architecture searched on %s:\n%s\n", source.label.c_str(),
               transferred.genotype.ToPrettyString().c_str());
 
-  for (const std::string& key : {"metr-la", "pems-bay"}) {
+  for (const char* key : {"metr-la", "pems-bay"}) {
     const bench::DatasetPreset preset = bench::MakePreset(key);
     const models::PreparedData prepared = bench::Prepare(preset);
     bench::PrintTitle("target dataset: " + preset.label);

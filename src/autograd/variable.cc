@@ -344,6 +344,4 @@ NumericTraceReport EndNumericTrace() {
   return g_trace_report;
 }
 
-bool NumericTraceActive() { return g_trace_active; }
-
 }  // namespace autocts

@@ -152,7 +152,6 @@ struct NumericTraceReport {
 void BeginNumericTrace();
 // Stops tracing and returns the report of the first offender, if any.
 NumericTraceReport EndNumericTrace();
-bool NumericTraceActive();
 
 }  // namespace autocts
 

@@ -108,10 +108,6 @@ class BufferRef {
     return block_ != nullptr &&
            block_->refs.load(std::memory_order_acquire) == 1;
   }
-  // True when both handles share the same block (Reshape views do).
-  bool SharesStorageWith(const BufferRef& other) const {
-    return block_ != nullptr && block_ == other.block_;
-  }
 
  private:
   internal::BufferBlock* block_ = nullptr;

@@ -4,10 +4,10 @@
 // The model is strictly cooperative: nothing here preempts a thread. A
 // CancellationToken is a lock-free flag that interested loops poll at their
 // step/batch boundaries; whoever wants the work stopped — a SIGINT/SIGTERM
-// handler (common/signal_handler.h), the eval scheduler's watchdog, a test —
-// calls Cancel() with a reason, and the loop notices at its next boundary,
-// finishes cleanly (final checkpoint, joined workers), and returns a
-// Status whose code matches the reason (kCancelled or kDeadlineExceeded).
+// handler (common/signal_handler.h), a test — calls Cancel() with a reason,
+// and the loop notices at its next boundary, finishes cleanly (final
+// checkpoint, joined workers), and returns a Status whose code matches the
+// reason (kCancelled or kDeadlineExceeded).
 //
 // Cancel() is async-signal-safe: it performs exactly one lock-free atomic
 // store-class operation and touches nothing else, so signal handlers may

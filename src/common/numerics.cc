@@ -128,6 +128,28 @@ void HealthMonitor::Reset() {
   window_sum_ = 0.0;
 }
 
+RecoveryPolicy::RecoveryPolicy(const RecoveryOptions& options)
+    : options_(options), recoveries_left_(options.max_recoveries) {}
+
+bool RecoveryPolicy::TrySkip(bool parameters_poisoned) {
+  return !parameters_poisoned &&
+         ++consecutive_skips_ <= options_.max_consecutive_skips;
+}
+
+Status RecoveryPolicy::Rollback(const std::string& context,
+                                HealthMonitor* monitor) {
+  if (recoveries_left_ <= 0) {
+    return Status::Internal(context + "; recovery budget exhausted after " +
+                            std::to_string(options_.max_recoveries) +
+                            " rollbacks");
+  }
+  --recoveries_left_;
+  lr_scale_ *= options_.lr_backoff;
+  monitor->Reset();
+  consecutive_skips_ = 0;
+  return Status::Ok();
+}
+
 std::string AttributeDivergence(
     const std::function<Variable()>& loss_fn,
     const std::vector<std::pair<std::string, Variable>>& named_parameters,

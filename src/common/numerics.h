@@ -1,9 +1,9 @@
 // Numerical-health guard layer: cheap non-finite scans over tensors, a
 // per-step HealthMonitor that watches losses / gradient norms / parameter
-// tensors, the RecoveryOptions policy knobs shared by models::Trainer and
-// core::JointSearcher, and an attribution helper that re-runs a diverged
-// computation under the autograd numeric trace to name the first op that
-// produced a non-finite value.
+// tensors, the RecoveryPolicy that models::Trainer and core::JointSearcher
+// share, and an attribution helper that re-runs a diverged computation
+// under the autograd numeric trace to name the first op that produced a
+// non-finite value.
 //
 // Rationale: DARTS-style bi-level search is prone to numerical collapse
 // (exploding architecture gradients, softmax saturation at low temperature,
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "autograd/variable.h"
+#include "common/status.h"
 #include "tensor/tensor.h"
 
 namespace autocts::numerics {
@@ -125,8 +126,8 @@ class HealthMonitor {
 };
 
 // --------------------------------------------------------------------------
-// Recovery policy knobs (shared by models::Trainer and core::JointSearcher;
-// the state machines live in the respective loops, see DESIGN.md).
+// Recovery policy (shared by models::Trainer and core::JointSearcher, see
+// DESIGN.md).
 // --------------------------------------------------------------------------
 
 struct RecoveryOptions {
@@ -143,6 +144,39 @@ struct RecoveryOptions {
   double lr_backoff = 0.5;
   // Searcher only: batches between in-memory last-good snapshots.
   int64_t snapshot_every_n_batches = 8;
+};
+
+// The recovery state machine both loops run: the skip streak, the rollback
+// budget and the learning-rate scale. Each loop keeps its own snapshot,
+// restore, poisoned-parameter rule and call order; this type decides when a
+// skip escalates and what a rollback costs.
+class RecoveryPolicy {
+ public:
+  explicit RecoveryPolicy(const RecoveryOptions& options);
+
+  // After an anomaly: true when the poisoned step may simply be dropped,
+  // i.e. the parameters are still clean and the skip streak stays within
+  // max_consecutive_skips. False means the caller must roll back.
+  bool TrySkip(bool parameters_poisoned);
+
+  // After a healthy step: the skip streak ends.
+  void OnHealthyStep() { consecutive_skips_ = 0; }
+
+  // Spends one rollback. With the budget exhausted, returns Internal naming
+  // `context`; otherwise backs lr_scale() off by lr_backoff and resets
+  // `monitor` (its loss window judged the abandoned trajectory) and the
+  // skip streak. The caller then restores its snapshot and applies
+  // lr_scale() to its learning rates.
+  Status Rollback(const std::string& context, HealthMonitor* monitor);
+
+  // Multiplier on every base learning rate: 1 until the first rollback.
+  double lr_scale() const { return lr_scale_; }
+
+ private:
+  RecoveryOptions options_;
+  int64_t recoveries_left_;
+  int64_t consecutive_skips_ = 0;
+  double lr_scale_ = 1.0;
 };
 
 // --------------------------------------------------------------------------

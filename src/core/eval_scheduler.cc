@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -628,46 +627,31 @@ StatusOr<EvalBatchResult> EvalScheduler::Evaluate(
   std::mutex mutex;
   std::condition_variable completions_ready;
   std::deque<Completion> inbox;
+  int64_t workers_alive = workers;  // guarded by `mutex`
   std::atomic<int64_t> next_slot{0};
   std::atomic<bool> abort{false};
-  std::atomic<int64_t> workers_alive{0};
-
-  // In-flight table for the watchdog: each running candidate's private
-  // cancellation token and wall deadline. Entries are registered before
-  // training starts and removed before the token leaves scope.
-  struct InflightCandidate {
-    int64_t index = -1;
-    CancellationToken* token = nullptr;
-    Deadline deadline;
+  const auto cancelled = [&] {
+    return options_.cancel != nullptr && options_.cancel->cancelled();
   };
-  std::mutex inflight_mutex;
-  std::vector<InflightCandidate> inflight;
 
   const auto worker_main = [&]() {
-    for (;;) {
-      if (abort.load(std::memory_order_relaxed)) break;
+    // A cancelled caller token stops new claims; running candidates see the
+    // same token at their next batch boundary.
+    while (!abort.load(std::memory_order_relaxed) && !cancelled()) {
       const int64_t slot = next_slot.fetch_add(1, std::memory_order_relaxed);
       if (slot >= static_cast<int64_t>(pending.size())) break;
       const int64_t index = pending[slot];
       models::TrainConfig config = options_.train;
       config.seed = CandidateSeed(options_.train.seed, index);
       config.verbose = false;
-      // Private interruption wiring: the watchdog cancels this token on a
-      // blown wall budget (kDeadline) or external shutdown (swept with the
-      // external token's reason); the trainer also polls the deadline and
-      // step budget itself at every batch boundary.
-      CancellationToken token;
-      const Deadline deadline =
+      // The trainer checks the caller's token, this candidate's wall
+      // deadline and its step budget at every batch boundary.
+      config.cancel = options_.cancel;
+      config.deadline =
           Deadline::AfterBudget(options_.candidate_wall_budget_seconds);
-      config.cancel = &token;
-      config.deadline = deadline;
       config.step_budget = options_.candidate_step_budget;
       if (options_.candidate_setup_hook) {
         options_.candidate_setup_hook(index, &config);
-      }
-      {
-        std::lock_guard<std::mutex> lock(inflight_mutex);
-        inflight.push_back({index, &token, deadline});
       }
       Completion completion;
       completion.index = index;
@@ -683,17 +667,6 @@ StatusOr<EvalBatchResult> EvalScheduler::Evaluate(
         }
       }
       completion.wall_seconds = watch.Seconds();
-      {
-        // Deregister before the token goes out of scope (and before the
-        // completion hook, which tests use to stall this thread).
-        std::lock_guard<std::mutex> lock(inflight_mutex);
-        inflight.erase(
-            std::remove_if(inflight.begin(), inflight.end(),
-                           [index](const InflightCandidate& entry) {
-                             return entry.index == index;
-                           }),
-            inflight.end());
-      }
       if (options_.completion_hook) options_.completion_hook(index);
       {
         std::lock_guard<std::mutex> lock(mutex);
@@ -701,58 +674,23 @@ StatusOr<EvalBatchResult> EvalScheduler::Evaluate(
       }
       completions_ready.notify_one();
     }
-    workers_alive.fetch_sub(1, std::memory_order_acq_rel);
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      --workers_alive;
+    }
     completions_ready.notify_one();
   };
 
-  // Watchdog: a few-millisecond scan over the in-flight table, cancelling
-  // tokens whose wall deadline expired (kDeadline) and sweeping everything
-  // on external shutdown. Purely cooperative — it only sets flags the
-  // trainer polls — and it reads the same FakeClock-compatible clock the
-  // deadlines were minted from, so tests drive it with virtual time.
-  std::atomic<bool> watchdog_stop{false};
-  std::thread watchdog;
-  const bool need_watchdog =
-      !pending.empty() && (options_.candidate_wall_budget_seconds > 0.0 ||
-                           options_.cancel != nullptr);
-  if (need_watchdog) {
-    watchdog = std::thread([&] {
-      while (!watchdog_stop.load(std::memory_order_acquire)) {
-        {
-          std::lock_guard<std::mutex> lock(inflight_mutex);
-          const bool shutdown =
-              options_.cancel != nullptr && options_.cancel->cancelled();
-          for (const InflightCandidate& entry : inflight) {
-            if (shutdown) {
-              entry.token->Cancel(options_.cancel->reason());
-            } else if (entry.deadline.expired()) {
-              entry.token->Cancel(CancelReason::kDeadline);
-            }
-          }
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-    });
-  }
-
   std::vector<std::thread> threads;
-  if (!pending.empty()) {
-    threads.reserve(workers);
-    workers_alive.store(workers, std::memory_order_release);
-    for (int64_t w = 0; w < workers; ++w) {
-      threads.emplace_back(worker_main);
-    }
-  }
+  threads.reserve(workers);
+  for (int64_t w = 0; w < workers; ++w) threads.emplace_back(worker_main);
   const auto join_all = [&] {
     for (std::thread& thread : threads) thread.join();
-    watchdog_stop.store(true, std::memory_order_release);
-    if (watchdog.joinable()) watchdog.join();
   };
 
   // ---- Driver loop: drain completions, persist, record ----
   double busy_seconds = 0.0;
   bool warned_save_failure = false;
-  bool external_cancel = false;
   const auto record_io = [&](const fault::RetryOutcome& outcome) {
     if (registry == nullptr) return;
     if (outcome.retries() > 0) {
@@ -763,44 +701,19 @@ StatusOr<EvalBatchResult> EvalScheduler::Evaluate(
     }
   };
   try {
-    int64_t drained = 0;
     for (;;) {
-      // External shutdown: stop handing out new candidates, sweep the
-      // in-flight tokens once (the watchdog keeps sweeping late joiners),
-      // then keep draining so every completed result is persisted before
-      // returning.
-      if (!external_cancel && options_.cancel != nullptr &&
-          options_.cancel->cancelled()) {
-        external_cancel = true;
-        abort.store(true, std::memory_order_relaxed);
-        {
-          std::lock_guard<std::mutex> lock(inflight_mutex);
-          for (const InflightCandidate& entry : inflight) {
-            entry.token->Cancel(options_.cancel->reason());
-          }
-        }
-        AUTOCTS_LOG(WARNING)
-            << "eval scheduler interrupted; draining in-flight candidates";
-      }
-      if (external_cancel) {
-        std::unique_lock<std::mutex> lock(mutex);
-        if (inbox.empty() &&
-            workers_alive.load(std::memory_order_acquire) == 0) {
-          break;
-        }
-      } else if (drained >= static_cast<int64_t>(pending.size())) {
-        break;
-      }
+      // Workers publish every completion before they exit, so an empty
+      // inbox with no worker alive means the batch is drained — whether it
+      // ran out of candidates or the caller's token stopped the claims.
       Completion completion;
       {
         std::unique_lock<std::mutex> lock(mutex);
-        completions_ready.wait_for(lock, std::chrono::milliseconds(50),
-                                   [&] { return !inbox.empty(); });
-        if (inbox.empty()) continue;  // re-check cancel / worker exit
+        completions_ready.wait(
+            lock, [&] { return !inbox.empty() || workers_alive == 0; });
+        if (inbox.empty()) break;
         completion = std::move(inbox.front());
         inbox.pop_front();
       }
-      ++drained;
       --outstanding;
       busy_seconds += completion.wall_seconds;
 
@@ -882,7 +795,7 @@ StatusOr<EvalBatchResult> EvalScheduler::Evaluate(
   } catch (...) {
     // A test hook simulated a crash: stop handing out work, let in-flight
     // candidates finish (training is not interruptible), and rethrow with
-    // no worker or watchdog threads left running.
+    // no worker thread left running.
     abort.store(true, std::memory_order_relaxed);
     join_all();
     throw;
@@ -890,10 +803,12 @@ StatusOr<EvalBatchResult> EvalScheduler::Evaluate(
   join_all();
   batch.wall_seconds = batch_watch.Seconds();
 
-  if (external_cancel) {
+  if (cancelled()) {
     // Every completed candidate was persisted above; the interrupted ones
     // were never recorded, so a --resume run re-trains exactly those and
     // lands on the same final checkpoint as an uninterrupted run.
+    AUTOCTS_LOG(WARNING) << "eval scheduler interrupted; in-flight "
+                            "candidates drained";
     return options_.cancel->ToStatus("evaluation interrupted after " +
                                      std::to_string(batch.evaluated) + "/" +
                                      std::to_string(count) + " candidates");
@@ -923,27 +838,6 @@ StatusOr<EvalBatchResult> EvalScheduler::Evaluate(
     }
   }
   return batch;
-}
-
-StatusOr<SearchEvaluateResult> SearchAndEvaluateTopK(
-    const SearchOptions& search_options,
-    const EvalSchedulerOptions& scheduler_options,
-    const models::PreparedData& data) {
-  JointSearcher searcher(search_options);
-  StatusOr<SearchResult> search = searcher.SearchWithStatus(data);
-  if (!search.ok()) return search.status();
-
-  EvalSchedulerOptions options = scheduler_options;
-  if (options.train.seed == 0) options.train.seed = search_options.seed;
-  EvalScheduler scheduler(std::move(options));
-  StatusOr<EvalBatchResult> eval =
-      scheduler.Evaluate(search.value().top_genotypes, data);
-  if (!eval.ok()) return eval.status();
-
-  SearchEvaluateResult result;
-  result.search = std::move(search).value();
-  result.eval = std::move(eval).value();
-  return result;
 }
 
 }  // namespace autocts::core

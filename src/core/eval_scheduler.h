@@ -44,10 +44,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/metrics_registry.h"
 #include "common/status.h"
 #include "core/genotype.h"
-#include "core/searcher.h"
 #include "models/trainer.h"
 
 namespace autocts::core {
@@ -98,9 +98,9 @@ inline constexpr char kEvalMetricTrainLoss[] = "eval/train_loss";
 inline constexpr char kEvalMetricMae[] = "eval/mae";
 inline constexpr char kEvalMetricRmse[] = "eval/rmse";
 inline constexpr char kEvalMetricStatusOk[] = "eval/status_ok";
-// Candidates terminated by the per-candidate watchdog (wall budget) or the
-// training step budget. A deterministic function of the configured budgets
-// when the step budget is the trigger, so it stays un-prefixed; failure
+// Candidates terminated by their wall budget or training step budget. A
+// deterministic function of the configured budgets when the step budget is
+// the trigger, so it stays un-prefixed; failure
 // records round-trip through checkpoints with their DEADLINE_EXCEEDED code
 // intact, keeping resumed counts equal to fresh ones.
 inline constexpr char kEvalMetricDeadlineExceeded[] =
@@ -196,18 +196,18 @@ struct EvalSchedulerOptions {
 
   bool verbose = false;
 
-  // Cooperative interruption (common/cancellation.h). When the external
-  // token is cancelled (signal-driven shutdown), the scheduler stops
-  // handing out candidates, sweeps every in-flight candidate's private
-  // token, drains the workers, and Evaluate returns kCancelled — progress
-  // up to that point is already persisted per completion, so a resumed run
-  // re-evaluates only the interrupted candidates, bit-identically.
+  // Cooperative interruption (common/cancellation.h). Every candidate's
+  // trainer polls this token at each batch boundary. When it is cancelled
+  // (signal-driven shutdown), the workers stop claiming candidates, the
+  // running ones stop at their next batch, and Evaluate returns
+  // kCancelled — progress up to that point is already persisted per
+  // completion, so a resumed run re-evaluates only the interrupted
+  // candidates, bit-identically.
   const CancellationToken* cancel = nullptr;  // not owned
 
-  // Per-candidate budgets. A candidate that exceeds either is terminated
-  // cooperatively by the watchdog (wall budget, checked every few
-  // milliseconds against the FakeClock-compatible monotonic clock) or the
-  // trainer's own step check, and recorded as a deterministic
+  // Per-candidate budgets, checked by the trainer at every batch boundary
+  // (the wall budget against the FakeClock-compatible monotonic clock). A
+  // candidate that exceeds either is recorded as a deterministic
   // DEADLINE_EXCEEDED failure — persisted like any other terminal failure,
   // while the remaining candidates continue undisturbed. The step budget
   // (total training batches) is the deterministic, machine-independent
@@ -278,20 +278,6 @@ class EvalScheduler {
  private:
   EvalSchedulerOptions options_;
 };
-
-// Convenience pipeline: run the joint search, then route its top-K derived
-// candidates through an EvalScheduler. `scheduler.train.seed` defaulting to
-// 0 is replaced by the search seed, so the one-seed CLI flow stays
-// one-seed. Fails when the search itself fails; per-candidate evaluation
-// failures are reported per candidate as above.
-struct SearchEvaluateResult {
-  SearchResult search;
-  EvalBatchResult eval;
-};
-StatusOr<SearchEvaluateResult> SearchAndEvaluateTopK(
-    const SearchOptions& search_options,
-    const EvalSchedulerOptions& scheduler_options,
-    const models::PreparedData& data);
 
 }  // namespace autocts::core
 

@@ -63,7 +63,6 @@ void AxpyInPlace(std::vector<Variable>* parameters,
 
 double JointSearcher::UnrolledThetaStep(
     Supernet* supernet, optim::Adam* theta_optimizer,
-    optim::Adam* weight_optimizer,
     const std::function<Variable()>& train_loss_fn,
     const std::function<Variable()>& val_loss_fn,
     numerics::HealthMonitor* monitor, numerics::Anomaly* anomaly) const {
@@ -99,7 +98,6 @@ double JointSearcher::UnrolledThetaStep(
   if (*anomaly != numerics::Anomaly::kNone) {
     ZeroAll(&weights);
     ZeroAll(&thetas);
-    (void)weight_optimizer;
     return val_loss_value;
   }
 
@@ -141,7 +139,6 @@ double JointSearcher::UnrolledThetaStep(
   *anomaly = monitor->ObserveGradientNorm(pre_clip_norm);
   if (*anomaly == numerics::Anomaly::kNone) theta_optimizer->Step();
   ZeroAll(&thetas);
-  (void)weight_optimizer;
   return val_loss_value;
 }
 
@@ -226,6 +223,41 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
   double val_loss_sum = 0.0;
   int64_t steps = 0;
   bool resume_mid_epoch = false;
+  // Restores a checkpoint (the file on --resume, the in-memory last-good
+  // snapshot on rollback) and moves the cursor to it.
+  const auto restore = [&](const SearchCheckpoint& checkpoint) {
+    const Status status = RestoreSearchState(
+        checkpoint, &supernet, &weight_optimizer, &theta_optimizer, &rng,
+        &pseudo_train, &pseudo_val);
+    if (!status.ok()) return status;
+    if (metrics != nullptr && !checkpoint.metrics_state.empty()) {
+      const Status metrics_status =
+          metrics->DecodeState(checkpoint.metrics_state);
+      if (!metrics_status.ok()) {
+        // Telemetry only: a bad metrics block must not block the restore.
+        AUTOCTS_LOG(WARNING) << "checkpoint metrics state unreadable ("
+                             << metrics_status.ToString()
+                             << "); metrics restart empty";
+        metrics->Reset();
+        RegisterSearchMetrics(metrics);
+      }
+    }
+    start_epoch = checkpoint.epoch;
+    start_step = checkpoint.step;
+    val_loss_sum = checkpoint.val_loss_sum;
+    steps = checkpoint.epoch_steps;
+    // step > 0 means the epoch preamble (temperature + shuffles) already
+    // ran before the capture; its effects were restored above.
+    resume_mid_epoch = start_step > 0;
+    // Mid-epoch the uninterrupted run still reports the last completed
+    // epoch's average (the restored accumulator is partial); at an epoch
+    // boundary the just-finished epoch's accumulator IS final.
+    result.final_validation_loss =
+        (start_step == 0 && steps > 0)
+            ? val_loss_sum / static_cast<double>(steps)
+            : checkpoint.final_validation_loss;
+    return Status::Ok();
+  };
   if (options_.resume && !options_.checkpoint_path.empty()) {
     bool used_prev = false;
     // Last-good generation tracking: a checkpoint that decodes cleanly but
@@ -252,50 +284,15 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
       AUTOCTS_LOG(WARNING) << "checkpoint at " << options_.checkpoint_path
                            << " was written by a differently-configured "
                               "search; starting fresh";
-    } else {
-      const SearchCheckpoint& checkpoint = loaded.value();
-      const Status status = RestoreSearchState(
-          checkpoint, &supernet, &weight_optimizer, &theta_optimizer, &rng,
-          &pseudo_train, &pseudo_val);
-      if (!status.ok()) {
-        AUTOCTS_LOG(WARNING) << "checkpoint restore failed ("
-                             << status.ToString() << "); starting fresh";
-      } else {
-        if (metrics != nullptr && !checkpoint.metrics_state.empty()) {
-          const Status metrics_status =
-              metrics->DecodeState(checkpoint.metrics_state);
-          if (!metrics_status.ok()) {
-            // Telemetry only: a bad metrics block must not block resume.
-            AUTOCTS_LOG(WARNING) << "checkpoint metrics state unreadable ("
-                                 << metrics_status.ToString()
-                                 << "); metrics restart empty";
-            metrics->Reset();
-            RegisterSearchMetrics(metrics);
-          }
-        }
-        start_epoch = checkpoint.epoch;
-        start_step = checkpoint.step;
-        val_loss_sum = checkpoint.val_loss_sum;
-        steps = checkpoint.epoch_steps;
-        // step > 0 means the epoch preamble (temperature + shuffles)
-        // already ran before the crash; its effects were restored above.
-        resume_mid_epoch = start_step > 0;
-        // Mid-epoch the uninterrupted run still reports the last completed
-        // epoch's average (the restored accumulator is partial); at an
-        // epoch boundary the just-finished epoch's accumulator IS final.
-        result.final_validation_loss =
-            (start_step == 0 && steps > 0)
-                ? val_loss_sum / static_cast<double>(steps)
-                : checkpoint.final_validation_loss;
-        if (options_.verbose || used_prev) {
-          AUTOCTS_LOG(INFO) << "resumed search from "
-                            << (used_prev
-                                    ? options_.checkpoint_path + ".prev"
-                                    : options_.checkpoint_path)
-                            << " at epoch " << start_epoch << " step "
-                            << start_step;
-        }
-      }
+    } else if (const Status status = restore(loaded.value()); !status.ok()) {
+      AUTOCTS_LOG(WARNING) << "checkpoint restore failed ("
+                           << status.ToString() << "); starting fresh";
+    } else if (options_.verbose || used_prev) {
+      AUTOCTS_LOG(INFO) << "resumed search from "
+                        << (used_prev ? options_.checkpoint_path + ".prev"
+                                      : options_.checkpoint_path)
+                        << " at epoch " << start_epoch << " step "
+                        << start_step;
     }
   }
 
@@ -336,13 +333,9 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
 
   // Numerical-health guard state. The monitor always observes; the
   // recovery tiers only engage when options_.recovery.enabled.
-  const numerics::RecoveryOptions& recovery = options_.recovery;
   numerics::HealthMonitor monitor(options_.health);
+  numerics::RecoveryPolicy recovery(options_.recovery);
   SearchCheckpoint last_good;
-  bool have_last_good = false;
-  double lr_scale = 1.0;
-  int64_t recoveries_left = recovery.max_recoveries;
-  int64_t consecutive_skips = 0;
   int64_t healthy_steps_since_snapshot = 0;
 
   // Snapshots the live search state. The cursor is the first batch a
@@ -368,10 +361,9 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
   const auto capture_snapshot = [&](int64_t epoch, int64_t next_step,
                                     int64_t max_steps) {
     last_good = capture(epoch, next_step, max_steps);
-    have_last_good = true;
     healthy_steps_since_snapshot = 0;
   };
-  if (recovery.enabled) {
+  if (options_.recovery.enabled) {
     capture_snapshot(start_epoch, start_step, /*max_steps=*/0);
   }
   const auto record_io = [&](const fault::RetryOutcome& outcome) {
@@ -486,7 +478,7 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
         }
       } else {
         step_val_loss = UnrolledThetaStep(
-            &supernet, &theta_optimizer, &weight_optimizer,
+            &supernet, &theta_optimizer,
             [&] { return batch_loss(train_batch, /*with_cost=*/false); },
             [&] { return batch_loss(val_batch, /*with_cost=*/true); },
             &monitor, &anomaly);
@@ -532,7 +524,7 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
         result.last_anomaly = anomaly_context;
         weight_optimizer.ZeroGrad();
         theta_optimizer.ZeroGrad();
-        if (!recovery.enabled) {
+        if (!options_.recovery.enabled) {
           // Re-run the failing stage under the autograd numeric trace to
           // name the first op that produced a non-finite value.
           std::vector<std::pair<std::string, Variable>> named =
@@ -569,8 +561,7 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
                 numerics::Anomaly::kNone ||
             monitor.CheckParameters(supernet.ArchParameters()) !=
                 numerics::Anomaly::kNone;
-        if (!params_poisoned &&
-            ++consecutive_skips <= recovery.max_consecutive_skips) {
+        if (recovery.TrySkip(params_poisoned)) {
           ++result.skipped_steps;
           if (metrics != nullptr) {
             metrics->GetCounter(kMetricSkippedSteps)->Increment();
@@ -580,53 +571,28 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
         // Rollback tier: restore the last-good snapshot, back off both
         // learning rates, and perturb the Rng so subsequent shuffles
         // diverge from the poisoned trajectory.
-        if (recoveries_left <= 0 || !have_last_good) {
-          return Status::Internal(
-              anomaly_context + "; recovery budget exhausted after " +
-              std::to_string(recovery.max_recoveries) + " rollbacks");
-        }
-        --recoveries_left;
+        const Status budget = recovery.Rollback(anomaly_context, &monitor);
+        if (!budget.ok()) return budget;
         ++result.recoveries;
-        const Status restore_status = RestoreSearchState(
-            last_good, &supernet, &weight_optimizer, &theta_optimizer, &rng,
-            &pseudo_train, &pseudo_val);
+        const Status restore_status = restore(last_good);
         AUTOCTS_CHECK(restore_status.ok()) << restore_status.ToString();
-        lr_scale *= recovery.lr_backoff;
-        weight_optimizer.SetLearningRate(options_.w_learning_rate * lr_scale);
+        weight_optimizer.SetLearningRate(options_.w_learning_rate *
+                                         recovery.lr_scale());
         theta_optimizer.SetLearningRate(options_.theta_learning_rate *
-                                        lr_scale);
+                                        recovery.lr_scale());
         (void)rng.Next();
-        monitor.Reset();
-        consecutive_skips = 0;
-        start_epoch = last_good.epoch;
-        start_step = last_good.step;
-        val_loss_sum = last_good.val_loss_sum;
-        steps = last_good.epoch_steps;
-        resume_mid_epoch = last_good.step > 0;
-        result.final_validation_loss =
-            (last_good.step == 0 && steps > 0)
-                ? val_loss_sum / static_cast<double>(steps)
-                : last_good.final_validation_loss;
         if (metrics != nullptr) {
-          // Roll the registry back with the rest of the state, then resync
-          // the outcome counters from the result fields, which deliberately
+          // The registry rolled back with the rest of the state; the outcome
+          // counters are resynced from the result fields, which deliberately
           // are not rolled back (a recovery happened; the row log should
           // say so).
-          const Status metrics_status =
-              last_good.metrics_state.empty()
-                  ? Status::Ok()
-                  : metrics->DecodeState(last_good.metrics_state);
-          if (last_good.metrics_state.empty() || !metrics_status.ok()) {
-            metrics->Reset();
-            RegisterSearchMetrics(metrics);
-          }
           metrics->GetCounter(kMetricRecoveries)->Set(result.recoveries);
           metrics->GetCounter(kMetricSkippedSteps)->Set(result.skipped_steps);
         }
         if (options_.verbose) {
           AUTOCTS_LOG(INFO) << "search recovery #" << result.recoveries
                             << ": " << anomaly_context << "; lr scale now "
-                            << lr_scale << ", restarting from epoch "
+                            << recovery.lr_scale() << ", restarting from epoch "
                             << start_epoch << " step " << start_step;
         }
         restart = true;
@@ -659,9 +625,10 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
           emit_metrics_row("epoch", epoch, step);
         }
       }
-      consecutive_skips = 0;
-      if (recovery.enabled &&
-          ++healthy_steps_since_snapshot >= recovery.snapshot_every_n_batches) {
+      recovery.OnHealthyStep();
+      if (options_.recovery.enabled &&
+          ++healthy_steps_since_snapshot >=
+              options_.recovery.snapshot_every_n_batches) {
         capture_snapshot(epoch, step + 1, max_steps);
       }
 

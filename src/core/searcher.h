@@ -213,7 +213,6 @@ class JointSearcher {
   // skipped and the weights are still restored.
   double UnrolledThetaStep(
       Supernet* supernet, optim::Adam* theta_optimizer,
-      optim::Adam* weight_optimizer,
       const std::function<Variable()>& train_loss_fn,
       const std::function<Variable()>& val_loss_fn,
       numerics::HealthMonitor* monitor, numerics::Anomaly* anomaly) const;

@@ -94,7 +94,7 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
                          .weight_decay = config.weight_decay});
   Rng rng(config.seed);
   numerics::HealthMonitor monitor(config.health);
-  const numerics::RecoveryOptions& recovery = config.recovery;
+  numerics::RecoveryPolicy recovery(config.recovery);
   const std::vector<Variable> parameters = model->Parameters();
 
   // Last-good state for the rollback tier: captured at the start of every
@@ -106,10 +106,6 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
   double good_best_validation_loss = 0.0;
   int64_t good_epochs_without_improvement = 0;
 
-  double lr_scale = 1.0;
-  int64_t recoveries_left = recovery.max_recoveries;
-  int64_t consecutive_skips = 0;
-
   model->SetTraining(true);
   double total_train_seconds = 0.0;
   double best_validation_loss = std::numeric_limits<double>::infinity();
@@ -118,7 +114,7 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
   bool stop_early = false;
   int64_t total_batches = 0;  // across epochs, retries included
   for (int64_t epoch = 0; epoch < config.epochs && !stop_early; ++epoch) {
-    if (recovery.enabled) {
+    if (config.recovery.enabled) {
       good_weights = std::make_unique<nn::ParameterSnapshot>(*model);
       good_optimizer_state = optimizer.ExportState();
       good_rng_state = rng.GetState();
@@ -175,7 +171,7 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
       if (anomaly == numerics::Anomaly::kNone) {
         epoch_loss += loss_value;
         ++batches_done;
-        consecutive_skips = 0;
+        recovery.OnHealthyStep();
         if (metrics != nullptr) {
           metrics->GetCounter(kBatchesTotal)->Increment();
           metrics->GetGauge(kTrainLoss)->Set(loss_value);
@@ -195,7 +191,7 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
                         numerics::AnomalyName(anomaly);
       result.last_anomaly = anomaly_context;
       optimizer.ZeroGrad();
-      if (!recovery.enabled) {
+      if (!config.recovery.enabled) {
         std::function<void()> replay_hook;
         if (config.fault_injection_hook) {
           replay_hook = [&, epoch, batch_index] {
@@ -209,8 +205,7 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
       // Step-skip tier: the parameters are still clean, so dropping this
       // one optimizer step is enough — unless skips pile up, which means
       // the run itself has gone bad.
-      if (anomaly != numerics::Anomaly::kNonFiniteParameter &&
-          ++consecutive_skips <= recovery.max_consecutive_skips) {
+      if (recovery.TrySkip(anomaly == numerics::Anomaly::kNonFiniteParameter)) {
         ++result.skipped_steps;
         if (metrics != nullptr) {
           metrics->GetCounter(kSkippedSteps)->Increment();
@@ -246,7 +241,7 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
           anomaly_context = model->name() + " epoch " + std::to_string(epoch) +
                             ": non-finite validation loss";
           result.last_anomaly = anomaly_context;
-          if (recovery.enabled) {
+          if (config.recovery.enabled) {
             rollback = true;
             // The aborted attempt's bookkeeping is undone; the retry will
             // re-run this epoch from the last-good snapshot.
@@ -286,13 +281,8 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
       }
     }
     if (rollback) {
-      if (recoveries_left <= 0) {
-        return Status::Internal(anomaly_context +
-                                "; recovery budget exhausted after " +
-                                std::to_string(recovery.max_recoveries) +
-                                " rollbacks");
-      }
-      --recoveries_left;
+      const Status budget = recovery.Rollback(anomaly_context, &monitor);
+      if (!budget.ok()) return budget;
       ++result.recoveries;
       if (metrics != nullptr) {
         metrics->GetCounter(kRecoveries)->Increment();
@@ -306,15 +296,12 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
       (void)rng.Next();
       best_validation_loss = good_best_validation_loss;
       epochs_without_improvement = good_epochs_without_improvement;
-      lr_scale *= recovery.lr_backoff;
-      optimizer.SetLearningRate(config.learning_rate * lr_scale);
-      monitor.Reset();
-      consecutive_skips = 0;
+      optimizer.SetLearningRate(config.learning_rate * recovery.lr_scale());
       model->SetTraining(true);
       if (config.verbose) {
         AUTOCTS_LOG(INFO) << model->name() << " recovery #" << result.recoveries
                           << ": " << anomaly_context << "; lr scaled to "
-                          << config.learning_rate * lr_scale;
+                          << config.learning_rate * recovery.lr_scale();
       }
       --epoch;  // retry the same epoch index from the restored snapshot
     }

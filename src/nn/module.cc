@@ -82,9 +82,4 @@ Tensor XavierUniform(const Shape& shape, int64_t fan_in, int64_t fan_out,
   return Tensor::Rand(shape, rng, -limit, limit);
 }
 
-Tensor HeUniform(const Shape& shape, int64_t fan_in, Rng* rng) {
-  const double limit = std::sqrt(6.0 / static_cast<double>(fan_in));
-  return Tensor::Rand(shape, rng, -limit, limit);
-}
-
 }  // namespace autocts::nn

@@ -67,8 +67,6 @@ class Module {
 // Xavier/Glorot uniform initialization: U(-a, a), a = sqrt(6/(fan_in+fan_out)).
 Tensor XavierUniform(const Shape& shape, int64_t fan_in, int64_t fan_out,
                      Rng* rng);
-// He/Kaiming uniform initialization for ReLU networks.
-Tensor HeUniform(const Shape& shape, int64_t fan_in, Rng* rng);
 
 }  // namespace autocts::nn
 

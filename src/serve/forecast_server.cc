@@ -114,8 +114,9 @@ void ForecastServer::WorkerLoop(int64_t worker_index) {
     if (popped == 0) return;  // closed and drained
     AUTOCTS_TRACE_SCOPE("serve/batch");
 
-    // Fail fast on cancellation; answer expired requests without running
-    // the model for them.
+    // Fail fast on cancellation; answer expired and malformed requests
+    // without running the model for them, so one bad window cannot fail
+    // its batch mates.
     std::vector<Request*> live;
     live.reserve(batch.size());
     for (Request& request : batch) {
@@ -127,6 +128,9 @@ void ForecastServer::WorkerLoop(int64_t worker_index) {
         expired_.fetch_add(1);
         request.promise.set_value(Status::DeadlineExceeded(
             "request deadline expired before the forward"));
+      } else if (Status shape = session->CheckWindow(request.window);
+                 !shape.ok()) {
+        request.promise.set_value(std::move(shape));
       } else {
         live.push_back(&request);
       }
@@ -139,39 +143,11 @@ void ForecastServer::WorkerLoop(int64_t worker_index) {
                                             meta_.in_features});
     const int64_t window_size =
         meta_.input_length * meta_.num_nodes * meta_.in_features;
-    StatusOr<Tensor> forecasts = Status::Internal("unset");
-    {
-      bool shapes_ok = true;
-      for (int64_t i = 0; i < k; ++i) {
-        const Tensor& window = live[i]->window;
-        if (window.ndim() != 3 || window.dim(0) != meta_.input_length ||
-            window.dim(1) != meta_.num_nodes ||
-            window.dim(2) != meta_.in_features) {
-          shapes_ok = false;
-          break;
-        }
-        std::copy(window.data(), window.data() + window_size,
-                  windows.data() + i * window_size);
-      }
-      if (shapes_ok) {
-        forecasts = session->PredictBatch(windows);
-      } else {
-        // Mixed shapes: serve each request individually so one malformed
-        // window cannot fail its batch mates.
-        for (Request* request : live) {
-          AUTOCTS_TRACE_SCOPE("serve/request");
-          StatusOr<Tensor> result = session->Predict(request->window);
-          if (result.ok()) requests_served_.fetch_add(1);
-          log->latencies_ms.push_back(
-              static_cast<double>(SteadyNowNanos() -
-                                  request->submit_nanos) * 1e-6);
-          request->promise.set_value(std::move(result));
-        }
-        batches_.fetch_add(1);
-        log->batch_fills.push_back(k);
-        continue;
-      }
+    for (int64_t i = 0; i < k; ++i) {
+      std::copy(live[i]->window.data(), live[i]->window.data() + window_size,
+                windows.data() + i * window_size);
     }
+    const StatusOr<Tensor> forecasts = session->PredictBatch(windows);
 
     batches_.fetch_add(1);
     log->batch_fills.push_back(k);

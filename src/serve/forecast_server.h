@@ -15,11 +15,12 @@
 // compare responses byte-for-byte.
 //
 // Integration: cancellation/deadline from common/cancellation.h (a
-// cancelled token fails queued + new requests; per-request deadlines are
-// checked when a worker picks the request up), "serve/..." spans via the
-// tracer, and serve metrics flushed into a driver-owned MetricsRegistry on
-// Stop() (the registry is not thread-safe, so workers record into private
-// counters that Stop() merges).
+// cancelled token fails queued + new requests; per-request deadlines and
+// window shapes are checked when a worker picks the request up, so an
+// expired or malformed request never joins a batch), "serve/..." spans via
+// the tracer, and serve metrics flushed into a driver-owned MetricsRegistry
+// on Stop() (the registry is not thread-safe, so workers record into
+// private counters that Stop() merges).
 #ifndef AUTOCTS_SERVE_FORECAST_SERVER_H_
 #define AUTOCTS_SERVE_FORECAST_SERVER_H_
 

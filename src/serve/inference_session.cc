@@ -1,7 +1,5 @@
 #include "serve/inference_session.h"
 
-#include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "autograd/variable.h"
@@ -22,12 +20,9 @@ InferenceSession::InferenceSession(const ModelArtifact& artifact,
                                    std::unique_ptr<core::DerivedModel> model)
     : meta_(artifact.meta),
       scaler_(data::StandardScaler::FromState(artifact.scaler)),
-      model_(std::move(model)),
-      ring_(Tensor::Zeros(
-          {artifact.meta.input_length, artifact.meta.num_nodes,
-           artifact.meta.in_features})) {}
+      model_(std::move(model)) {}
 
-StatusOr<Tensor> InferenceSession::Predict(const Tensor& window) {
+Status InferenceSession::CheckWindow(const Tensor& window) const {
   if (window.ndim() != 3 || window.dim(0) != meta_.input_length ||
       window.dim(1) != meta_.num_nodes ||
       window.dim(2) != meta_.in_features) {
@@ -37,6 +32,12 @@ StatusOr<Tensor> InferenceSession::Predict(const Tensor& window) {
         std::to_string(meta_.num_nodes) + ", " +
         std::to_string(meta_.in_features) + "]");
   }
+  return Status::Ok();
+}
+
+StatusOr<Tensor> InferenceSession::Predict(const Tensor& window) {
+  const Status shape = CheckWindow(window);
+  if (!shape.ok()) return shape;
   StatusOr<Tensor> batched = PredictBatch(window.Reshape(
       {1, meta_.input_length, meta_.num_nodes, meta_.in_features}));
   if (!batched.ok()) return batched.status();
@@ -72,47 +73,6 @@ StatusOr<Tensor> InferenceSession::PredictBatch(const Tensor& windows) {
   const Tensor denormalized =
       scaler_.InverseTransformFeature(out, meta_.target_feature);
   return denormalized.Reshape({batch, meta_.output_length, meta_.num_nodes});
-}
-
-void InferenceSession::Observe(const Tensor& tick) {
-  AUTOCTS_CHECK(tick.ndim() == 2 && tick.dim(0) == meta_.num_nodes &&
-                tick.dim(1) == meta_.in_features)
-      << "tick shape " << ShapeToString(tick.shape());
-  const int64_t row_size = meta_.num_nodes * meta_.in_features;
-  std::memcpy(ring_.data() + ring_head_ * row_size, tick.data(),
-              static_cast<size_t>(row_size) * sizeof(double));
-  ring_head_ = (ring_head_ + 1) % meta_.input_length;
-  ring_count_ = std::min(ring_count_ + 1, meta_.input_length);
-  ++ticks_observed_;
-}
-
-Tensor InferenceSession::CurrentWindow() const {
-  AUTOCTS_CHECK(Ready()) << "window not full: " << ring_count_ << " of "
-                         << meta_.input_length << " ticks observed";
-  Tensor window = Tensor::Uninitialized(
-      {meta_.input_length, meta_.num_nodes, meta_.in_features});
-  const int64_t row_size = meta_.num_nodes * meta_.in_features;
-  for (int64_t i = 0; i < meta_.input_length; ++i) {
-    const int64_t source = (ring_head_ + i) % meta_.input_length;
-    std::memcpy(window.data() + i * row_size,
-                ring_.data() + source * row_size,
-                static_cast<size_t>(row_size) * sizeof(double));
-  }
-  return window;
-}
-
-StatusOr<Tensor> InferenceSession::PredictNext() {
-  if (!Ready()) {
-    return Status::InvalidArgument(
-        "window not full: " + std::to_string(ring_count_) + " of " +
-        std::to_string(meta_.input_length) + " ticks observed");
-  }
-  return Predict(CurrentWindow());
-}
-
-void InferenceSession::ResetWindow() {
-  ring_head_ = 0;
-  ring_count_ = 0;
 }
 
 }  // namespace autocts::serve

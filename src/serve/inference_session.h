@@ -1,8 +1,8 @@
 // A loaded model ready to answer forecast requests: a DerivedModel rebuilt
 // from a ModelArtifact and run in eval mode under a NoGradScope
-// (autograd/variable.h), so a forecast records no autograd tape, plus a
-// per-session sliding input-window ring buffer so a steady-state client
-// ships only the newest observation tick instead of the full window.
+// (autograd/variable.h), so a forecast records no autograd tape. A session
+// is stateless between calls: every request carries its full raw window,
+// and nothing it allocates at creation is sized by the window length.
 //
 // Determinism contract (enforced by tests/serve_test.cc):
 //   - The model stays in eval mode for the session's lifetime; every
@@ -35,27 +35,18 @@ class InferenceSession {
   const ArtifactMeta& meta() const { return meta_; }
   const core::DerivedModel& model() const { return *model_; }
 
-  // Stateless one-shot forecast: a raw (denormalized) window [P, N, F]
+  // InvalidArgument unless `window` is one raw window [P, N, F] of this
+  // artifact's geometry. Predict runs this check; the ForecastServer runs
+  // it before it batches a request.
+  Status CheckWindow(const Tensor& window) const;
+
+  // One-shot forecast: a raw (denormalized) window [P, N, F]
   // -> denormalized target forecast [Q, N].
   StatusOr<Tensor> Predict(const Tensor& window);
 
   // Batched forecast: raw windows [K, P, N, F] -> forecasts [K, Q, N].
   // Row k is bit-identical to Predict(windows[k]).
   StatusOr<Tensor> PredictBatch(const Tensor& windows);
-
-  // Streaming interface: pushes the newest raw observation tick [N, F]
-  // into the sliding window (the oldest tick falls out once full).
-  void Observe(const Tensor& tick);
-  // True once input_length ticks have been observed.
-  bool Ready() const { return ring_count_ >= meta_.input_length; }
-  int64_t ticks_observed() const { return ticks_observed_; }
-  // The current window [P, N, F] in chronological order (requires Ready()).
-  Tensor CurrentWindow() const;
-  // Forecast from the current window (requires Ready()); bit-identical to
-  // Predict(CurrentWindow()).
-  StatusOr<Tensor> PredictNext();
-  // Clears the sliding window (the model is untouched).
-  void ResetWindow();
 
  private:
   InferenceSession(const ModelArtifact& artifact,
@@ -64,13 +55,6 @@ class InferenceSession {
   ArtifactMeta meta_;
   data::StandardScaler scaler_;
   std::unique_ptr<core::DerivedModel> model_;
-
-  // Ring buffer of the last P raw ticks: row (ring_head_ + i) % P holds the
-  // (i+1)-th oldest tick once full.
-  Tensor ring_;  // [P, N, F]
-  int64_t ring_head_ = 0;   // next write slot == oldest row when full
-  int64_t ring_count_ = 0;
-  int64_t ticks_observed_ = 0;
 };
 
 }  // namespace autocts::serve

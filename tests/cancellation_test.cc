@@ -343,10 +343,11 @@ TEST(EvalCancellation, DeadlineExceededCodeSurvivesCheckpointResume) {
   RemoveGenerations(path);
 }
 
-TEST(EvalCancellation, WallBudgetWatchdogCancelsRunawayCandidate) {
+TEST(EvalCancellation, WallBudgetStopsRunawayCandidate) {
   const PreparedData data = TinyData();
   // A generous epoch count so the run would take far longer than the
-  // budget; the watchdog (real clock, 5 ms scan) must cut it short.
+  // budget; the trainer's deadline check at every batch (real clock) must
+  // cut it short.
   EvalSchedulerOptions options = TinyEvalOptions();
   options.workers = 1;
   options.train.epochs = 1000;

@@ -171,7 +171,7 @@ TEST(StringUtil, SplitAndStrip) {
 TEST(Stopwatch, MeasuresElapsedTime) {
   Stopwatch watch;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(i);
+  for (int i = 0; i < 100000; ++i) sink = sink + std::sqrt(i);
   EXPECT_GE(watch.Seconds(), 0.0);
   EXPECT_GE(watch.Millis(), watch.Seconds() * 1000.0 - 1e-6);
   watch.Reset();

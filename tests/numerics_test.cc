@@ -4,15 +4,22 @@
 // arbitrary batches, with and without recovery, at 1 and 4 threads).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/variable_ops.h"
+#include "common/metrics_registry.h"
 #include "common/numerics.h"
 #include "common/parallel.h"
+#include "common/text_codec.h"
 #include "core/search_checkpoint.h"
+#include "core/search_metrics.h"
 #include "core/searcher.h"
 #include "data/synthetic/generators.h"
 #include "models/model_zoo.h"
@@ -568,6 +575,205 @@ TEST(SearcherRecovery, DisabledRecoveryNamesParameterForGradientCorruption) {
   EXPECT_NE(message.find("injected outside the autograd tape"),
             std::string::npos)
       << message;
+}
+
+// ---------------------------------------------------------------------------
+// Pinned recovered trajectories. The cases above check counts and
+// finiteness; these pin what a recovered run computes, as exact hex
+// images, so a change to the shared recovery policy (skip streak, rollback
+// budget, learning-rate backoff, monitor reset) that moves one bit of the
+// trajectory fails here. Results are bit-identical at 1 and 4 tensor
+// threads, so both thread counts share one pin.
+// ---------------------------------------------------------------------------
+
+// A hook that corrupts the first parameter gradient (the trainer) or
+// supernet weight gradient (the searcher) at each listed (epoch, batch),
+// once per position, so the rolled-back retry of the same epoch runs clean.
+class GradPoisonAt {
+ public:
+  explicit GradPoisonAt(std::vector<std::pair<int64_t, int64_t>> positions)
+      : positions_(std::move(positions)) {}
+
+  void operator()(int64_t epoch, int64_t batch,
+                  const std::vector<Variable>& parameters) {
+    const auto it = std::find(positions_.begin(), positions_.end(),
+                              std::make_pair(epoch, batch));
+    if (it == positions_.end()) return;
+    positions_.erase(it);
+    for (const Variable& parameter : parameters) {
+      if (!parameter.has_grad()) continue;
+      Tensor grad = parameter.grad();
+      grad.data()[0] = kNaN;
+      return;
+    }
+  }
+
+  bool all_fired() const { return positions_.empty(); }
+
+ private:
+  std::vector<std::pair<int64_t, int64_t>> positions_;
+};
+
+struct TrainerPin {
+  int64_t recoveries;
+  int64_t skipped_steps;
+  std::string last_anomaly;
+  std::string mae;
+  std::string final_train_loss;
+};
+
+// Trains TrainerModel with recovery on, configured by `configure` (called
+// for every run, so each run gets fresh hook state), at 1 and 4 tensor
+// threads.
+void ExpectTrainerPinned(
+    const std::function<void(models::TrainConfig*)>& configure,
+    const TrainerPin& pin) {
+  for (const int threads : {1, 4}) {
+    SetNumThreads(threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const PreparedData data = TrainerData();
+    models::ForecastingModelPtr model = TrainerModel(data);
+    models::TrainConfig config = TrainerConfig();
+    config.recovery.enabled = true;
+    configure(&config);
+    const StatusOr<models::EvalResult> result =
+        models::TrainAndEvaluateWithStatus(model.get(), data, config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().recoveries, pin.recoveries);
+    EXPECT_EQ(result.value().skipped_steps, pin.skipped_steps);
+    EXPECT_EQ(result.value().last_anomaly, pin.last_anomaly);
+    EXPECT_EQ(FormatExactDouble(result.value().average.mae), pin.mae);
+    EXPECT_EQ(FormatExactDouble(result.value().final_train_loss),
+              pin.final_train_loss);
+    EXPECT_EQ(result.value().epochs_run, config.epochs);
+  }
+  SetNumThreads(1);
+}
+
+TEST(PinnedRecovery, TrainerSkipsThenRollsBack) {
+  // One skip in a row is allowed. The skip at epoch 0 batch 2 survives (the
+  // healthy batch 3 ends its streak); in epoch 1 the second poisoned
+  // gradient in a row escalates to a rollback of the epoch.
+  ExpectTrainerPinned(
+      [](models::TrainConfig* config) {
+        config->recovery.max_consecutive_skips = 1;
+        auto poison = std::make_shared<GradPoisonAt>(
+            std::vector<std::pair<int64_t, int64_t>>{
+                {0, 2}, {1, 1}, {1, 2}});
+        config->fault_injection_hook = [poison](int64_t epoch, int64_t batch,
+                                                models::ForecastingModel* m) {
+          (*poison)(epoch, batch, m->Parameters());
+        };
+      },
+      {.recoveries = 1,
+       .skipped_steps = 2,
+       .last_anomaly = "STGCN epoch 1 batch 2: non-finite gradient",
+       .mae = "0x1.b70cb74001008p+0",
+       .final_train_loss = "0x1.0f0354478ab16p-2"});
+}
+
+TEST(PinnedRecovery, TrainerRollsBackPoisonedWeight) {
+  ExpectTrainerPinned(
+      [](models::TrainConfig* config) {
+        auto fired = std::make_shared<bool>(false);
+        config->fault_injection_hook = [fired](int64_t epoch, int64_t batch,
+                                               models::ForecastingModel* m) {
+          if (*fired || epoch != 1 || batch != 0) return;
+          m->Parameters()[0].mutable_value().data()[0] = kNaN;
+          *fired = true;
+        };
+      },
+      {.recoveries = 1,
+       .skipped_steps = 0,
+       .last_anomaly = "STGCN epoch 1 batch 0: non-finite parameter",
+       .mae = "0x1.b700109544e5ap+0",
+       .final_train_loss = "0x1.0f00e861b68cp-2"});
+}
+
+struct SearcherPin {
+  int64_t recoveries;
+  int64_t skipped_steps;
+  std::string last_anomaly;
+  std::string final_validation_loss;
+  std::string genotype;
+};
+
+// Searches with recovery on and a metrics registry attached (so the
+// rollback also restores the registry), one skip in a row allowed, a
+// snapshot every 2 healthy steps, and NaN weight gradients at epoch 0 step
+// 1 and epoch 1 steps 1 and 2. The first skip survives; the second is
+// rolled back with the third, which restores the mid-epoch snapshot taken
+// after epoch 1 step 0.
+void ExpectSearcherPinned(int64_t bilevel_order, const SearcherPin& pin) {
+  for (const int threads : {1, 4}) {
+    SetNumThreads(threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const PreparedData data = TrainerData();
+    SearchOptions options = SearchOptionsForTest();
+    options.bilevel_order = bilevel_order;
+    options.recovery.enabled = true;
+    options.recovery.max_consecutive_skips = 1;
+    options.recovery.snapshot_every_n_batches = 2;
+    obs::MetricsRegistry registry;
+    options.metrics = &registry;
+    GradPoisonAt poison({{0, 1}, {1, 1}, {1, 2}});
+    options.fault_injection_hook = [&poison](int64_t epoch, int64_t step,
+                                             core::Supernet* supernet) {
+      poison(epoch, step, supernet->Parameters());
+    };
+    const StatusOr<SearchResult> result =
+        JointSearcher(options).SearchWithStatus(data);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(poison.all_fired());
+    EXPECT_EQ(result.value().recoveries, pin.recoveries);
+    EXPECT_EQ(result.value().skipped_steps, pin.skipped_steps);
+    EXPECT_EQ(result.value().last_anomaly, pin.last_anomaly);
+    EXPECT_EQ(FormatExactDouble(result.value().final_validation_loss),
+              pin.final_validation_loss);
+    EXPECT_EQ(result.value().genotype.ToText(), pin.genotype);
+    // The restored registry is resynced to the outcome counters.
+    EXPECT_EQ(registry.GetCounter(core::kMetricRecoveries)->value(),
+              pin.recoveries);
+    EXPECT_EQ(registry.GetCounter(core::kMetricSkippedSteps)->value(),
+              pin.skipped_steps);
+  }
+  SetNumThreads(1);
+}
+
+TEST(PinnedRecovery, SearcherSkipsThenRollsBackFirstOrder) {
+  ExpectSearcherPinned(
+      1, {.recoveries = 1,
+          .skipped_steps = 2,
+          .last_anomaly = "search epoch 1 step 2: non-finite gradient",
+          .final_validation_loss = "0x1.1f1a6b373c41ep-2",
+          .genotype = "nodes_per_block = 3\n"
+                      "num_blocks = 2\n"
+                      "block_input = 0\n"
+                      "edge = 0 0 1 identity\n"
+                      "edge = 0 1 2 dgcn\n"
+                      "edge = 0 0 2 dgcn\n"
+                      "block_input = 0\n"
+                      "edge = 1 0 1 gdcc\n"
+                      "edge = 1 1 2 dgcn\n"
+                      "edge = 1 0 2 identity\n"});
+}
+
+TEST(PinnedRecovery, SearcherSkipsThenRollsBackSecondOrder) {
+  ExpectSearcherPinned(
+      2, {.recoveries = 1,
+          .skipped_steps = 2,
+          .last_anomaly = "search epoch 1 step 2: non-finite gradient",
+          .final_validation_loss = "0x1.1f151420fba46p-2",
+          .genotype = "nodes_per_block = 3\n"
+                      "num_blocks = 2\n"
+                      "block_input = 0\n"
+                      "edge = 0 0 1 identity\n"
+                      "edge = 0 1 2 inf_t\n"
+                      "edge = 0 0 2 dgcn\n"
+                      "block_input = 0\n"
+                      "edge = 1 0 1 gdcc\n"
+                      "edge = 1 1 2 dgcn\n"
+                      "edge = 1 0 2 identity\n"});
 }
 
 TEST(SearcherRecovery, HealthyRunsAreUnaffectedByEnablingRecovery) {

@@ -92,7 +92,7 @@ TEST(Stopwatch, ElapsedIsNonNegativeAndGrows) {
   volatile double sink = 0.0;
   int64_t previous = watch.Nanos();
   for (int i = 0; i < 1000; ++i) {
-    sink += static_cast<double>(i);
+    sink = sink + static_cast<double>(i);
     const int64_t now = watch.Nanos();
     ASSERT_GE(now, previous);
     previous = now;

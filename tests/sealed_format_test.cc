@@ -21,14 +21,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/buffer_pool.h"
 #include "common/file_io.h"
 #include "common/metrics_registry.h"
 #include "common/random.h"
@@ -42,6 +39,9 @@ namespace {
 #ifndef AUTOCTS_TESTDATA_DIR
 #error "AUTOCTS_TESTDATA_DIR must be defined by the build"
 #endif
+
+using fixtures::Footprint;
+using fixtures::MeasureFootprint;
 
 using Codec = std::function<StatusOr<std::string>(const std::string&)>;
 
@@ -181,44 +181,6 @@ std::string Golden(const SealedFormat& format) {
   return text.value();
 }
 
-// What `fn` acquired: unpooled tensor blocks (with the pool forced on, only
-// a block above the largest bucket counts) and the growth of the resident
-// high-water mark (-1 where /proc/self/clear_refs cannot reset the mark).
-struct Footprint {
-  int64_t unpooled_blocks = 0;
-  double peak_rss_growth_mb = -1.0;
-};
-
-double ProcStatusMb(const char* key) {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.starts_with(key)) {
-      return std::strtod(line.c_str() + std::strlen(key), nullptr) / 1024.0;
-    }
-  }
-  return 0.0;
-}
-
-Footprint Measure(const std::function<void()>& fn) {
-  BufferPool& pool = BufferPool::Global();
-  const bool was_enabled = pool.enabled();
-  pool.SetEnabled(true);
-  std::ofstream clear_refs("/proc/self/clear_refs");
-  clear_refs << "5";  // 5: reset the resident high-water mark
-  clear_refs.close();
-  const double rss_before = ProcStatusMb("VmRSS:");
-  const int64_t bypass_before = pool.Stats().bypass;
-  fn();
-  Footprint footprint;
-  footprint.unpooled_blocks = pool.Stats().bypass - bypass_before;
-  if (!clear_refs.fail()) {
-    footprint.peak_rss_growth_mb = ProcStatusMb("VmHWM:") - rss_before;
-  }
-  pool.SetEnabled(was_enabled);
-  return footprint;
-}
-
 // A hostile count must be refused before anything it sizes is allocated:
 // every claim here is at least 10^8 elements (800 MB of doubles).
 void ExpectNoAllocationForClaim(const Footprint& footprint,
@@ -293,8 +255,8 @@ TEST_P(SealedFormatTest, HostileCountsAreRejectedBeforeAllocating) {
     const Codec& load =
         GetParam().load ? GetParam().load : GetParam().round_trip;
     Status status;
-    const Footprint footprint =
-        Measure([&] { status = load(SealText(edited)).status(); });
+    const Footprint footprint = MeasureFootprint(
+        [&] { status = load(SealText(edited)).status(); });
     ExpectInvalidArgument(status, hostile.field);
     ExpectNoAllocationForClaim(footprint, hostile.field);
   }
@@ -316,8 +278,8 @@ TEST(StateDictCodec, HostileShapesAreInvalidArgumentNotAbort) {
         std::string("param = weight 2 2 -2 0x1p+0\n"),
         "buffer = running 1 " + huge + "\n"}) {
     Status status;
-    const Footprint footprint =
-        Measure([&] { status = nn::LoadStateDict(&layer, record); });
+    const Footprint footprint = MeasureFootprint(
+        [&] { status = nn::LoadStateDict(&layer, record); });
     ExpectInvalidArgument(status, record);
     ExpectNoAllocationForClaim(footprint, record);
   }
@@ -343,7 +305,7 @@ TEST(MetricsStateCodec, HostileCountsAreInvalidArgument) {
     obs::MetricsRegistry registry;
     Status status;
     const Footprint footprint =
-        Measure([&] { status = registry.DecodeState(state); });
+        MeasureFootprint([&] { status = registry.DecodeState(state); });
     ExpectInvalidArgument(status, state);
     ExpectNoAllocationForClaim(footprint, state);
   }

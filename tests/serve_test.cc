@@ -9,7 +9,8 @@
 //     identical predicts return identical bits (no RNG in inference);
 //   * export -> load -> serve fidelity including BatchNorm running
 //     statistics (non-trainable buffers) restored from the state dict;
-//   * the streaming ring buffer matches the stateless path tick for tick;
+//   * a session allocates nothing sized by the artifact's window length;
+//   * a malformed window fails alone, without failing its server batch;
 //   * queue back-pressure, deadline expiry, cancellation, and graceful
 //     shutdown semantics.
 #include <gtest/gtest.h>
@@ -234,54 +235,22 @@ TEST(InferenceSession, RejectsWrongWindowShape) {
   EXPECT_FALSE(session->PredictBatch(wrong_batch).ok());
 }
 
-TEST(InferenceSession, RingBufferMatchesStatelessPredict) {
-  std::unique_ptr<InferenceSession> session = MakeSession();
-  const ArtifactMeta& meta = TrainedServingModel().artifact.meta;
-  const int64_t extra = 3;
-  const std::vector<Tensor> windows = RawWindows(extra + 1);
-  // windows[0..extra] are stride-1 slices of one series: tick t of the
-  // stream is row (meta.input_length - 1) of window t shifted — rebuild the
-  // underlying series from the first window plus each later window's
-  // newest row.
-  std::vector<Tensor> ticks;
-  for (int64_t p = 0; p < meta.input_length; ++p) {
-    Tensor tick({meta.num_nodes, meta.in_features});
-    std::memcpy(tick.data(),
-                windows[0].data() + p * meta.num_nodes * meta.in_features,
-                static_cast<size_t>(meta.num_nodes * meta.in_features) *
-                    sizeof(double));
-    ticks.push_back(std::move(tick));
-  }
-  for (int64_t w = 1; w <= extra; ++w) {
-    Tensor tick({meta.num_nodes, meta.in_features});
-    std::memcpy(tick.data(),
-                windows[w].data() + (meta.input_length - 1) *
-                                        meta.num_nodes * meta.in_features,
-                static_cast<size_t>(meta.num_nodes * meta.in_features) *
-                    sizeof(double));
-    ticks.push_back(std::move(tick));
-  }
-
-  int64_t fed = 0;
-  for (; fed < meta.input_length - 1; ++fed) {
-    session->Observe(ticks[fed]);
-    EXPECT_FALSE(session->Ready());
-    EXPECT_FALSE(session->PredictNext().ok());
-  }
-  for (int64_t w = 0; w <= extra; ++w) {
-    session->Observe(ticks[fed++]);
-    ASSERT_TRUE(session->Ready());
-    ExpectBitsEqual(session->CurrentWindow(), windows[w],
-                    "window after tick " + std::to_string(fed));
-    StatusOr<Tensor> streamed = session->PredictNext();
-    StatusOr<Tensor> stateless = session->Predict(windows[w]);
-    ASSERT_TRUE(streamed.ok() && stateless.ok());
-    ExpectBitsEqual(streamed.value(), stateless.value(),
-                    "streamed forecast " + std::to_string(w));
-  }
-  EXPECT_EQ(session->ticks_observed(), fed);
-  session->ResetWindow();
-  EXPECT_FALSE(session->Ready());
+// No weight bounds input_length, so nothing a session allocates at creation
+// may be sized by it: an artifact claiming a 10^8-step window still builds
+// its session without an allocation of that size.
+TEST(InferenceSession, CreateAllocatesNothingSizedByInputLength) {
+  ModelArtifact artifact = TrainedServingModel().artifact;
+  artifact.meta.input_length = 100'000'000;
+  StatusOr<std::unique_ptr<InferenceSession>> session =
+      Status::Internal("not created");
+  const fixtures::Footprint footprint = fixtures::MeasureFootprint(
+      [&] { session = InferenceSession::Create(artifact); });
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ(footprint.unpooled_blocks, 0);
+  EXPECT_LT(footprint.peak_rss_growth_mb, 64.0);
+  // A window of the trained length no longer fits the claimed geometry.
+  EXPECT_EQ(session.value()->Predict(RawWindows(1)[0]).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -324,6 +293,46 @@ TEST(ForecastServer, WorkerSweepIsBitIdenticalToSequential) {
     EXPECT_GE(stats.batches, 1) << "workers=" << workers;
     EXPECT_LE(stats.max_batch_observed, options.max_batch);
   }
+}
+
+TEST(ForecastServer, WrongShapeWindowFailsAloneInItsBatch) {
+  const int64_t k = 8;
+  const int64_t bad = 4;
+  const std::vector<Tensor> windows = RawWindows(k);
+  std::unique_ptr<InferenceSession> session = MakeSession();
+  const ArtifactMeta& meta = TrainedServingModel().artifact.meta;
+  const Tensor wrong({meta.input_length + 1, meta.num_nodes,
+                      meta.in_features});
+  const Status expected = session->Predict(wrong).status();
+  ASSERT_EQ(expected.code(), StatusCode::kInvalidArgument);
+
+  // One worker, so the requests queued behind the first forward coalesce
+  // into batches with the malformed one among them.
+  ServeOptions options;
+  options.workers = 1;
+  options.max_batch = k;
+  ForecastServer server(TrainedServingModel().artifact, options);
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<std::future<StatusOr<Tensor>>> futures;
+  for (int64_t i = 0; i < k; ++i) {
+    futures.push_back(server.Submit(i == bad ? wrong.Clone()
+                                             : windows[i].Clone()));
+  }
+  for (int64_t i = 0; i < k; ++i) {
+    StatusOr<Tensor> result = futures[i].get();
+    if (i == bad) {
+      EXPECT_EQ(result.status().ToString(), expected.ToString());
+      continue;
+    }
+    ASSERT_TRUE(result.ok()) << "request " << i << ": "
+                             << result.status().ToString();
+    StatusOr<Tensor> reference = session->Predict(windows[i]);
+    ASSERT_TRUE(reference.ok());
+    ExpectBitsEqual(result.value(), reference.value(),
+                    "request " + std::to_string(i));
+  }
+  server.Stop();
+  EXPECT_EQ(server.stats().requests_served, k - 1);
 }
 
 // Regression: a zero/negative knob (these arrive straight from CLI flags)

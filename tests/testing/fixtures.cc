@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 
+#include "common/buffer_pool.h"
 #include "core/evaluator.h"
 #include "data/synthetic/generators.h"
 
@@ -182,6 +185,40 @@ serve::ModelArtifact CompactArtifact() {
   artifact.state_dict = "format = fake\nparam = tiny\n";
   artifact.adjacency = Tensor::Ones({3, 3});
   return artifact;
+}
+
+namespace {
+
+double ProcStatusMb(const char* key) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.starts_with(key)) {
+      return std::strtod(line.c_str() + std::strlen(key), nullptr) / 1024.0;
+    }
+  }
+  return 0.0;
+}
+
+}  // namespace
+
+Footprint MeasureFootprint(const std::function<void()>& fn) {
+  BufferPool& pool = BufferPool::Global();
+  const bool was_enabled = pool.enabled();
+  pool.SetEnabled(true);
+  std::ofstream clear_refs("/proc/self/clear_refs");
+  clear_refs << "5";  // 5: reset the resident high-water mark
+  clear_refs.close();
+  const double rss_before = ProcStatusMb("VmRSS:");
+  const int64_t bypass_before = pool.Stats().bypass;
+  fn();
+  Footprint footprint;
+  footprint.unpooled_blocks = pool.Stats().bypass - bypass_before;
+  if (!clear_refs.fail()) {
+    footprint.peak_rss_growth_mb = ProcStatusMb("VmHWM:") - rss_before;
+  }
+  pool.SetEnabled(was_enabled);
+  return footprint;
 }
 
 std::string TempPath(const std::string& prefix, const std::string& name) {

@@ -1,9 +1,9 @@
 // Shared builders for the crash-safety / scheduler / e2e / serving suites:
 // one tiny-but-real synthetic dataset, hand-built candidate genotypes in
 // the exact shape Derive() emits, the serving suites' trained model with
-// its window and bit-compare helpers, and temp-file helpers that clean up
-// every generation an atomic writer may leave behind (<path>, <path>.prev,
-// <path>.tmp).
+// its window and bit-compare helpers, a memory-footprint probe, and
+// temp-file helpers that clean up every generation an atomic writer may
+// leave behind (<path>, <path>.prev, <path>.tmp).
 //
 // Dataset seeds stay explicit at every call site on purpose: the suites
 // were written against different datasets (checkpoint_test uses 31,
@@ -12,6 +12,7 @@
 #define AUTOCTS_TESTS_TESTING_FIXTURES_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,6 +69,16 @@ void ExpectBitsEqual(const Tensor& a, const Tensor& b,
 core::SearchCheckpoint SyntheticSearchCheckpoint();
 core::EvalCheckpoint SampleEvalCheckpoint();
 serve::ModelArtifact CompactArtifact();
+
+// What a call acquired: unpooled tensor blocks (with the pool forced on,
+// only a block above the largest bucket counts) and the growth of the
+// resident high-water mark (-1 where /proc/self/clear_refs cannot reset
+// the mark).
+struct Footprint {
+  int64_t unpooled_blocks = 0;
+  double peak_rss_growth_mb = -1.0;
+};
+Footprint MeasureFootprint(const std::function<void()>& fn);
 
 // "<gtest temp dir><prefix>_<name>".
 std::string TempPath(const std::string& prefix, const std::string& name);

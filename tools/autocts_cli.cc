@@ -71,10 +71,9 @@
 //   --artifact F    artifact file (export-artifact output; predict and
 //                   serve-tcp input). Loads fall back to F.prev when F is
 //                   corrupt, mirroring checkpoint loads.
-//   --at T          predict/predict-remote: forecast from the window ending
-//                   at timestamp T (exclusive; default = the end of the
-//                   series). predict streams the last `input` ticks through
-//                   the session's sliding-window ring buffer.
+//   --at T          predict/predict-remote: forecast from the window of the
+//                   last `input` ticks ending at timestamp T (exclusive;
+//                   default = the end of the series).
 //
 // Network serving options (src/net/):
 //   --port P        serve-tcp: TCP port to listen on (default 7077;
@@ -139,17 +138,17 @@
 // the autograd numeric trace, the first op that produced a non-finite
 // value.
 //
-// Examples:
-//   autocts_cli search --kind traffic-flow --nodes 10 --steps 1200 \
+// Examples (one command each; indented lines continue it):
+//   autocts_cli search --kind traffic-flow --nodes 10 --steps 1200
 //       --epochs 2 --out genotype.txt
-//   autocts_cli evaluate --kind traffic-flow --nodes 10 --steps 1200 \
+//   autocts_cli evaluate --kind traffic-flow --nodes 10 --steps 1200
 //       --genotype genotype.txt --epochs 4
-//   autocts_cli export-artifact --kind traffic-flow --nodes 10 --steps 1200 \
+//   autocts_cli export-artifact --kind traffic-flow --nodes 10 --steps 1200
 //       --genotype genotype.txt --epochs 4 --out model.artifact
-//   autocts_cli predict --kind traffic-flow --nodes 10 --steps 1200 \
+//   autocts_cli predict --kind traffic-flow --nodes 10 --steps 1200
 //       --artifact model.artifact
 //   autocts_cli serve-tcp --artifact model.artifact --serve-workers 4
-//   autocts_cli predict-remote --kind traffic-flow --nodes 10 --steps 1200 \
+//   autocts_cli predict-remote --kind traffic-flow --nodes 10 --steps 1200
 //       --port 7077
 #include <chrono>
 #include <csignal>
@@ -647,6 +646,24 @@ void PrintForecast(int64_t at, const Tensor& forecast) {
   }
 }
 
+// The raw window [input_length, N, F] of the `input_length` steps ending at
+// `at` (exclusive). `predict` and `predict-remote` both forecast from it, so
+// their outputs are byte-comparable.
+Tensor WindowEndingAt(const data::CtsDataset& dataset, int64_t input_length,
+                      int64_t at) {
+  Tensor window(
+      {input_length, dataset.num_nodes(), dataset.num_features()});
+  for (int64_t p = 0; p < input_length; ++p) {
+    for (int64_t n = 0; n < dataset.num_nodes(); ++n) {
+      for (int64_t f = 0; f < dataset.num_features(); ++f) {
+        window.At({p, n, f}) =
+            dataset.values.At({at - input_length + p, n, f});
+      }
+    }
+  }
+  return window;
+}
+
 int PredictOnce(const Args& args) {
   const std::string path = args.Get("artifact", "model.artifact");
   bool used_prev = false;
@@ -688,18 +705,8 @@ int PredictOnce(const Args& args) {
                  static_cast<long long>(dataset.num_steps()));
     return 1;
   }
-  // Stream the window's ticks through the session ring buffer — the same
-  // path a live feed uses (and what keeps steady-state requests small).
-  Tensor tick({meta.num_nodes, meta.in_features});
-  for (int64_t t = at - meta.input_length; t < at; ++t) {
-    for (int64_t n = 0; n < meta.num_nodes; ++n) {
-      for (int64_t f = 0; f < meta.in_features; ++f) {
-        tick.At({n, f}) = dataset.values.At({t, n, f});
-      }
-    }
-    session.value()->Observe(tick);
-  }
-  const StatusOr<Tensor> forecast = session.value()->PredictNext();
+  const StatusOr<Tensor> forecast = session.value()->Predict(
+      WindowEndingAt(dataset, meta.input_length, at));
   if (!forecast.ok()) {
     std::fprintf(stderr, "predict failed: %s\n",
                  forecast.status().ToString().c_str());
@@ -765,9 +772,8 @@ int PredictRemote(const Args& args) {
   options.retry = RetryPolicyFromArgs(args);
   options.request_timeout_seconds = args.GetDouble("timeout", 30.0);
 
-  // The window is built exactly like `predict` builds it, so the local and
-  // remote outputs are byte-comparable: the last --input ticks ending at
-  // --at (exclusive; default = the end of the series).
+  // The last --input ticks ending at --at (exclusive; default = the end of
+  // the series), the window `predict` forecasts from.
   const data::CtsDataset dataset = MakeDataset(args);
   const int64_t input_length = args.GetInt("input", 12);
   const int64_t at = args.GetInt("at", dataset.num_steps());
@@ -777,16 +783,6 @@ int PredictRemote(const Args& args) {
                  static_cast<long long>(input_length),
                  static_cast<long long>(dataset.num_steps()));
     return 1;
-  }
-  Tensor window(
-      {input_length, dataset.num_nodes(), dataset.num_features()});
-  for (int64_t p = 0; p < input_length; ++p) {
-    for (int64_t n = 0; n < dataset.num_nodes(); ++n) {
-      for (int64_t f = 0; f < dataset.num_features(); ++f) {
-        window.At({p, n, f}) =
-            dataset.values.At({at - input_length + p, n, f});
-      }
-    }
   }
 
   net::ForecastClient client(options);
@@ -798,7 +794,8 @@ int PredictRemote(const Args& args) {
     return 1;
   }
   const StatusOr<Tensor> forecast =
-      client.Predict(window, args.GetDouble("deadline", 0.0));
+      client.Predict(WindowEndingAt(dataset, input_length, at),
+                     args.GetDouble("deadline", 0.0));
   if (!forecast.ok()) {
     std::fprintf(stderr, "predict-remote failed: %s\n",
                  forecast.status().ToString().c_str());

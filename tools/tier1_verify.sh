@@ -23,18 +23,20 @@
 # loops, raw-socket disconnect cases, and connection-handler threads are
 # exactly what ASan is for) are additionally run under AddressSanitizer
 # in a separate build directory: their kill/resume, fault-injection, retry/rollback,
-# watchdog-cancellation, and storage-recycling paths are exactly where
-# lifetime bugs would hide. Set AUTOCTS_SKIP_ASAN=1 to skip that pass
-# (e.g. on machines without ASan runtimes).
+# and storage-recycling paths are exactly where lifetime bugs would hide.
+# Set AUTOCTS_SKIP_ASAN=1 to skip that pass (e.g. on machines without ASan
+# runtimes).
 #
 # The observability suites (observability_test and determinism_test, ctest
 # label "observability") plus parallel_test, buffer_pool_test,
-# bounded_queue_test, and eval_scheduler_test are likewise run under
-# ThreadSanitizer: the tracer's
-# thread-local ring buffers, the metrics registry, the pool's per-bucket
-# free lists, and the eval scheduler's worker threads + completion inbox
-# are exercised concurrently, and TSan is the tool that proves those
-# paths race-free. Set AUTOCTS_SKIP_TSAN=1 to skip.
+# bounded_queue_test, eval_scheduler_test, and cancellation_test are
+# likewise run under ThreadSanitizer: the tracer's thread-local ring
+# buffers, the metrics registry, the pool's per-bucket free lists, the eval
+# scheduler's worker threads + completion inbox, and eval workers reading
+# the caller's cancellation token while it is cancelled mid-batch (only
+# cancellation_test's EvalCancellation cases do that) are exercised
+# concurrently, and TSan is the tool that proves those paths race-free.
+# Set AUTOCTS_SKIP_TSAN=1 to skip.
 #
 # Optional: AUTOCTS_SANITIZE=thread|address|undefined ./tools/tier1_verify.sh
 # runs the whole build under the matching sanitizer (separate build
@@ -84,15 +86,16 @@ fi
 
 # TSan pass over the observability suite (+ parallel_test, which drives
 # the same thread pool the tracer instruments, buffer_pool_test for the
-# pool's cross-thread acquire/release paths, and bounded_queue_test for
-# the MPMC queue under the forecast server).
+# pool's cross-thread acquire/release paths, bounded_queue_test for the
+# MPMC queue under the forecast server, and cancellation_test for a batch
+# cancelled while its eval workers run).
 if [[ -z "${AUTOCTS_SANITIZE:-}" && -z "${AUTOCTS_SKIP_TSAN:-}" ]]; then
   cmake -B build-thread -S . -DAUTOCTS_SANITIZE=thread
   cmake --build build-thread -j --target observability_test \
       --target determinism_test --target parallel_test \
       --target buffer_pool_test --target eval_scheduler_test \
-      --target bounded_queue_test
+      --target bounded_queue_test --target cancellation_test
   AUTOCTS_NUM_THREADS=4 ctest --test-dir build-thread \
-      -R 'observability_test|determinism_test|parallel_test|buffer_pool_test|eval_scheduler_test|bounded_queue_test' \
+      -R 'observability_test|determinism_test|parallel_test|buffer_pool_test|eval_scheduler_test|bounded_queue_test|cancellation_test' \
       --output-on-failure
 fi
