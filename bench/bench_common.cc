@@ -154,18 +154,11 @@ core::SearchOptions DefaultSearchOptions() {
 }
 
 models::EvalResult RunBaseline(const std::string& name,
-                               const DatasetPreset& preset,
                                const models::PreparedData& prepared,
                                const models::TrainConfig& config) {
-  models::ModelContext context;
-  context.num_nodes = prepared.num_nodes;
-  context.in_features = prepared.in_features;
-  context.input_length = preset.window.input_length;
-  context.output_length = preset.window.output_length;
-  context.hidden_dim = 16;
-  context.adjacency = prepared.adjacency;
-  context.seed = 1234;
-  models::ForecastingModelPtr model = models::CreateBaseline(name, context);
+  models::ForecastingModelPtr model = models::CreateBaseline(
+      name, models::MakeModelContext(prepared, /*hidden_dim=*/16,
+                                     /*seed=*/1234));
   return models::TrainAndEvaluate(model.get(), prepared, config);
 }
 

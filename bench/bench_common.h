@@ -59,7 +59,6 @@ core::SearchOptions DefaultSearchOptions();
 
 // Builds and trains a named baseline; returns the eval report.
 models::EvalResult RunBaseline(const std::string& name,
-                               const DatasetPreset& preset,
                                const models::PreparedData& prepared,
                                const models::TrainConfig& config);
 

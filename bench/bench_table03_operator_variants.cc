@@ -20,10 +20,8 @@ class VariantModel : public models::ForecastingModel {
   VariantModel(const std::string& s_op, const models::ModelContext& context)
       : s_op_name_(s_op),
         rng_(context.seed),
-        adaptive_(context.adjacency.defined()
-                      ? nullptr
-                      : std::make_shared<graph::AdaptiveAdjacency>(
-                            context.num_nodes, 8, &rng_)),
+        adaptive_(graph::AdaptiveUnlessPredefined(context.adjacency,
+                                                  context.num_nodes, &rng_)),
         embedding_(context.in_features, context.hidden_dim, &rng_),
         head_(context.hidden_dim, context.output_length, &rng_) {
     const ops::OpContext op_context =
@@ -77,15 +75,8 @@ void Run() {
     for (const char* key : {"metr-la", "pems03"}) {
       const bench::DatasetPreset preset = bench::MakePreset(key);
       const models::PreparedData prepared = bench::Prepare(preset);
-      models::ModelContext context;
-      context.num_nodes = prepared.num_nodes;
-      context.in_features = prepared.in_features;
-      context.input_length = preset.window.input_length;
-      context.output_length = preset.window.output_length;
-      context.hidden_dim = 16;
-      context.adjacency = prepared.adjacency;
-      context.seed = 55;
-      VariantModel model(op, context);
+      VariantModel model(op, models::MakeModelContext(
+                                 prepared, /*hidden_dim=*/16, /*seed=*/55));
       const models::EvalResult result = models::TrainAndEvaluate(
           &model, prepared, bench::BaselineTrainConfig());
       std::printf("%s", bench::Num(result.average.mae).c_str());

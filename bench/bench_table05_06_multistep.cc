@@ -27,7 +27,7 @@ void Run() {
 
     for (const std::string& model : models::MultiStepBaselineNames()) {
       const models::EvalResult result = bench::RunBaseline(
-          model, preset, prepared, bench::BaselineTrainConfig());
+          model, prepared, bench::BaselineTrainConfig());
       bench::PrintMultiStepRow(model, result, preset);
     }
 

@@ -47,7 +47,7 @@ void Run() {
                                 bench::EvalTrainConfig());
           result = run.eval;
         } else {
-          result = bench::RunBaseline(row.model, preset, prepared,
+          result = bench::RunBaseline(row.model, prepared,
                                       bench::BaselineTrainConfig());
         }
         if (horizon == 3) {

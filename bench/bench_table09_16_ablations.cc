@@ -8,13 +8,13 @@
 //   w/o temperature         tau fixed at 1 (no annealing)
 //   w/o macro search        single searched block, stacked homogeneously
 //   macro only              topology search over 4 human-designed blocks
+//                           (core::MacroOnlyOptions)
 //
 // Expected shape: the full system is the most accurate; "w/o design
 // principles" costs several times more search time at no accuracy gain;
 // "macro only" searches fastest but is the least accurate.
 #include "bench_common.h"
 
-#include "core/macro_only.h"
 #include "common/stopwatch.h"
 
 namespace autocts {
@@ -72,15 +72,10 @@ void RunDataset(const std::string& key, const std::string& table_tag) {
   }
   // macro only.
   {
-    const core::SearchOptions options = bench::DefaultSearchOptions();
-    const core::MacroOnlyResult search =
-        core::SearchMacroOnly(prepared, options);
-    std::unique_ptr<models::ForecastingModel> model =
-        core::BuildMacroOnlyModel(search.genotype, prepared,
-                                  options.supernet.hidden_dim, 17);
-    const models::EvalResult eval = models::TrainAndEvaluate(
-        model.get(), prepared, bench::EvalTrainConfig());
-    PrintRow("macro only", eval, search.search_seconds);
+    const bench::AutoCtsRun run = bench::RunAutoCts(
+        prepared, core::MacroOnlyOptions(bench::DefaultSearchOptions()),
+        bench::EvalTrainConfig());
+    PrintRow("macro only", run.eval, run.search.search_seconds);
   }
 }
 

@@ -40,7 +40,7 @@ void Run() {
                       preset.label);
     Header();
     for (const std::string& model : models::MultiStepBaselineNames()) {
-      PrintRow(model, bench::RunBaseline(model, preset, prepared, config));
+      PrintRow(model, bench::RunBaseline(model, prepared, config));
     }
     core::SearchOptions options = bench::DefaultSearchOptions();
     options.epochs = 1;
@@ -56,7 +56,7 @@ void Run() {
                       preset.label);
     Header();
     for (const std::string& model : models::SingleStepBaselineNames()) {
-      PrintRow(model, bench::RunBaseline(model, preset, prepared, config));
+      PrintRow(model, bench::RunBaseline(model, prepared, config));
     }
     core::SearchOptions options = bench::DefaultSearchOptions();
     options.epochs = 1;

@@ -68,8 +68,7 @@ const char* AnomalyName(Anomaly anomaly) {
 }
 
 HealthMonitor::HealthMonitor(HealthConfig config) : config_(config) {
-  AUTOCTS_CHECK_GT(config_.loss_window, 0);
-  window_.assign(config_.loss_window, 0.0);
+  window_.assign(kLossWindow, 0.0);
 }
 
 Anomaly HealthMonitor::Flag(Anomaly anomaly) {

@@ -57,10 +57,11 @@ int64_t FirstNonFiniteGradient(const std::vector<Variable>& parameters);
 // Per-step health monitoring.
 // --------------------------------------------------------------------------
 
+// Rolling window of recent healthy loss values feeding the spike detector
+// of HealthConfig.
+inline constexpr int64_t kLossWindow = 16;
+
 struct HealthConfig {
-  // Rolling window of recent healthy loss values feeding the spike
-  // detector.
-  int64_t loss_window = 16;
   // A finite loss exceeding `loss_spike_factor` x the rolling-window mean
   // is flagged as a spike (softmax saturation and LR blow-ups show up here
   // one or two steps before the first NaN). Requires `min_loss_samples`

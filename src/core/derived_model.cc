@@ -32,11 +32,8 @@ DerivedModel::DerivedModel(const Genotype& genotype,
                            const models::ModelContext& model_context)
     : genotype_(genotype),
       rng_(model_context.seed),
-      adaptive_(model_context.adjacency.defined()
-                    ? nullptr
-                    : std::make_shared<graph::AdaptiveAdjacency>(
-                          model_context.num_nodes, kAdaptiveEmbeddingDim,
-                          &rng_)),
+      adaptive_(graph::AdaptiveUnlessPredefined(
+          model_context.adjacency, model_context.num_nodes, &rng_)),
       embedding_(model_context.in_features, model_context.hidden_dim, &rng_),
       head_(model_context.hidden_dim, model_context.output_length, &rng_) {
   AUTOCTS_CHECK(genotype_.Validate().ok());

@@ -13,10 +13,6 @@
 
 namespace autocts::core {
 
-// Width of the node embeddings of a learned graph
-// (graph::AdaptiveAdjacency), used when the data has no adjacency.
-inline constexpr int64_t kAdaptiveEmbeddingDim = 8;
-
 // A discrete ST-block: only the kept edges exist; each node sums its
 // incoming transformations; the last node is the block output.
 class DerivedCell : public nn::Module {

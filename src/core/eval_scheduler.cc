@@ -322,12 +322,14 @@ std::string EvalConfigFingerprint(const std::vector<Genotype>& candidates,
       << " hidden=" << hidden_dim << " seed=" << config.seed
       << " epochs=" << config.epochs << " batch=" << config.batch_size
       << " lr=" << FormatExactDouble(config.learning_rate)
-      << " wd=" << FormatExactDouble(config.weight_decay)
-      << " clip=" << FormatExactDouble(config.clip_norm)
+      << " wd=" << FormatExactDouble(models::kTrainWeightDecay)
+      << " clip=" << FormatExactDouble(models::kTrainClipNorm)
       << " max_batches=" << config.max_batches_per_epoch
       << " patience=" << config.early_stop_patience
-      << " restore_best=" << config.restore_best_weights
-      << " health=" << config.health.loss_window << ","
+      // Best-weight restore is always on; "restore_best=1" stays so
+      // existing eval checkpoints still match.
+      << " restore_best=1"
+      << " health=" << numerics::kLossWindow << ","
       << FormatExactDouble(config.health.loss_spike_factor) << ","
       << config.health.min_loss_samples << ","
       << FormatExactDouble(config.health.max_grad_norm)

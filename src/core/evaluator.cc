@@ -5,15 +5,8 @@ namespace autocts::core {
 std::unique_ptr<DerivedModel> BuildDerivedModel(
     const Genotype& genotype, const models::PreparedData& data,
     int64_t hidden_dim, uint64_t seed) {
-  models::ModelContext context;
-  context.num_nodes = data.num_nodes;
-  context.in_features = data.in_features;
-  context.input_length = data.window.input_length;
-  context.output_length = data.window.output_length;
-  context.hidden_dim = hidden_dim;
-  context.adjacency = data.adjacency;
-  context.seed = seed;
-  return std::make_unique<DerivedModel>(genotype, context);
+  return std::make_unique<DerivedModel>(
+      genotype, models::MakeModelContext(data, hidden_dim, seed));
 }
 
 models::EvalResult EvaluateGenotype(const Genotype& genotype,

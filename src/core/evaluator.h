@@ -43,13 +43,6 @@ StatusOr<TrainedGenotype> TrainGenotypeWithStatus(
     const Genotype& genotype, const models::PreparedData& data,
     int64_t hidden_dim, const models::TrainConfig& config);
 
-// Result of the full search + evaluate pipeline (used by the benches).
-struct AutoCtsResult {
-  Genotype genotype;
-  models::EvalResult eval;
-  double search_seconds = 0.0;
-};
-
 }  // namespace autocts::core
 
 #endif  // AUTOCTS_CORE_EVALUATOR_H_

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/text_codec.h"
+#include "ops/op_registry.h"
 
 namespace autocts::core {
 
@@ -102,13 +103,34 @@ Status Genotype::Validate() const {
           "block " + std::to_string(b) + " input must reference the "
           "embedding (0) or an earlier block");
     }
-    for (const EdgeGene& edge : blocks[b].edges) {
+    const std::vector<EdgeGene>& edges = blocks[b].edges;
+    // Every node 1..M-1 needs an incoming edge, so a block has at least M-1
+    // edges. Checking that first bounds the per-node state below (and what
+    // a derived model sizes by M) by the block's own records.
+    if (static_cast<int64_t>(edges.size()) < nodes_per_block - 1) {
+      return Status::InvalidArgument(
+          "block " + std::to_string(b) + " has fewer edges than the " +
+          std::to_string(nodes_per_block - 1) + " nodes it must feed");
+    }
+    std::vector<bool> fed(nodes_per_block, false);
+    for (const EdgeGene& edge : edges) {
       if (edge.from < 0 || edge.to >= nodes_per_block ||
           edge.from >= edge.to) {
         return Status::InvalidArgument("edge violates DAG order");
       }
       if (edge.op.empty()) {
         return Status::InvalidArgument("edge with empty operator");
+      }
+      if (!ops::OpRegistry::Global().Contains(edge.op)) {
+        return Status::InvalidArgument("unknown operator: " + edge.op);
+      }
+      fed[edge.to] = true;
+    }
+    for (int64_t j = 1; j < nodes_per_block; ++j) {
+      if (!fed[j]) {
+        return Status::InvalidArgument("block " + std::to_string(b) +
+                                       " node " + std::to_string(j) +
+                                       " has no incoming edge");
       }
     }
   }

@@ -50,7 +50,8 @@ struct Genotype {
   std::vector<std::pair<std::string, int64_t>> OperatorHistogram() const;
 
   // Structural validity: edge indices within range, edges acyclic (from <
-  // to), block inputs referencing earlier nodes only.
+  // to), every operator registered in ops::OpRegistry, every node 1..M-1
+  // fed by at least one edge, block inputs referencing earlier nodes only.
   Status Validate() const;
 };
 

@@ -1,8 +1,20 @@
 #include "core/micro_dag.h"
 
+#include <algorithm>
+
 #include "tensor/tensor_ops.h"
 
 namespace autocts::core {
+namespace {
+
+// The human-designed blocks run as published: they are whole ST-blocks,
+// not the Table-1 operators the Section 4.1.4 wrapper was designed for.
+bool IsHumanDesignedBlock(const std::string& op_name) {
+  const std::vector<std::string> blocks = HumanDesignedBlockSet().op_names;
+  return std::find(blocks.begin(), blocks.end(), op_name) != blocks.end();
+}
+
+}  // namespace
 
 int64_t PairIndex(int64_t i, int64_t j) {
   AUTOCTS_CHECK_LT(i, j);
@@ -14,17 +26,18 @@ int64_t NumPairs(int64_t num_nodes) {
 }
 
 WrappedOp::WrappedOp(const std::string& op_name, const ops::OpContext& context)
-    : op_name_(op_name), parametric_(IsParametricOp(op_name)) {
+    : op_name_(op_name),
+      wrapped_(IsParametricOp(op_name) && !IsHumanDesignedBlock(op_name)) {
   op_ = ops::CreateOp(op_name, context);
   RegisterModule("op", op_.get());
-  if (parametric_) {
+  if (wrapped_) {
     batch_norm_ = std::make_unique<nn::BatchNorm>(context.channels);
     RegisterModule("bn", batch_norm_.get());
   }
 }
 
 Variable WrappedOp::Forward(const Variable& x) {
-  if (!parametric_) return op_->Forward(x);
+  if (!wrapped_) return op_->Forward(x);
   return batch_norm_->Forward(op_->Forward(ag::Relu(x)));
 }
 

@@ -23,7 +23,8 @@ int64_t NumPairs(int64_t num_nodes);
 
 // ReLU - operator - BN wrapper applied to parametric operators (the DARTS
 // ordering the paper adopts, Section 4.1.4). Non-parametric operators
-// (zero, identity) pass through unwrapped.
+// (zero, identity) and the human-designed blocks of
+// HumanDesignedBlockSet(), which run as published, pass through unwrapped.
 class WrappedOp : public nn::Module {
  public:
   WrappedOp(const std::string& op_name, const ops::OpContext& context);
@@ -33,7 +34,7 @@ class WrappedOp : public nn::Module {
 
  private:
   std::string op_name_;
-  bool parametric_;
+  bool wrapped_;
   ops::StOperatorPtr op_;
   std::unique_ptr<nn::BatchNorm> batch_norm_;
 };

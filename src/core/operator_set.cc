@@ -16,6 +16,11 @@ OperatorSet AutoStgOperatorSet() {
   return {"autostg", {"zero", "identity", "conv1d", "dgcn"}};
 }
 
+OperatorSet HumanDesignedBlockSet() {
+  return {"human_designed",
+          {"stgcn_block", "gwn_block", "dcgru_block", "mtgnn_block"}};
+}
+
 bool IsParametricOp(const std::string& op_name) {
   return op_name != "zero" && op_name != "identity";
 }

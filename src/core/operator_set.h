@@ -29,8 +29,12 @@ OperatorSet FullOperatorSet();
 // (plus zero/identity), per the paper's description of that baseline.
 OperatorSet AutoStgOperatorSet();
 
-// True for operators with trainable parameters (those get the
-// ReLU - operator - BN wrapper of Section 4.1.4).
+// The "macro only" ablation space (Section 4.2.3): the four human-designed
+// ST-blocks of STGCN, Graph WaveNet, DCRNN and MTGNN (ops/st_blocks.h).
+// core::MacroOnlyOptions searches it with one block per slot.
+OperatorSet HumanDesignedBlockSet();
+
+// True for operators with trainable parameters.
 bool IsParametricOp(const std::string& op_name);
 
 }  // namespace autocts::core

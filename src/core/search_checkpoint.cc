@@ -153,18 +153,17 @@ std::string SearchConfigFingerprint(const SearchOptions& options,
       << " bilevel=" << options.bilevel_order
       << " macro=" << options.use_macro
       << " temp=" << options.use_temperature
-      << " tau=" << FormatExactDouble(options.tau_init) << ","
-      << FormatExactDouble(options.tau_decay) << ","
-      << FormatExactDouble(options.tau_min)
+      << " tau=" << FormatExactDouble(kTauInit) << ","
+      << FormatExactDouble(kTauDecay) << "," << FormatExactDouble(kTauMin)
       << " theta=" << FormatExactDouble(options.theta_learning_rate) << ","
-      << FormatExactDouble(options.theta_beta1) << ","
-      << FormatExactDouble(options.theta_beta2) << ","
-      << FormatExactDouble(options.theta_weight_decay)
-      << " w=" << FormatExactDouble(options.w_learning_rate) << ","
-      << FormatExactDouble(options.w_weight_decay)
-      << " clip=" << FormatExactDouble(options.clip_norm)
+      << FormatExactDouble(kThetaBeta1) << ","
+      << FormatExactDouble(kThetaBeta2) << ","
+      << FormatExactDouble(kThetaWeightDecay)
+      << " w=" << FormatExactDouble(kWeightLearningRate) << ","
+      << FormatExactDouble(kWeightDecay)
+      << " clip=" << FormatExactDouble(kSearchClipNorm)
       << " cost=" << FormatExactDouble(options.cost_weight)
-      << " eps=" << FormatExactDouble(options.unrolled_epsilon)
+      << " eps=" << FormatExactDouble(kUnrolledEpsilon)
       << " supernet=" << options.supernet.micro_nodes << "x"
       << options.supernet.macro_blocks << "x" << options.supernet.hidden_dim
       << "/" << options.supernet.partial_denominator << "/"

@@ -30,6 +30,14 @@ SearchOptions AutoStgLiteOptions() {
   return options;
 }
 
+SearchOptions MacroOnlyOptions(SearchOptions base) {
+  base.supernet.op_set = HumanDesignedBlockSet();
+  base.supernet.micro_nodes = 2;
+  base.supernet.partial_denominator = 1;
+  base.use_temperature = false;
+  return base;
+}
+
 JointSearcher::JointSearcher(SearchOptions options)
     : options_(std::move(options)) {}
 
@@ -68,7 +76,7 @@ double JointSearcher::UnrolledThetaStep(
     numerics::HealthMonitor* monitor, numerics::Anomaly* anomaly) const {
   std::vector<Variable> weights = supernet->Parameters();
   std::vector<Variable> thetas = supernet->ArchParameters();
-  const double xi = options_.w_learning_rate;
+  const double xi = kWeightLearningRate;
 
   // 1. grad_w L_train at (w, Theta).
   ZeroAll(&weights);
@@ -108,7 +116,7 @@ double JointSearcher::UnrolledThetaStep(
   double v_norm_sq = 0.0;
   for (const Tensor& g : v) v_norm_sq += autocts::SumSquares(g);
   const double v_norm = std::sqrt(v_norm_sq);
-  const double eps = options_.unrolled_epsilon / std::max(v_norm, 1e-12);
+  const double eps = kUnrolledEpsilon / std::max(v_norm, 1e-12);
 
   AxpyInPlace(&weights, v, eps);
   ZeroAll(&weights);
@@ -135,7 +143,7 @@ double JointSearcher::UnrolledThetaStep(
     thetas[i].AccumulateGrad(total);
   }
   double pre_clip_norm = 0.0;
-  optim::ClipGradNormChecked(thetas, options_.clip_norm, &pre_clip_norm);
+  optim::ClipGradNormChecked(thetas, kSearchClipNorm, &pre_clip_norm);
   *anomaly = monitor->ObserveGradientNorm(pre_clip_norm);
   if (*anomaly == numerics::Anomaly::kNone) theta_optimizer->Step();
   ZeroAll(&thetas);
@@ -177,26 +185,19 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
   const int64_t eval_blocks = supernet_config.macro_blocks;
   if (!options_.use_macro) supernet_config.macro_blocks = 1;
 
-  models::ModelContext model_context;
-  model_context.num_nodes = data.num_nodes;
-  model_context.in_features = data.in_features;
-  model_context.input_length = data.window.input_length;
-  model_context.output_length = data.window.output_length;
-  model_context.hidden_dim = supernet_config.hidden_dim;
-  model_context.adjacency = data.adjacency;
-  model_context.seed = rng.Next();
-  Supernet supernet(supernet_config, model_context);
+  Supernet supernet(supernet_config,
+                    models::MakeModelContext(data, supernet_config.hidden_dim,
+                                             rng.Next()));
 
   optim::Adam weight_optimizer(supernet.Parameters(),
-                               {.learning_rate = options_.w_learning_rate,
-                                .weight_decay = options_.w_weight_decay});
+                               {.learning_rate = kWeightLearningRate,
+                                .weight_decay = kWeightDecay});
   optim::Adam theta_optimizer(supernet.ArchParameters(),
                               {.learning_rate = options_.theta_learning_rate,
-                               .beta1 = options_.theta_beta1,
-                               .beta2 = options_.theta_beta2,
-                               .weight_decay = options_.theta_weight_decay});
-  const optim::ExponentialSchedule tau_schedule(
-      options_.tau_init, options_.tau_decay, options_.tau_min);
+                               .beta1 = kThetaBeta1,
+                               .beta2 = kThetaBeta2,
+                               .weight_decay = kThetaWeightDecay});
+  const optim::ExponentialSchedule tau_schedule(kTauInit, kTauDecay, kTauMin);
 
   // Divide the training windows evenly into pseudo-train / pseudo-val.
   const int64_t total = data.train().NumSamples();
@@ -471,7 +472,7 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
           loss.Backward();
           double pre_clip_norm = 0.0;
           optim::ClipGradNormChecked(supernet.ArchParameters(),
-                                     options_.clip_norm, &pre_clip_norm);
+                                     kSearchClipNorm, &pre_clip_norm);
           theta_grad_norm = pre_clip_norm;
           anomaly = monitor.ObserveGradientNorm(pre_clip_norm);
           if (anomaly == numerics::Anomaly::kNone) theta_optimizer.Step();
@@ -501,8 +502,8 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
             options_.fault_injection_hook(epoch, step, &supernet);
           }
           double pre_clip_norm = 0.0;
-          optim::ClipGradNormChecked(supernet.Parameters(),
-                                     options_.clip_norm, &pre_clip_norm);
+          optim::ClipGradNormChecked(supernet.Parameters(), kSearchClipNorm,
+                                     &pre_clip_norm);
           w_grad_norm = pre_clip_norm;
           anomaly = monitor.ObserveGradientNorm(pre_clip_norm);
           if (anomaly == numerics::Anomaly::kNone) weight_optimizer.Step();
@@ -576,7 +577,7 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
         ++result.recoveries;
         const Status restore_status = restore(last_good);
         AUTOCTS_CHECK(restore_status.ok()) << restore_status.ToString();
-        weight_optimizer.SetLearningRate(options_.w_learning_rate *
+        weight_optimizer.SetLearningRate(kWeightLearningRate *
                                          recovery.lr_scale());
         theta_optimizer.SetLearningRate(options_.theta_learning_rate *
                                         recovery.lr_scale());

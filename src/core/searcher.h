@@ -19,6 +19,28 @@
 
 namespace autocts::core {
 
+// Optimizer settings from Section 4.1.4: Adam on the weights w (learning
+// rate 1e-3, weight decay 1e-4) and on Theta (betas 0.5 / 0.999, weight
+// decay 1e-3; its learning rate is SearchOptions::theta_learning_rate),
+// with both gradients clipped at norm 5.
+inline constexpr double kWeightLearningRate = 1e-3;
+inline constexpr double kWeightDecay = 1e-4;
+inline constexpr double kThetaBeta1 = 0.5;
+inline constexpr double kThetaBeta2 = 0.999;
+inline constexpr double kThetaWeightDecay = 1e-3;
+inline constexpr double kSearchClipNorm = 5.0;
+
+// Temperature annealing (Section 3.2.2): tau = 5.0 * 0.9^epoch, floored at
+// 0.001.
+inline constexpr double kTauInit = 5.0;
+inline constexpr double kTauDecay = 0.9;
+inline constexpr double kTauMin = 0.001;
+
+// Perturbation scale of the second-order Theta step's finite-difference
+// Hessian-vector product (Liu et al., 2019; see bilevel_order):
+// eps = kUnrolledEpsilon / ||grad_w' L_val||.
+inline constexpr double kUnrolledEpsilon = 0.01;
+
 struct SearchOptions {
   SupernetConfig supernet;
 
@@ -27,21 +49,13 @@ struct SearchOptions {
   // Cap on pseudo-train batches per epoch (0 = all); bounds bench runtime.
   int64_t max_batches_per_epoch = 0;
 
-  // Optimizer settings from Section 4.1.4.
+  // Theta's Adam learning rate (Section 4.1.4; the other optimizer
+  // settings are the constants above).
   double theta_learning_rate = 3e-4;
-  double theta_beta1 = 0.5;
-  double theta_beta2 = 0.999;
-  double theta_weight_decay = 1e-3;
-  double w_learning_rate = 1e-3;
-  double w_weight_decay = 1e-4;
-  double clip_norm = 5.0;
 
-  // Temperature annealing (Section 3.2.2): 5.0 * 0.9^epoch, floored at
-  // 0.001. The "w/o temperature" ablation fixes tau = 1.
+  // Temperature annealing (kTauInit/kTauDecay/kTauMin). The "w/o
+  // temperature" ablation fixes tau = 1.
   bool use_temperature = true;
-  double tau_init = 5.0;
-  double tau_decay = 0.9;
-  double tau_min = 0.001;
 
   // "w/o macro search" ablation: search a single ST-block (B = 1) and
   // replicate it into a sequential stack of `supernet.macro_blocks` at
@@ -62,9 +76,6 @@ struct SearchOptions {
   // differences of grad_Theta L_train at w +- eps*v (Liu et al., 2019).
   // Roughly 3-4x the cost per Theta step.
   int64_t bilevel_order = 1;
-  // Perturbation scale for the finite-difference Hessian-vector product:
-  // eps = unrolled_epsilon / ||grad_w' L_val||.
-  double unrolled_epsilon = 0.01;
 
   // Number of candidate architectures derived from the trained supernet
   // for the evaluation stage (Supernet::DeriveTopK). 1 reproduces the
@@ -168,6 +179,13 @@ struct SearchOptions {
 // Preset matching the AutoSTG baseline: {1D conv, DGCN} operator set,
 // micro-only search, homogeneous stacking.
 SearchOptions AutoStgLiteOptions();
+
+// The "macro only" ablation (Section 4.2.3) on top of `base`: Algorithm 1
+// over HumanDesignedBlockSet() with one block per slot (micro_nodes = 2),
+// whole blocks at full width (partial_denominator = 1) and an untempered
+// block softmax (use_temperature = false). Only the block per slot and the
+// backbone topology are searched.
+SearchOptions MacroOnlyOptions(SearchOptions base);
 
 struct SearchResult {
   Genotype genotype;

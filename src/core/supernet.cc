@@ -11,11 +11,8 @@ Supernet::Supernet(const SupernetConfig& config,
                    const models::ModelContext& model_context)
     : config_(config),
       rng_(model_context.seed),
-      adaptive_(model_context.adjacency.defined()
-                    ? nullptr
-                    : std::make_shared<graph::AdaptiveAdjacency>(
-                          model_context.num_nodes, /*embedding_dim=*/8,
-                          &rng_)),
+      adaptive_(graph::AdaptiveUnlessPredefined(
+          model_context.adjacency, model_context.num_nodes, &rng_)),
       embedding_(model_context.in_features, config.hidden_dim, &rng_),
       head_(config.hidden_dim, model_context.output_length, &rng_) {
   AUTOCTS_CHECK_GE(config_.macro_blocks, 1);

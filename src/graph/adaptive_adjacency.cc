@@ -25,4 +25,11 @@ Variable AdaptiveAdjacency::ForwardReverse() const {
   return ag::Softmax(ag::Relu(scores), /*axis=*/-1);
 }
 
+std::shared_ptr<AdaptiveAdjacency> AdaptiveUnlessPredefined(
+    const Tensor& adjacency, int64_t num_nodes, Rng* rng) {
+  if (adjacency.defined()) return nullptr;
+  return std::make_shared<AdaptiveAdjacency>(num_nodes, kAdaptiveEmbeddingDim,
+                                             rng);
+}
+
 }  // namespace autocts::graph

@@ -5,10 +5,16 @@
 #ifndef AUTOCTS_GRAPH_ADAPTIVE_ADJACENCY_H_
 #define AUTOCTS_GRAPH_ADAPTIVE_ADJACENCY_H_
 
+#include <memory>
+
 #include "autograd/variable_ops.h"
 #include "nn/module.h"
 
 namespace autocts::graph {
+
+// Width of the node embeddings of every model's learned graph; model
+// artifacts are checked against it.
+inline constexpr int64_t kAdaptiveEmbeddingDim = 8;
 
 // A_adapt = Softmax(ReLU(E1 E2^T)) with learnable embeddings E1, E2.
 class AdaptiveAdjacency : public nn::Module {
@@ -30,6 +36,12 @@ class AdaptiveAdjacency : public nn::Module {
   Variable source_embedding_;  // [N, d]
   Variable target_embedding_;  // [N, d]
 };
+
+// The graph a model learns when the data has none: null when `adjacency`
+// (the predefined graph) is defined, else a fresh AdaptiveAdjacency over
+// `num_nodes` nodes with kAdaptiveEmbeddingDim-wide embeddings from `rng`.
+std::shared_ptr<AdaptiveAdjacency> AdaptiveUnlessPredefined(
+    const Tensor& adjacency, int64_t num_nodes, Rng* rng);
 
 }  // namespace autocts::graph
 

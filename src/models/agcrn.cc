@@ -6,7 +6,7 @@ Agcrn::Agcrn(const ModelContext& context)
     : hidden_dim_(context.hidden_dim),
       rng_(context.seed),
       adaptive_(std::make_shared<graph::AdaptiveAdjacency>(
-          context.num_nodes, /*embedding_dim=*/8, &rng_)),
+          context.num_nodes, graph::kAdaptiveEmbeddingDim, &rng_)),
       embedding_(context.in_features, context.hidden_dim, &rng_),
       zr_gates_(2 * context.hidden_dim, 2 * context.hidden_dim,
                 /*max_step=*/2, Tensor(), adaptive_, &rng_),

@@ -1,21 +1,12 @@
 #include "models/dcrnn.h"
 
 namespace autocts::models {
-namespace {
-
-std::shared_ptr<graph::AdaptiveAdjacency> MaybeAdaptive(
-    const ModelContext& context, Rng* rng) {
-  if (context.adjacency.defined()) return nullptr;
-  return std::make_shared<graph::AdaptiveAdjacency>(context.num_nodes,
-                                                    /*embedding_dim=*/8, rng);
-}
-
-}  // namespace
 
 Dcrnn::Dcrnn(const ModelContext& context)
     : output_length_(context.output_length),
       rng_(context.seed),
-      adaptive_(MaybeAdaptive(context, &rng_)),
+      adaptive_(graph::AdaptiveUnlessPredefined(context.adjacency,
+                                                context.num_nodes, &rng_)),
       embedding_(context.in_features, context.hidden_dim, &rng_),
       encoder_cell_(context.hidden_dim,
                     MakeOpContext(context, adaptive_, &rng_)),

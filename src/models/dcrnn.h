@@ -5,7 +5,7 @@
 #define AUTOCTS_MODELS_DCRNN_H_
 
 #include "models/forecasting_model.h"
-#include "models/st_blocks.h"
+#include "ops/st_blocks.h"
 
 namespace autocts::models {
 
@@ -21,8 +21,8 @@ class Dcrnn : public ForecastingModel {
   Rng rng_;
   std::shared_ptr<graph::AdaptiveAdjacency> adaptive_;
   nn::Linear embedding_;
-  DcgruCell encoder_cell_;
-  DcgruCell decoder_cell_;
+  ops::DcgruCell encoder_cell_;
+  ops::DcgruCell decoder_cell_;
   nn::Linear decoder_input_proj_;  // previous prediction (1) -> hidden
   nn::Linear decoder_output_;      // hidden -> 1
 };

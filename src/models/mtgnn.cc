@@ -7,7 +7,7 @@ Mtgnn::Mtgnn(const ModelContext& context, int64_t num_blocks)
       // MTGNN's defining feature is its graph-learning layer; it always
       // learns the adjacency from data, even when a predefined one exists.
       adaptive_(std::make_shared<graph::AdaptiveAdjacency>(
-          context.num_nodes, /*embedding_dim=*/8, &rng_)),
+          context.num_nodes, graph::kAdaptiveEmbeddingDim, &rng_)),
       embedding_(context.in_features, context.hidden_dim, &rng_),
       head_(context.hidden_dim, context.output_length, &rng_) {
   AUTOCTS_CHECK_GE(num_blocks, 1);
@@ -15,7 +15,7 @@ Mtgnn::Mtgnn(const ModelContext& context, int64_t num_blocks)
   learned.adjacency = Tensor();  // Force the learned graph in all blocks.
   for (int64_t b = 0; b < num_blocks; ++b) {
     const int64_t dilation = b + 1;
-    blocks_.push_back(std::make_unique<MtgnnBlock>(
+    blocks_.push_back(std::make_unique<ops::MtgnnBlock>(
         MakeOpContext(learned, adaptive_, &rng_, dilation)));
     RegisterModule("block" + std::to_string(b), blocks_.back().get());
   }

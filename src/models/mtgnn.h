@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "models/forecasting_model.h"
-#include "models/st_blocks.h"
+#include "ops/st_blocks.h"
 
 namespace autocts::models {
 
@@ -22,7 +22,7 @@ class Mtgnn : public ForecastingModel {
   Rng rng_;
   std::shared_ptr<graph::AdaptiveAdjacency> adaptive_;
   nn::Linear embedding_;
-  std::vector<std::unique_ptr<MtgnnBlock>> blocks_;
+  std::vector<std::unique_ptr<ops::MtgnnBlock>> blocks_;
   OutputHead head_;
 };
 

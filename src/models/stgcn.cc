@@ -1,20 +1,11 @@
 #include "models/stgcn.h"
 
 namespace autocts::models {
-namespace {
-
-std::shared_ptr<graph::AdaptiveAdjacency> MaybeAdaptive(
-    const ModelContext& context, Rng* rng) {
-  if (context.adjacency.defined()) return nullptr;
-  return std::make_shared<graph::AdaptiveAdjacency>(context.num_nodes,
-                                                    /*embedding_dim=*/8, rng);
-}
-
-}  // namespace
 
 Stgcn::Stgcn(const ModelContext& context)
     : rng_(context.seed),
-      adaptive_(MaybeAdaptive(context, &rng_)),
+      adaptive_(graph::AdaptiveUnlessPredefined(context.adjacency,
+                                                context.num_nodes, &rng_)),
       embedding_(context.in_features, context.hidden_dim, &rng_),
       block1_(MakeOpContext(context, adaptive_, &rng_)),
       block2_(MakeOpContext(context, adaptive_, &rng_)),

@@ -5,7 +5,7 @@
 #define AUTOCTS_MODELS_STGCN_H_
 
 #include "models/forecasting_model.h"
-#include "models/st_blocks.h"
+#include "ops/st_blocks.h"
 
 namespace autocts::models {
 
@@ -20,8 +20,8 @@ class Stgcn : public ForecastingModel {
   Rng rng_;
   std::shared_ptr<graph::AdaptiveAdjacency> adaptive_;
   nn::Linear embedding_;
-  StgcnBlock block1_;
-  StgcnBlock block2_;
+  ops::StgcnBlock block1_;
+  ops::StgcnBlock block2_;
   OutputHead head_;
 };
 

@@ -42,6 +42,19 @@ void RegisterTrainMetrics(obs::MetricsRegistry* registry) {
 
 }  // namespace
 
+ModelContext MakeModelContext(const PreparedData& data, int64_t hidden_dim,
+                              uint64_t seed) {
+  ModelContext context;
+  context.num_nodes = data.num_nodes;
+  context.in_features = data.in_features;
+  context.input_length = data.window.input_length;
+  context.output_length = data.window.output_length;
+  context.hidden_dim = hidden_dim;
+  context.adjacency = data.adjacency;
+  context.seed = seed;
+  return context;
+}
+
 PreparedData PrepareData(const data::CtsDataset& dataset,
                          const data::WindowSpec& window,
                          double train_fraction, double validation_fraction) {
@@ -91,7 +104,7 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
 
   optim::Adam optimizer(model->Parameters(),
                         {.learning_rate = config.learning_rate,
-                         .weight_decay = config.weight_decay});
+                         .weight_decay = kTrainWeightDecay});
   Rng rng(config.seed);
   numerics::HealthMonitor monitor(config.health);
   numerics::RecoveryPolicy recovery(config.recovery);
@@ -157,7 +170,7 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
         // A false return means a non-finite norm (gradients untouched),
         // which ObserveGradientNorm flags from the norm value itself.
         double pre_clip_norm = 0.0;
-        optim::ClipGradNormChecked(parameters, config.clip_norm,
+        optim::ClipGradNormChecked(parameters, kTrainClipNorm,
                                    &pre_clip_norm);
         batch_grad_norm = pre_clip_norm;
         anomaly = monitor.ObserveGradientNorm(pre_clip_norm);
@@ -254,9 +267,7 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
         } else if (validation_loss < best_validation_loss - 1e-9) {
           best_validation_loss = validation_loss;
           epochs_without_improvement = 0;
-          if (config.restore_best_weights) {
-            best_weights = std::make_unique<nn::ParameterSnapshot>(*model);
-          }
+          best_weights = std::make_unique<nn::ParameterSnapshot>(*model);
         } else if (++epochs_without_improvement >=
                    config.early_stop_patience) {
           if (config.verbose) {

@@ -39,6 +39,12 @@ struct PreparedData {
   const data::WindowDataset& test() const { return splits[2]; }
 };
 
+// The construction context of a model sized to `data`: its node count,
+// features, window and predefined graph (undefined when it must be
+// learned), with the given hidden width and seed.
+ModelContext MakeModelContext(const PreparedData& data, int64_t hidden_dim,
+                              uint64_t seed);
+
 // Normalizes a dataset (z-score fitted on the training portion; zero
 // readings are excluded from the fit and pass through unscaled only when
 // the dataset marks them as missing via zero_is_missing) and slices it
@@ -48,24 +54,25 @@ PreparedData PrepareData(const data::CtsDataset& dataset,
                          const data::WindowSpec& window,
                          double train_fraction, double validation_fraction);
 
+// Adam weight decay and gradient-clipping norm of every training run
+// (Section 4.1.4).
+inline constexpr double kTrainWeightDecay = 1e-4;
+inline constexpr double kTrainClipNorm = 5.0;
+
 struct TrainConfig {
   int64_t epochs = 8;
   int64_t batch_size = 16;
   double learning_rate = 1e-3;
-  double weight_decay = 1e-4;
-  double clip_norm = 5.0;
   uint64_t seed = 7;
   bool verbose = false;
   // Cap on batches per epoch (0 = no cap); used to keep bench runtimes
   // bounded at the paper's relative scales.
   int64_t max_batches_per_epoch = 0;
   // Early stopping: stop when the validation L1 loss has not improved for
-  // this many consecutive epochs (0 disables). The standard protocol of
-  // the baselines' reference implementations.
+  // this many consecutive epochs (0 disables), then evaluate the
+  // best-validation weights instead of the last ones. The standard
+  // protocol of the baselines' reference implementations.
   int64_t early_stop_patience = 0;
-  // With early stopping enabled, evaluate the best-validation weights
-  // instead of the last ones.
-  bool restore_best_weights = true;
 
   // Numerical-health guard layer (common/numerics.h): every batch the loss
   // value, the pre-clip gradient norm, and the post-step parameters are

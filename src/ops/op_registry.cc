@@ -4,6 +4,7 @@
 #include "ops/gcn_ops.h"
 #include "ops/rnn_ops.h"
 #include "ops/simple_ops.h"
+#include "ops/st_blocks.h"
 #include "ops/temporal_conv_ops.h"
 
 namespace autocts::ops {
@@ -50,6 +51,19 @@ OpRegistry::OpRegistry() {
   });
   Register("inf_s", [](const OpContext& context) -> StOperatorPtr {
     return std::make_unique<InformerSOp>(context);
+  });
+  // The human-designed ST-blocks of the "macro only" ablation.
+  Register("stgcn_block", [](const OpContext& context) -> StOperatorPtr {
+    return std::make_unique<StgcnBlock>(context);
+  });
+  Register("gwn_block", [](const OpContext& context) -> StOperatorPtr {
+    return std::make_unique<GwnBlock>(context);
+  });
+  Register("dcgru_block", [](const OpContext& context) -> StOperatorPtr {
+    return std::make_unique<DcgruBlock>(context);
+  });
+  Register("mtgnn_block", [](const OpContext& context) -> StOperatorPtr {
+    return std::make_unique<MtgnnBlock>(context);
   });
 }
 

@@ -1,10 +1,10 @@
-#include "models/st_blocks.h"
+#include "ops/st_blocks.h"
 
 #include "nn/activations.h"
 
-namespace autocts::models {
+namespace autocts::ops {
 
-StgcnBlock::StgcnBlock(const ops::OpContext& context)
+StgcnBlock::StgcnBlock(const OpContext& context)
     : temporal_in_(context.channels, 2 * context.channels,
                    context.kernel_size, context.dilation, /*causal=*/true,
                    context.rng),
@@ -23,7 +23,7 @@ Variable StgcnBlock::Forward(const Variable& x) {
   return nn::Glu(temporal_out_.Forward(s));
 }
 
-GwnBlock::GwnBlock(const ops::OpContext& context)
+GwnBlock::GwnBlock(const OpContext& context)
     : temporal_(context), spatial_(context) {
   RegisterModule("temporal", &temporal_);
   RegisterModule("spatial", &spatial_);
@@ -33,7 +33,7 @@ Variable GwnBlock::Forward(const Variable& x) {
   return ag::Add(spatial_.Forward(temporal_.Forward(x)), x);
 }
 
-DcgruCell::DcgruCell(int64_t input_dim, const ops::OpContext& context)
+DcgruCell::DcgruCell(int64_t input_dim, const OpContext& context)
     : hidden_dim_(context.channels),
       zr_gates_(input_dim + context.channels, 2 * context.channels,
                 context.max_diffusion_step, context.adjacency,
@@ -56,7 +56,7 @@ Variable DcgruCell::Forward(const Variable& x, const Variable& h) const {
                  ag::Mul(ag::AddScalar(ag::Neg(z), 1.0), cand));
 }
 
-DcgruBlock::DcgruBlock(const ops::OpContext& context)
+DcgruBlock::DcgruBlock(const OpContext& context)
     : cell_(context.channels, context) {
   RegisterModule("cell", &cell_);
 }
@@ -80,7 +80,7 @@ Variable DcgruBlock::Forward(const Variable& x) {
   return ag::Concat(outputs, /*axis=*/1);
 }
 
-MtgnnBlock::MtgnnBlock(const ops::OpContext& context)
+MtgnnBlock::MtgnnBlock(const OpContext& context)
     : filter_k2_(context.channels, context.channels / 2, /*kernel_size=*/2,
                  context.dilation, /*causal=*/true, context.rng),
       filter_k3_(context.channels, context.channels - context.channels / 2,
@@ -109,18 +109,4 @@ Variable MtgnnBlock::Forward(const Variable& x) {
   return ag::Add(mix_hop_.Forward(temporal), x);
 }
 
-std::unique_ptr<StBlock> CreateStBlock(const std::string& kind,
-                                       const ops::OpContext& context) {
-  if (kind == "stgcn_block") return std::make_unique<StgcnBlock>(context);
-  if (kind == "gwn_block") return std::make_unique<GwnBlock>(context);
-  if (kind == "dcgru_block") return std::make_unique<DcgruBlock>(context);
-  if (kind == "mtgnn_block") return std::make_unique<MtgnnBlock>(context);
-  AUTOCTS_CHECK(false) << "unknown ST-block kind: " << kind;
-  return nullptr;
-}
-
-std::vector<std::string> HumanDesignedBlockKinds() {
-  return {"stgcn_block", "gwn_block", "dcgru_block", "mtgnn_block"};
-}
-
-}  // namespace autocts::models
+}  // namespace autocts::ops

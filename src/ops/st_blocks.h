@@ -1,14 +1,15 @@
-// Human-designed ST-blocks from the literature, as reusable
-// [B, T, N, D] -> [B, T, N, D] modules.
+// Human-designed ST-blocks from the literature, registered as S/T operators
+// under their block names ("stgcn_block", "gwn_block", "dcgru_block",
+// "mtgnn_block").
 //
 // These serve two purposes in the reproduction:
 //  1. the building blocks of the baseline models (STGCN, DCRNN,
 //     Graph WaveNet, MTGNN), and
-//  2. the atomic search units of the "macro only" ablation variant
-//     (Section 4.2.3), which searches a topology over exactly these four
-//     blocks.
-#ifndef AUTOCTS_MODELS_ST_BLOCKS_H_
-#define AUTOCTS_MODELS_ST_BLOCKS_H_
+//  2. the operator set of the "macro only" ablation variant
+//     (Section 4.2.3, core::HumanDesignedBlockSet()), which searches a
+//     topology over exactly these four blocks.
+#ifndef AUTOCTS_OPS_ST_BLOCKS_H_
+#define AUTOCTS_OPS_ST_BLOCKS_H_
 
 #include <string>
 
@@ -18,41 +19,33 @@
 #include "ops/st_operator.h"
 #include "ops/temporal_conv_ops.h"
 
-namespace autocts::models {
-
-// Common interface; same contract as ops::StOperator.
-class StBlock : public nn::Module {
- public:
-  virtual ~StBlock() = default;
-  virtual Variable Forward(const Variable& x) = 0;
-  virtual std::string name() const = 0;
-};
+namespace autocts::ops {
 
 // STGCN's "sandwich": gated temporal conv - Chebyshev GCN - gated temporal
 // conv (Figure 3 of the paper).
-class StgcnBlock : public StBlock {
+class StgcnBlock : public StOperator {
  public:
-  explicit StgcnBlock(const ops::OpContext& context);
+  explicit StgcnBlock(const OpContext& context);
   Variable Forward(const Variable& x) override;
   std::string name() const override { return "stgcn_block"; }
 
  private:
   nn::TemporalConv1d temporal_in_;   // D -> 2D, followed by GLU
-  ops::ChebGcnOp spatial_;
+  ChebGcnOp spatial_;
   nn::TemporalConv1d temporal_out_;  // D -> 2D, followed by GLU
 };
 
 // Graph WaveNet's block: GDCC then diffusion GCN with a residual
 // connection.
-class GwnBlock : public StBlock {
+class GwnBlock : public StOperator {
  public:
-  explicit GwnBlock(const ops::OpContext& context);
+  explicit GwnBlock(const OpContext& context);
   Variable Forward(const Variable& x) override;
   std::string name() const override { return "gwn_block"; }
 
  private:
-  ops::GdccOp temporal_;
-  ops::DgcnOp spatial_;
+  GdccOp temporal_;
+  DgcnOp spatial_;
 };
 
 // One DCGRU step (Li et al., 2018): a GRU cell whose gates are diffusion
@@ -60,7 +53,7 @@ class GwnBlock : public StBlock {
 class DcgruCell : public nn::Module {
  public:
   // `context.channels` is the hidden width; `input_dim` the input width.
-  DcgruCell(int64_t input_dim, const ops::OpContext& context);
+  DcgruCell(int64_t input_dim, const OpContext& context);
 
   // x: [B, N, input_dim], h: [B, N, hidden] -> new h.
   Variable Forward(const Variable& x, const Variable& h) const;
@@ -69,14 +62,14 @@ class DcgruCell : public nn::Module {
 
  private:
   int64_t hidden_dim_;
-  ops::GraphDiffusionConv zr_gates_;   // [x, h] -> 2D
-  ops::GraphDiffusionConv candidate_;  // [x, r*h] -> D
+  GraphDiffusionConv zr_gates_;   // [x, h] -> 2D
+  GraphDiffusionConv candidate_;  // [x, r*h] -> D
 };
 
 // DCRNN's DCGRU unrolled along time.
-class DcgruBlock : public StBlock {
+class DcgruBlock : public StOperator {
  public:
-  explicit DcgruBlock(const ops::OpContext& context);
+  explicit DcgruBlock(const OpContext& context);
   Variable Forward(const Variable& x) override;
   std::string name() const override { return "dcgru_block"; }
 
@@ -87,9 +80,9 @@ class DcgruBlock : public StBlock {
 // MTGNN-style block: dilated-inception temporal convolution (kernels 2 and
 // 3) with a GLU-style gate, followed by a mix-hop diffusion GCN, with a
 // residual connection.
-class MtgnnBlock : public StBlock {
+class MtgnnBlock : public StOperator {
  public:
-  explicit MtgnnBlock(const ops::OpContext& context);
+  explicit MtgnnBlock(const OpContext& context);
   Variable Forward(const Variable& x) override;
   std::string name() const override { return "mtgnn_block"; }
 
@@ -98,17 +91,9 @@ class MtgnnBlock : public StBlock {
   nn::TemporalConv1d filter_k3_;  // D -> D - D/2
   nn::TemporalConv1d gate_k2_;
   nn::TemporalConv1d gate_k3_;
-  ops::GraphDiffusionConv mix_hop_;
+  GraphDiffusionConv mix_hop_;
 };
 
-// Factory for the macro-only search space; `kind` is one of
-// "stgcn_block", "gwn_block", "dcgru_block", "mtgnn_block".
-std::unique_ptr<StBlock> CreateStBlock(const std::string& kind,
-                                       const ops::OpContext& context);
+}  // namespace autocts::ops
 
-// The four block kinds above, in canonical order.
-std::vector<std::string> HumanDesignedBlockKinds();
-
-}  // namespace autocts::models
-
-#endif  // AUTOCTS_MODELS_ST_BLOCKS_H_
+#endif  // AUTOCTS_OPS_ST_BLOCKS_H_

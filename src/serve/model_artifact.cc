@@ -83,7 +83,7 @@ Status CheckGeometry(const ModelArtifact& artifact,
   if (!status.ok()) return status;
   if (!artifact.adjacency.defined()) {
     return expect("adaptive.source_embedding",
-                  {meta.num_nodes, core::kAdaptiveEmbeddingDim});
+                  {meta.num_nodes, graph::kAdaptiveEmbeddingDim});
   }
   if (artifact.adjacency.shape() != Shape{meta.num_nodes, meta.num_nodes}) {
     return Status::InvalidArgument(

@@ -29,6 +29,7 @@
 #include "core/searcher.h"
 #include "data/synthetic/generators.h"
 #include "models/trainer.h"
+#include "testing/fixtures.h"
 
 namespace autocts {
 namespace {
@@ -244,26 +245,6 @@ TEST(SearchCancellation, UninterruptedRunUnchangedByWiring) {
 // Eval-scheduler integration.
 // ---------------------------------------------------------------------------
 
-Genotype MakeCandidate(int64_t variant) {
-  const std::vector<std::string> ops = {"identity", "gdcc", "inf_s", "dgcn",
-                                        "inf_t"};
-  const auto op = [&](int64_t i) {
-    return ops[(variant + i) % static_cast<int64_t>(ops.size())];
-  };
-  Genotype genotype;
-  genotype.nodes_per_block = 3;
-  for (int64_t b = 0; b < 2; ++b) {
-    core::BlockGenotype block;
-    block.edges.push_back({0, 1, op(b)});
-    block.edges.push_back({1, 2, op(b + 1)});
-    block.edges.push_back({0, 2, op(b + 2)});
-    genotype.blocks.push_back(block);
-  }
-  genotype.block_inputs = {0, 1};
-  AUTOCTS_CHECK(genotype.Validate().ok());
-  return genotype;
-}
-
 EvalSchedulerOptions TinyEvalOptions() {
   EvalSchedulerOptions options;
   options.workers = 2;
@@ -278,8 +259,7 @@ EvalSchedulerOptions TinyEvalOptions() {
 
 TEST(EvalCancellation, BudgetedCandidateFailsAloneBitIdentically) {
   const PreparedData data = TinyData();
-  const std::vector<Genotype> candidates = {MakeCandidate(0), MakeCandidate(1),
-                                            MakeCandidate(2)};
+  const std::vector<Genotype> candidates = fixtures::MakeCandidateGenotypes(3);
   // Reference: all three trained cleanly.
   StatusOr<core::EvalBatchResult> clean =
       EvalScheduler(TinyEvalOptions()).Evaluate(candidates, data);
@@ -314,8 +294,7 @@ TEST(EvalCancellation, DeadlineExceededCodeSurvivesCheckpointResume) {
   const PreparedData data = TinyData();
   const std::string path = TempPath("eval_deadline_resume.bin");
   RemoveGenerations(path);
-  const std::vector<Genotype> candidates = {MakeCandidate(0),
-                                            MakeCandidate(1)};
+  const std::vector<Genotype> candidates = fixtures::MakeCandidateGenotypes(2);
 
   EvalSchedulerOptions options = TinyEvalOptions();
   options.checkpoint_path = path;
@@ -354,8 +333,8 @@ TEST(EvalCancellation, WallBudgetStopsRunawayCandidate) {
   options.train.max_batches_per_epoch = 4;
   options.candidate_wall_budget_seconds = 0.05;
   Stopwatch watch;
-  StatusOr<core::EvalBatchResult> result =
-      EvalScheduler(options).Evaluate({MakeCandidate(0)}, data);
+  StatusOr<core::EvalBatchResult> result = EvalScheduler(options).Evaluate(
+      fixtures::MakeCandidateGenotypes(1), data);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().candidates[0].status.code(),
             StatusCode::kDeadlineExceeded);
@@ -370,7 +349,7 @@ TEST(EvalCancellation, ExternalCancelStopsSchedulingAndReturnsCancelled) {
   EvalSchedulerOptions options = TinyEvalOptions();
   options.cancel = &token;
   StatusOr<core::EvalBatchResult> result = EvalScheduler(options).Evaluate(
-      {MakeCandidate(0), MakeCandidate(1)}, data);
+      fixtures::MakeCandidateGenotypes(2), data);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
@@ -379,8 +358,7 @@ TEST(EvalCancellation, MidBatchCancelPersistsFinishedCandidates) {
   const PreparedData data = TinyData();
   const std::string path = TempPath("eval_cancel_resume.bin");
   RemoveGenerations(path);
-  const std::vector<Genotype> candidates = {MakeCandidate(0), MakeCandidate(1),
-                                            MakeCandidate(2)};
+  const std::vector<Genotype> candidates = fixtures::MakeCandidateGenotypes(3);
 
   CancellationToken token;
   EvalSchedulerOptions options = TinyEvalOptions();

@@ -69,8 +69,9 @@ SearchOptions TinyOptions() {
 constexpr int64_t kCheckpointEvery = 2;
 constexpr int64_t kNumBoundaries = 4;
 
-SearchOptions CheckpointedOptions(const std::string& path) {
-  SearchOptions options = TinyOptions();
+SearchOptions CheckpointedOptions(const std::string& path,
+                                  const SearchOptions& base = TinyOptions()) {
+  SearchOptions options = base;
   options.checkpoint_path = path;
   options.checkpoint_every_n_batches = kCheckpointEvery;
   return options;
@@ -260,8 +261,19 @@ TEST(SearcherCheckpoint, CheckpointingDoesNotPerturbTheSearch) {
   RemoveGenerations(path);
 }
 
-TEST(SearcherCheckpoint, KillAtEveryBoundaryThenResumeIsBitIdentical) {
+// The search spaces the kill/resume contract is checked on: the joint
+// space and the "macro only" space over the four human-designed blocks.
+SearchOptions SpaceOptions(const std::string& space) {
+  return space == "macro_only" ? core::MacroOnlyOptions(TinyOptions())
+                               : TinyOptions();
+}
+
+class KillResumeTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(KillResumeTest, KillAtEveryBoundaryThenResumeIsBitIdentical) {
   const PreparedData data = TinyData();
+  const SearchOptions space = SpaceOptions(GetParam());
+  const std::string tag = GetParam() + "_t";
   std::string genotype_across_threads;
   for (const int threads : {1, 4}) {
     SetNumThreads(threads);
@@ -270,10 +282,10 @@ TEST(SearcherCheckpoint, KillAtEveryBoundaryThenResumeIsBitIdentical) {
     // Uninterrupted reference run (with checkpointing on, so its final
     // checkpoint file provides the reference alpha/beta/gamma bits).
     const std::string base_path =
-        TempPath("baseline_t" + std::to_string(threads));
+        TempPath("baseline_" + tag + std::to_string(threads));
     RemoveGenerations(base_path);
     int64_t boundaries_seen = 0;
-    SearchOptions base_options = CheckpointedOptions(base_path);
+    SearchOptions base_options = CheckpointedOptions(base_path, space);
     base_options.post_checkpoint_hook = [&](int64_t ordinal,
                                             const std::string&) {
       boundaries_seen = ordinal + 1;
@@ -282,7 +294,7 @@ TEST(SearcherCheckpoint, KillAtEveryBoundaryThenResumeIsBitIdentical) {
     ASSERT_EQ(boundaries_seen, kNumBoundaries);
     StatusOr<SearchCheckpoint> base_final = LoadSearchCheckpoint(base_path);
     ASSERT_TRUE(base_final.ok()) << base_final.status().ToString();
-    EXPECT_EQ(base_final.value().epoch, TinyOptions().epochs);
+    EXPECT_EQ(base_final.value().epoch, space.epochs);
     EXPECT_EQ(base_final.value().step, 0);
 
     // The searched architecture itself must not depend on the thread count.
@@ -295,11 +307,11 @@ TEST(SearcherCheckpoint, KillAtEveryBoundaryThenResumeIsBitIdentical) {
     // Kill after each boundary in turn, resume, compare everything.
     for (int64_t kill = 0; kill < kNumBoundaries; ++kill) {
       SCOPED_TRACE("kill after checkpoint #" + std::to_string(kill));
-      const std::string path = TempPath("kill" + std::to_string(kill) + "_t" +
-                                        std::to_string(threads));
+      const std::string path = TempPath("kill" + std::to_string(kill) + "_" +
+                                        tag + std::to_string(threads));
       RemoveGenerations(path);
 
-      SearchOptions killed_options = CheckpointedOptions(path);
+      SearchOptions killed_options = CheckpointedOptions(path, space);
       killed_options.post_checkpoint_hook = [&](int64_t ordinal,
                                                 const std::string&) {
         if (ordinal == kill) throw KillSignal{};
@@ -312,7 +324,7 @@ TEST(SearcherCheckpoint, KillAtEveryBoundaryThenResumeIsBitIdentical) {
       }
       ASSERT_TRUE(killed);
 
-      SearchOptions resume_options = CheckpointedOptions(path);
+      SearchOptions resume_options = CheckpointedOptions(path, space);
       resume_options.resume = true;
       const SearchResult resumed =
           JointSearcher(resume_options).Search(data);
@@ -333,6 +345,10 @@ TEST(SearcherCheckpoint, KillAtEveryBoundaryThenResumeIsBitIdentical) {
   }
   SetNumThreads(1);
 }
+
+INSTANTIATE_TEST_SUITE_P(SearcherCheckpoint, KillResumeTest,
+                         ::testing::Values("joint", "macro_only"),
+                         [](const auto& info) { return info.param; });
 
 TEST(SearcherCheckpoint, PrevFallbackRecoversWhenNewestGenerationIsCorrupt) {
   const PreparedData data = TinyData();

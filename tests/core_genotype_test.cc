@@ -134,6 +134,38 @@ TEST(Genotype, ValidateRejectsMalformed) {
   EXPECT_FALSE(g.Validate().ok());
 }
 
+// A derived model would abort on each of these, in its constructor or its
+// forward, so a genotype file, candidate set or artifact holding one must
+// be refused with a Status.
+void ExpectRefused(const Genotype& g, const std::string& reason) {
+  const Status status = g.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find(reason), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(Genotype::FromText(g.ToText()).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(Genotype, ValidateRejectsUnknownOperator) {
+  Genotype g = ExampleGenotype();
+  g.blocks[1].edges[2].op = "bogus_op";
+  ExpectRefused(g, "unknown operator: bogus_op");
+}
+
+TEST(Genotype, ValidateRejectsNodeWithoutIncomingEdge) {
+  Genotype g = ExampleGenotype();
+  // Three edges for three nodes, but none of them feeds node 2.
+  g.blocks[0].edges = {{0, 1, "gdcc"}, {1, 3, "dgcn"}, {0, 3, "inf_t"}};
+  ExpectRefused(g, "node 2 has no incoming edge");
+}
+
+TEST(Genotype, ValidateRejectsMoreNodesThanEdgesCanFeed) {
+  // Checked against the edge count before anything is sized by M.
+  Genotype g = ExampleGenotype();
+  g.nodes_per_block = 100000000;
+  ExpectRefused(g, "fewer edges than");
+}
+
 TEST(Genotype, TextRoundTripPreservesEverything) {
   const Genotype original = ExampleGenotype();
   const std::string text = original.ToText();

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/buffer_pool.h"
+#include "common/text_codec.h"
 #include "core/evaluator.h"
-#include "core/macro_only.h"
 #include "core/searcher.h"
 #include "data/synthetic/generators.h"
 #include "models/trainer.h"
@@ -181,31 +183,82 @@ TEST(Evaluator, GenotypeTransfersAcrossDatasets) {
 
 TEST(MacroOnly, SearchesKindsAndTopology) {
   const PreparedData data = TinyData();
-  SearchOptions options = TinyOptions();
+  SearchOptions options = core::MacroOnlyOptions(TinyOptions());
   options.epochs = 1;
   options.max_batches_per_epoch = 2;
-  const core::MacroOnlyResult result = core::SearchMacroOnly(data, options);
-  ASSERT_EQ(result.genotype.block_kinds.size(), 2u);
-  const auto kinds = models::HumanDesignedBlockKinds();
-  for (const std::string& kind : result.genotype.block_kinds) {
-    EXPECT_NE(std::find(kinds.begin(), kinds.end(), kind), kinds.end());
-  }
-  for (size_t b = 0; b < result.genotype.block_inputs.size(); ++b) {
-    EXPECT_GE(result.genotype.block_inputs[b], 0);
-    EXPECT_LE(result.genotype.block_inputs[b], static_cast<int64_t>(b));
+  const SearchResult result = JointSearcher(options).Search(data);
+  ASSERT_EQ(result.genotype.num_blocks(), 2);
+  EXPECT_EQ(result.genotype.nodes_per_block, 2);
+  ASSERT_TRUE(result.genotype.Validate().ok());
+  // One block per slot: a single edge 0 -> 1 naming one of the four.
+  const std::vector<std::string> blocks =
+      core::HumanDesignedBlockSet().op_names;
+  for (const core::BlockGenotype& block : result.genotype.blocks) {
+    ASSERT_EQ(block.edges.size(), 1u);
+    EXPECT_EQ(block.edges[0].from, 0);
+    EXPECT_EQ(block.edges[0].to, 1);
+    EXPECT_NE(std::find(blocks.begin(), blocks.end(), block.edges[0].op),
+              blocks.end())
+        << block.edges[0].op;
   }
   EXPECT_GT(result.search_seconds, 0.0);
 
-  // The discrete model trains.
-  std::unique_ptr<models::ForecastingModel> model =
-      core::BuildMacroOnlyModel(result.genotype, data, 8, 3);
+  // The derived model trains.
   models::TrainConfig train_config;
   train_config.epochs = 1;
   train_config.batch_size = 8;
   train_config.max_batches_per_epoch = 3;
   const models::EvalResult eval =
-      models::TrainAndEvaluate(model.get(), data, train_config);
+      core::EvaluateGenotype(result.genotype, data, 8, train_config);
   EXPECT_GT(eval.average.mae, 0.0);
+}
+
+// 4 nodes, 400 steps and no predefined graph, so the blocks run on a
+// learned one.
+PreparedData TinySolarData() {
+  data::SolarConfig config;
+  config.num_nodes = 4;
+  config.num_steps = 400;
+  config.seed = 5;
+  data::WindowSpec window;
+  window.input_length = 6;
+  window.output_length = 3;
+  return models::PrepareData(data::GenerateSolar(config), window, 0.7, 0.1);
+}
+
+// The four blocks wired {0, 1, 0, 2}, evaluated as a derived model on a
+// predefined graph and on a learned one. The hex images were captured
+// from the discrete model of the separate macro-only loop this searcher
+// replaced; running the blocks unwrapped keeps its initialization,
+// parameter order and forward, so the evaluation matches bit for bit.
+TEST(MacroOnly, DerivedModelEvaluationIsPinned) {
+  core::Genotype genotype;
+  genotype.nodes_per_block = 2;
+  for (const char* block :
+       {"stgcn_block", "gwn_block", "dcgru_block", "mtgnn_block"}) {
+    genotype.blocks.push_back({{{0, 1, block}}});
+  }
+  genotype.block_inputs = {0, 1, 0, 2};
+  models::TrainConfig config;
+  config.epochs = 2;
+  config.batch_size = 8;
+  config.max_batches_per_epoch = 3;
+  config.seed = 11;
+  struct Case {
+    PreparedData data;
+    const char* mae;
+    const char* final_train_loss;
+  };
+  const Case cases[] = {
+      {TinyData(31), "0x1.b9d49535358f3p+0", "0x1.14386a3f5a9abp-2"},
+      {TinySolarData(), "0x1.36819d6576e2cp+1", "0x1.905fb07bdacb8p-4"},
+  };
+  for (const Case& c : cases) {
+    const models::EvalResult eval =
+        core::EvaluateGenotype(genotype, c.data, 8, config);
+    EXPECT_EQ(FormatExactDouble(eval.average.mae), c.mae);
+    EXPECT_EQ(FormatExactDouble(eval.final_train_loss), c.final_train_loss);
+  }
 }
 
 }  // namespace

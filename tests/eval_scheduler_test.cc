@@ -14,6 +14,7 @@
 //     across worker counts.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
@@ -414,6 +415,24 @@ TEST(EvalSchedulerTest, MismatchedFingerprintStartsFresh) {
   EXPECT_EQ(reseeded.value().resumed, 0);
   EXPECT_EQ(reseeded.value().evaluated, 2);
   RemoveGenerations(path);
+}
+
+TEST(EvalSchedulerTest, UnknownOperatorIsRefusedBeforeAnyWorkerStarts) {
+  const PreparedData data = TinyData();
+  std::vector<Genotype> candidates = MakeCandidates(2);
+  candidates[1].blocks[0].edges[0].op = "bogus_op";
+  EvalSchedulerOptions options = TinyOptions();
+  options.workers = 2;
+  std::atomic<int64_t> started{0};
+  options.candidate_setup_hook = [&](int64_t, models::TrainConfig*) {
+    ++started;
+  };
+  const StatusOr<EvalBatchResult> result =
+      EvalScheduler(options).Evaluate(candidates, data);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("candidate 1"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_EQ(started.load(), 0);
 }
 
 // --------------------------------------------------------------------------

@@ -29,6 +29,7 @@
 #include "core/searcher.h"
 #include "data/synthetic/generators.h"
 #include "models/trainer.h"
+#include "testing/fixtures.h"
 
 namespace autocts {
 namespace {
@@ -420,26 +421,6 @@ TEST(CheckpointFaults, PrevGenerationFallbackAfterCorruption) {
   RemoveGenerations(path);
 }
 
-Genotype MakeCandidate(int64_t variant) {
-  const std::vector<std::string> ops = {"identity", "gdcc", "inf_s", "dgcn",
-                                        "inf_t"};
-  const auto op = [&](int64_t i) {
-    return ops[(variant + i) % static_cast<int64_t>(ops.size())];
-  };
-  Genotype genotype;
-  genotype.nodes_per_block = 3;
-  for (int64_t b = 0; b < 2; ++b) {
-    core::BlockGenotype block;
-    block.edges.push_back({0, 1, op(b)});
-    block.edges.push_back({1, 2, op(b + 1)});
-    block.edges.push_back({0, 2, op(b + 2)});
-    genotype.blocks.push_back(block);
-  }
-  genotype.block_inputs = {0, 1};
-  AUTOCTS_CHECK(genotype.Validate().ok());
-  return genotype;
-}
-
 EvalSchedulerOptions TinyEvalOptions() {
   EvalSchedulerOptions options;
   options.workers = 1;
@@ -463,8 +444,7 @@ TEST(CheckpointFaults, EvalCheckpointRetriesThenSucceeds) {
   obs::MetricsRegistry registry;
   options.metrics = &registry;
 
-  const std::vector<Genotype> candidates = {MakeCandidate(0),
-                                            MakeCandidate(1)};
+  const std::vector<Genotype> candidates = fixtures::MakeCandidateGenotypes(2);
   fault::ScopedFaultPlan scoped("write:ENOSPC@1");
   StatusOr<core::EvalBatchResult> result =
       EvalScheduler(options).Evaluate(candidates, data);
@@ -487,8 +467,7 @@ TEST(CheckpointFaults, EvalDegradesWhenEveryWriteFails) {
   obs::MetricsRegistry registry;
   options.metrics = &registry;
 
-  const std::vector<Genotype> candidates = {MakeCandidate(0),
-                                            MakeCandidate(1)};
+  const std::vector<Genotype> candidates = fixtures::MakeCandidateGenotypes(2);
   fault::ScopedFaultPlan scoped("write:ENOSPC@1x1000");
   StatusOr<core::EvalBatchResult> result =
       EvalScheduler(options).Evaluate(candidates, data);
@@ -511,7 +490,7 @@ TEST(CheckpointFaults, EvalMetricsSinksRetryWithoutCheckpoint) {
 
   EvalSchedulerOptions options = TinyEvalOptions();
   options.metrics_path = base;
-  const std::vector<Genotype> candidates = {MakeCandidate(0)};
+  const std::vector<Genotype> candidates = fixtures::MakeCandidateGenotypes(1);
   fault::ScopedFaultPlan scoped("write:ENOSPC@1");
   StatusOr<core::EvalBatchResult> result =
       EvalScheduler(options).Evaluate(candidates, data);

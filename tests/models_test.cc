@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic/generators.h"
+#include "graph/adjacency.h"
 #include "models/model_zoo.h"
-#include "models/st_blocks.h"
 #include "models/trainer.h"
 #include "tensor/tensor_ops.h"
 
@@ -93,39 +93,6 @@ INSTANTIATE_TEST_SUITE_P(AllBaselines, BaselineTest,
 
 TEST(ModelZoo, UnknownNameDies) {
   EXPECT_DEATH(CreateBaseline("AlexNet", SmallContext()), "");
-}
-
-// ---------------------------------------------------------------------------
-// Human-designed ST-blocks (also the macro-only search units).
-// ---------------------------------------------------------------------------
-
-class StBlockTest : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(StBlockTest, PreservesShape) {
-  Rng rng(6);
-  ops::OpContext context;
-  context.channels = 8;
-  context.num_nodes = 5;
-  context.rng = &rng;
-  Rng graph_rng(3);
-  const Tensor positions = graph::RandomPositions(5, &graph_rng);
-  context.adjacency = graph::DistanceGaussianAdjacency(positions, 0.5, 0.1);
-  std::unique_ptr<models::StBlock> block =
-      models::CreateStBlock(GetParam(), context);
-  Variable x(Tensor::Rand({2, 6, 5, 8}, &rng, -1.0, 1.0), false);
-  EXPECT_EQ(block->Forward(x).shape(), x.shape());
-  EXPECT_GT(block->NumParameters(), 0);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllBlocks, StBlockTest,
-                         ::testing::ValuesIn(models::HumanDesignedBlockKinds()),
-                         [](const auto& info) { return info.param; });
-
-TEST(StBlocks, UnknownKindDies) {
-  Rng rng(7);
-  ops::OpContext context;
-  context.rng = &rng;
-  EXPECT_DEATH(models::CreateStBlock("resnet_block", context), "");
 }
 
 // ---------------------------------------------------------------------------

@@ -270,15 +270,7 @@ PreparedData TrainerData(uint64_t seed = 31) {
 }
 
 models::ForecastingModelPtr TrainerModel(const PreparedData& data) {
-  models::ModelContext context;
-  context.num_nodes = data.num_nodes;
-  context.in_features = data.in_features;
-  context.input_length = data.window.input_length;
-  context.output_length = data.window.output_length;
-  context.hidden_dim = 8;
-  context.seed = 11;
-  context.adjacency = data.adjacency;
-  return models::CreateBaseline("STGCN", context);
+  return models::CreateBaseline("STGCN", models::MakeModelContext(data, 8, 11));
 }
 
 models::TrainConfig TrainerConfig() {

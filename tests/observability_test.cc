@@ -545,7 +545,7 @@ TEST(Observability, SearchMetricsRecordExpectedRows) {
     if (columns[i] == core::kMetricTau) tau_column = i;
     if (columns[i] == core::kMetricAlphaEntropy) alpha_column = i;
   }
-  EXPECT_LT(last.values[tau_column], options.tau_init);
+  EXPECT_LT(last.values[tau_column], core::kTauInit);
   EXPECT_GT(last.values[alpha_column], 0.0);
 }
 
@@ -599,15 +599,8 @@ TEST(Observability, TrainerMetricsAndTraceAreBitTransparent) {
   config.early_stop_patience = 1;
 
   auto make_model = [&] {
-    models::ModelContext context;
-    context.num_nodes = data.num_nodes;
-    context.in_features = data.in_features;
-    context.input_length = data.window.input_length;
-    context.output_length = data.window.output_length;
-    context.hidden_dim = 8;
-    context.seed = 5;
-    context.adjacency = data.adjacency;
-    return models::CreateBaseline("STGCN", context);
+    return models::CreateBaseline("STGCN",
+                                  models::MakeModelContext(data, 8, 5));
   };
 
   auto plain_model = make_model();

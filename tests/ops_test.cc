@@ -101,6 +101,14 @@ TEST_P(OpContractTest, PreservesShapeWithLearnedGraph) {
   EXPECT_EQ(op->Forward(x).shape(), x.shape());
 }
 
+TEST_P(OpContractTest, HasParametersUnlessZeroOrIdentity) {
+  Rng rng(7);
+  ops::StOperatorPtr op = ops::CreateOp(GetParam(), MakeContext(&rng));
+  EXPECT_EQ(op->name(), GetParam());
+  const bool non_parametric = GetParam() == "zero" || GetParam() == "identity";
+  EXPECT_EQ(op->NumParameters() > 0, !non_parametric);
+}
+
 TEST_P(OpContractTest, GradientsFlowToAllParameters) {
   Rng rng(5);
   OpContext context = MakeContext(&rng);
@@ -130,7 +138,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllOperators, OpContractTest,
     ::testing::Values("zero", "identity", "conv1d", "gdcc", "lstm", "gru",
                       "trans_t", "inf_t", "cheb_gcn", "dgcn", "trans_s",
-                      "inf_s"),
+                      "inf_s", "stgcn_block", "gwn_block", "dcgru_block",
+                      "mtgnn_block"),
     [](const auto& info) { return info.param; });
 
 // ---------------------------------------------------------------------------

@@ -99,6 +99,13 @@ std::string ZeroParam(const std::string& name, const Shape& shape) {
 
 std::vector<SealedFormat> Formats() {
   const std::string huge = kHuge;
+  // A state dict that fits the golden geometry (2 features, hidden 4,
+  // Q = 2), so the artifact passes the geometry check and its model is
+  // built.
+  const Edit fitting_state = {
+      "\nstate = format = fake\nstate = param = tiny\n",
+      "\n" + ZeroParam("embedding.weight", {2, 4}) +
+          ZeroParam("head.fc2.weight", {8, 2})};
   return {
       {"search_checkpoint",
        [] {
@@ -148,14 +155,22 @@ std::vector<SealedFormat> Formats() {
            "\ngenotype = num_blocks = " + huge + "\n"}}},
         {"state_lines",
          {{"\nstate_lines = 2\n", "\nstate_lines = " + huge + "\n"}}},
-        // The state dict fits the golden geometry (2 features, hidden 4,
-        // Q = 2), so only the geometry check can refuse hidden_dim 2^20,
-        // which would size [2^20, 2^21] head weights.
+        // Only the geometry check can refuse hidden_dim 2^20, which would
+        // size [2^20, 2^21] head weights.
         {"hidden_dim beyond the state dict",
          {{"\nhidden_dim = 4\n", "\nhidden_dim = 1048576\n"},
-          {"\nstate = format = fake\nstate = param = tiny\n",
-           "\n" + ZeroParam("embedding.weight", {2, 4}) +
-               ZeroParam("head.fc2.weight", {8, 2})}}}},
+          fitting_state}},
+        // Genotype::Validate refuses both before a model is built: an
+        // operator the registry cannot create, and a node count the
+        // blocks' edges cannot feed (which a forward would size by).
+        {"unknown operator",
+         {{"\ngenotype = edge = 0 0 1 identity\n",
+           "\ngenotype = edge = 0 0 1 bogus_op\n"},
+          fitting_state}},
+        {"genotype nodes_per_block",
+         {{"\ngenotype = nodes_per_block = 3\n",
+           "\ngenotype = nodes_per_block = " + huge + "\n"},
+          fitting_state}}},
        LoadArtifactModel},
   };
 }

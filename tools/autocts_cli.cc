@@ -286,6 +286,58 @@ models::PreparedData PrepareFromArgs(const Args& args,
                              args.GetDouble("val-fraction", 0.1));
 }
 
+// The recovery flags of search and of the training commands.
+numerics::RecoveryOptions RecoveryFromArgs(const Args& args) {
+  numerics::RecoveryOptions recovery;
+  recovery.enabled = args.GetInt("recover", 0) != 0;
+  recovery.max_recoveries = args.GetInt("max-recoveries", 3);
+  recovery.lr_backoff = args.GetDouble("lr-backoff", 0.5);
+  return recovery;
+}
+
+// The training flags evaluate, evaluate-topk and export-artifact share.
+// evaluate-topk's scheduler replaces the logging and interruption fields
+// per candidate.
+models::TrainConfig TrainConfigFromArgs(const Args& args) {
+  models::TrainConfig config;
+  config.epochs = args.GetInt("epochs", 4);
+  config.batch_size = args.GetInt("batch", 32);
+  config.max_batches_per_epoch = args.GetInt("max-batches", 10);
+  config.early_stop_patience = args.GetInt("patience", 0);
+  config.recovery = RecoveryFromArgs(args);
+  config.verbose = true;
+  config.cancel = &ShutdownToken();
+  config.deadline = Deadline::AfterBudget(args.GetDouble("deadline", 0.0));
+  config.step_budget = args.GetInt("step-budget", 0);
+  return config;
+}
+
+// Loads a genotype text file (shared by evaluate and export-artifact).
+StatusOr<core::Genotype> LoadGenotypeFile(const std::string& path) {
+  std::ifstream stream(path);
+  if (!stream) return Status::NotFound("cannot open " + path);
+  const std::string text{std::istreambuf_iterator<char>(stream),
+                         std::istreambuf_iterator<char>()};
+  return core::Genotype::FromText(text);
+}
+
+// Printed by search and evaluate when the run recovered from an anomaly.
+void PrintRecovery(int64_t recoveries, int64_t skipped_steps,
+                   const std::string& last_anomaly) {
+  if (recoveries == 0 && skipped_steps == 0) return;
+  std::printf("numerical recovery: %lld rollbacks, %lld skipped steps "
+              "(last anomaly: %s)\n",
+              static_cast<long long>(recoveries),
+              static_cast<long long>(skipped_steps), last_anomaly.c_str());
+}
+
+void PrintTestMetrics(const models::EvalResult& result) {
+  std::printf(
+      "test: MAE %.4f  RMSE %.4f  MAPE %.2f%%  RRSE %.4f  CORR %.4f\n",
+      result.average.mae, result.average.rmse, result.average.mape * 100.0,
+      result.rrse, result.corr);
+}
+
 int ListOps() {
   for (const std::string& name : ops::OpRegistry::Global().Names()) {
     std::printf("%-10s cost=%.2f %s\n", name.c_str(),
@@ -355,9 +407,7 @@ int Search(const Args& args) {
   options.deadline = Deadline::AfterBudget(args.GetDouble("deadline", 0.0));
   options.step_budget = args.GetInt("step-budget", 0);
   options.io_retry = RetryPolicyFromArgs(args);
-  options.recovery.enabled = args.GetInt("recover", 0) != 0;
-  options.recovery.max_recoveries = args.GetInt("max-recoveries", 3);
-  options.recovery.lr_backoff = args.GetDouble("lr-backoff", 0.5);
+  options.recovery = RecoveryFromArgs(args);
   options.trace_path = args.Get("trace-out", "");
   options.metrics_path = args.Get("metrics-out", "");
   options.metrics_every_n_batches = args.GetInt("metrics-every", 0);
@@ -374,13 +424,8 @@ int Search(const Args& args) {
   std::printf("search took %.1fs; relative architecture cost %.2f\n",
               result.search_seconds,
               core::GenotypeCost(result.genotype));
-  if (result.recoveries > 0 || result.skipped_steps > 0) {
-    std::printf("numerical recovery: %lld rollbacks, %lld skipped steps "
-                "(last anomaly: %s)\n",
-                static_cast<long long>(result.recoveries),
-                static_cast<long long>(result.skipped_steps),
-                result.last_anomaly.c_str());
-  }
+  PrintRecovery(result.recoveries, result.skipped_steps,
+                result.last_anomaly);
   const std::string out = args.Get("out", "genotype.txt");
   if (result.top_genotypes.size() > 1) {
     const Status saved = core::SaveCandidateSet(result.top_genotypes, out);
@@ -402,36 +447,18 @@ int Search(const Args& args) {
 
 int Evaluate(const Args& args) {
   const std::string path = args.Get("genotype", "genotype.txt");
-  std::ifstream stream(path);
-  if (!stream) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  const std::string text{std::istreambuf_iterator<char>(stream),
-                         std::istreambuf_iterator<char>()};
-  const StatusOr<core::Genotype> genotype = core::Genotype::FromText(text);
+  const StatusOr<core::Genotype> genotype = LoadGenotypeFile(path);
   if (!genotype.ok()) {
-    std::fprintf(stderr, "bad genotype: %s\n",
+    std::fprintf(stderr, "bad genotype %s: %s\n", path.c_str(),
                  genotype.status().ToString().c_str());
     return 1;
   }
   const data::CtsDataset dataset = MakeDataset(args);
   const models::PreparedData prepared = PrepareFromArgs(args, dataset);
-  models::TrainConfig config;
-  config.epochs = args.GetInt("epochs", 4);
-  config.batch_size = args.GetInt("batch", 32);
-  config.max_batches_per_epoch = args.GetInt("max-batches", 10);
-  config.early_stop_patience = args.GetInt("patience", 0);
-  config.recovery.enabled = args.GetInt("recover", 0) != 0;
-  config.recovery.max_recoveries = args.GetInt("max-recoveries", 3);
-  config.recovery.lr_backoff = args.GetDouble("lr-backoff", 0.5);
+  models::TrainConfig config = TrainConfigFromArgs(args);
   config.trace_path = args.Get("trace-out", "");
   config.metrics_path = args.Get("metrics-out", "");
   config.metrics_every_n_batches = args.GetInt("metrics-every", 0);
-  config.verbose = true;
-  config.cancel = &ShutdownToken();
-  config.deadline = Deadline::AfterBudget(args.GetDouble("deadline", 0.0));
-  config.step_budget = args.GetInt("step-budget", 0);
   const StatusOr<models::EvalResult> eval_result =
       core::EvaluateGenotypeWithStatus(genotype.value(), prepared,
                                        args.GetInt("hidden", 16), config);
@@ -441,17 +468,8 @@ int Evaluate(const Args& args) {
     return FailureExitCode(eval_result.status());
   }
   const models::EvalResult& result = eval_result.value();
-  if (result.recoveries > 0 || result.skipped_steps > 0) {
-    std::printf("numerical recovery: %lld rollbacks, %lld skipped steps "
-                "(last anomaly: %s)\n",
-                static_cast<long long>(result.recoveries),
-                static_cast<long long>(result.skipped_steps),
-                result.last_anomaly.c_str());
-  }
-  std::printf(
-      "test: MAE %.4f  RMSE %.4f  MAPE %.2f%%  RRSE %.4f  CORR %.4f\n",
-      result.average.mae, result.average.rmse, result.average.mape * 100.0,
-      result.rrse, result.corr);
+  PrintRecovery(result.recoveries, result.skipped_steps, result.last_anomaly);
+  PrintTestMetrics(result);
   std::printf("epochs run %lld, params %lld, %.2f s/epoch, %.3f ms/window\n",
               static_cast<long long>(result.epochs_run),
               static_cast<long long>(result.parameter_count),
@@ -478,14 +496,8 @@ int EvaluateTopK(const Args& args) {
   options.checkpoint_path = args.Get("eval-checkpoint", "");
   options.metrics_path = args.Get("metrics-out", "");
   options.verbose = args.GetInt("quiet", 0) == 0;
-  options.train.epochs = args.GetInt("epochs", 4);
-  options.train.batch_size = args.GetInt("batch", 32);
-  options.train.max_batches_per_epoch = args.GetInt("max-batches", 10);
-  options.train.early_stop_patience = args.GetInt("patience", 0);
+  options.train = TrainConfigFromArgs(args);
   options.train.seed = static_cast<uint64_t>(args.GetInt("train-seed", 7));
-  options.train.recovery.enabled = args.GetInt("recover", 0) != 0;
-  options.train.recovery.max_recoveries = args.GetInt("max-recoveries", 3);
-  options.train.recovery.lr_backoff = args.GetDouble("lr-backoff", 0.5);
   const int64_t die_after_candidates =
       args.GetInt("die-after-candidates", 0);
   const int64_t signal_after_candidates =
@@ -554,15 +566,6 @@ int EvaluateTopK(const Args& args) {
   return 0;
 }
 
-// Loads a genotype text file (shared by evaluate and export-artifact).
-StatusOr<core::Genotype> LoadGenotypeFile(const std::string& path) {
-  std::ifstream stream(path);
-  if (!stream) return Status::NotFound("cannot open " + path);
-  const std::string text{std::istreambuf_iterator<char>(stream),
-                         std::istreambuf_iterator<char>()};
-  return core::Genotype::FromText(text);
-}
-
 int ExportArtifact(const Args& args) {
   const std::string path = args.Get("genotype", "genotype.txt");
   const StatusOr<core::Genotype> genotype = LoadGenotypeFile(path);
@@ -573,19 +576,8 @@ int ExportArtifact(const Args& args) {
   }
   const data::CtsDataset dataset = MakeDataset(args);
   const models::PreparedData prepared = PrepareFromArgs(args, dataset);
-  models::TrainConfig config;
-  config.epochs = args.GetInt("epochs", 4);
-  config.batch_size = args.GetInt("batch", 32);
-  config.max_batches_per_epoch = args.GetInt("max-batches", 10);
-  config.early_stop_patience = args.GetInt("patience", 0);
+  models::TrainConfig config = TrainConfigFromArgs(args);
   config.seed = static_cast<uint64_t>(args.GetInt("train-seed", 7));
-  config.recovery.enabled = args.GetInt("recover", 0) != 0;
-  config.recovery.max_recoveries = args.GetInt("max-recoveries", 3);
-  config.recovery.lr_backoff = args.GetDouble("lr-backoff", 0.5);
-  config.verbose = true;
-  config.cancel = &ShutdownToken();
-  config.deadline = Deadline::AfterBudget(args.GetDouble("deadline", 0.0));
-  config.step_budget = args.GetInt("step-budget", 0);
   const int64_t hidden = args.GetInt("hidden", 16);
   StatusOr<core::TrainedGenotype> trained =
       core::TrainGenotypeWithStatus(genotype.value(), prepared, hidden,
@@ -609,10 +601,7 @@ int ExportArtifact(const Args& args) {
     return 1;
   }
   const models::EvalResult& result = trained.value().eval;
-  std::printf(
-      "test: MAE %.4f  RMSE %.4f  MAPE %.2f%%  RRSE %.4f  CORR %.4f\n",
-      result.average.mae, result.average.rmse, result.average.mape * 100.0,
-      result.rrse, result.corr);
+  PrintTestMetrics(result);
   std::printf("artifact written to %s (%lld bytes, %lld params)\n",
               out.c_str(),
               static_cast<long long>(
