@@ -53,8 +53,6 @@ const char* const kOpPermute = RegisterOpLabel("permute");
 const char* const kOpConcat = RegisterOpLabel("concat");
 const char* const kOpSlice = RegisterOpLabel("slice");
 const char* const kOpPad = RegisterOpLabel("pad");
-const char* const kOpIndexSelect = RegisterOpLabel("index_select");
-const char* const kOpHuberLoss = RegisterOpLabel("huber_loss");
 
 // Accumulates `g` into input slot `slot` of `node`, reducing over any
 // broadcast axes first. By value, so a kernel result passed as a temporary
@@ -348,59 +346,8 @@ Variable Pad(const Variable& a, int64_t axis, int64_t before, int64_t after) {
                   }, kOpPad);
 }
 
-Variable IndexSelect(const Variable& a, int64_t axis,
-                     const std::vector<int64_t>& indices) {
-  AUTOCTS_TRACE_SCOPE(kOpIndexSelect);
-  const int64_t norm_axis = axis < 0 ? axis + a.ndim() : axis;
-  const Shape in_shape = a.shape();
-  const int64_t mid = in_shape[norm_axis];
-  int64_t outer = 1;
-  int64_t inner = 1;
-  for (int64_t i = 0; i < norm_axis; ++i) outer *= in_shape[i];
-  for (int64_t i = norm_axis + 1; i < static_cast<int64_t>(in_shape.size());
-       ++i) {
-    inner *= in_shape[i];
-  }
-  Shape out_shape = in_shape;
-  out_shape[norm_axis] = static_cast<int64_t>(indices.size());
-  Tensor out = Tensor::Uninitialized(out_shape);
-  const double* src = a.value().data();
-  double* dst = out.data();
-  const int64_t k = static_cast<int64_t>(indices.size());
-  for (int64_t o = 0; o < outer; ++o) {
-    for (int64_t j = 0; j < k; ++j) {
-      const int64_t idx = indices[j];
-      AUTOCTS_CHECK_GE(idx, 0);
-      AUTOCTS_CHECK_LT(idx, mid);
-      std::copy(src + (o * mid + idx) * inner,
-                src + (o * mid + idx + 1) * inner,
-                dst + (o * k + j) * inner);
-    }
-  }
-  return MakeNode(out, {a},
-                  [in_shape, indices, outer, mid, inner, k](Node* node) {
-                    // Zero-initialized: repeated indices accumulate.
-                    Tensor grad_in(in_shape);
-                    double* gdst = grad_in.data();
-                    const double* gsrc = node->grad.data();
-                    for (int64_t o = 0; o < outer; ++o) {
-                      for (int64_t j = 0; j < k; ++j) {
-                        const int64_t idx = indices[j];
-                        const double* row = gsrc + (o * k + j) * inner;
-                        double* target = gdst + (o * mid + idx) * inner;
-                        for (int64_t i = 0; i < inner; ++i) target[i] += row[i];
-                      }
-                    }
-                    AccumulateReduced(node, 0, std::move(grad_in));
-                  }, kOpIndexSelect);
-}
-
 Variable Constant(Tensor value) {
   return Variable(std::move(value), /*requires_grad=*/false);
-}
-
-Variable Detach(const Variable& a) {
-  return Variable(a.value(), /*requires_grad=*/false);
 }
 
 Variable L1Loss(const Variable& prediction, const Variable& target) {
@@ -412,32 +359,6 @@ Variable MseLoss(const Variable& prediction, const Variable& target) {
   AUTOCTS_CHECK(prediction.shape() == target.shape());
   const Variable diff = Sub(prediction, target);
   return MeanAll(Mul(diff, diff));
-}
-
-Variable HuberLoss(const Variable& prediction, const Variable& target,
-                   double delta) {
-  AUTOCTS_TRACE_SCOPE(kOpHuberLoss);
-  AUTOCTS_CHECK(prediction.shape() == target.shape());
-  const Tensor diff = autocts::Sub(prediction.value(), target.value());
-  // Elementwise derivative of the Huber loss, applied via a custom node to
-  // avoid branching graph construction.
-  Tensor loss = autocts::Apply(diff, [delta](double d) {
-    const double a = std::abs(d);
-    return a <= delta ? 0.5 * d * d : delta * (a - 0.5 * delta);
-  });
-  const double scale = 1.0 / static_cast<double>(diff.size());
-  Tensor value = Tensor::Scalar(autocts::SumAll(loss) * scale);
-  return MakeNode(
-      value, {prediction, target},
-      [diff, delta, scale](internal::Node* node) {
-        const double g = node->grad.item() * scale;
-        const Tensor dpred = autocts::Apply(diff, [delta, g](double d) {
-          const double clipped = std::max(-delta, std::min(delta, d));
-          return g * clipped;
-        });
-        AccumulateReduced(node, 0, dpred);
-        AccumulateReduced(node, 1, autocts::Neg(dpred));
-      }, kOpHuberLoss);
 }
 
 }  // namespace autocts::ag

@@ -64,22 +64,13 @@ Variable Transpose(const Variable& a, int64_t axis_a, int64_t axis_b);
 Variable Concat(const std::vector<Variable>& parts, int64_t axis);
 Variable Slice(const Variable& a, int64_t axis, int64_t start, int64_t length);
 Variable Pad(const Variable& a, int64_t axis, int64_t before, int64_t after);
-// Selects `indices` (values in [0, dim(axis))) along `axis`; the backward
-// pass scatter-adds. Indices are not differentiable.
-Variable IndexSelect(const Variable& a, int64_t axis,
-                     const std::vector<int64_t>& indices);
 
 // A non-differentiable constant wrapper.
 Variable Constant(Tensor value);
-// Detaches from the tape (stops gradient flow).
-Variable Detach(const Variable& a);
 
 // Losses. Predictions and targets must have equal shapes.
 Variable L1Loss(const Variable& prediction, const Variable& target);
 Variable MseLoss(const Variable& prediction, const Variable& target);
-// Huber-style loss used by several traffic-forecasting baselines.
-Variable HuberLoss(const Variable& prediction, const Variable& target,
-                   double delta = 1.0);
 
 }  // namespace autocts::ag
 

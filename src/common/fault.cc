@@ -200,22 +200,15 @@ void ResetIoStats() {
   g_failures.store(0, std::memory_order_relaxed);
 }
 
-double BackoffSeconds(const RetryPolicy& policy, int64_t attempt) {
+double BackoffSeconds(int64_t attempt) {
   if (attempt <= 1) return 0.0;
-  double backoff = policy.initial_backoff_seconds;
-  for (int64_t k = 2; k < attempt; ++k) backoff *= policy.backoff_multiplier;
-  if (backoff > policy.max_backoff_seconds) {
-    backoff = policy.max_backoff_seconds;
-  }
-  return backoff;
+  double backoff = kInitialBackoffSeconds;
+  for (int64_t k = 2; k < attempt; ++k) backoff *= kBackoffMultiplier;
+  return backoff > kMaxBackoffSeconds ? kMaxBackoffSeconds : backoff;
 }
 
-void SleepForBackoff(const RetryPolicy& policy, double seconds) {
+void SleepForBackoff(double seconds) {
   if (seconds <= 0.0) return;
-  if (policy.sleeper) {
-    policy.sleeper(seconds);
-    return;
-  }
   if (FakeClock::Installed()) {
     FakeClock::Advance(static_cast<int64_t>(seconds * 1e9));
     return;
@@ -243,13 +236,13 @@ RetryOutcome RetryCall(const RetryPolicy& policy, const std::string& what,
       g_failures.fetch_add(1, std::memory_order_relaxed);
       return outcome;
     }
-    const double backoff = BackoffSeconds(policy, attempt + 1);
+    const double backoff = BackoffSeconds(attempt + 1);
     g_retries.fetch_add(1, std::memory_order_relaxed);
     AUTOCTS_LOG(WARNING) << what << " failed (attempt " << attempt << "/"
                          << max_attempts << "): "
                          << outcome.status.ToString() << "; retrying in "
                          << backoff << "s";
-    SleepForBackoff(policy, backoff);
+    SleepForBackoff(backoff);
   }
 }
 

@@ -29,12 +29,12 @@
 //              "write:ENOSPC@1x2" exercises fail-fail-succeed retry paths
 //
 //  * A *retry policy*: bounded attempts with deterministic exponential
-//    backoff. The sleeper is FakeClock-compatible: while a FakeClock
-//    (common/stopwatch.h) is installed, backoff advances virtual time
-//    instead of blocking, so retry tests assert exact backoff sequences
-//    without real sleeps. RetryCall() wraps any Status-returning operation;
-//    the searcher, the eval scheduler and the CLI wrap their checkpoint,
-//    artifact and metrics-sink writes in it.
+//    backoff. The backoff is FakeClock-compatible: while a FakeClock
+//    (common/stopwatch.h) is installed, it advances virtual time instead
+//    of blocking, so retry tests read exact backoff sequences off the
+//    clock without real sleeps. RetryCall() wraps any Status-returning
+//    operation; the searcher, the eval scheduler and the CLI wrap their
+//    checkpoint, artifact and metrics-sink writes in it.
 //
 // Thread safety: the installed plan and the I/O stats counters are guarded
 // for concurrent access (eval-scheduler workers and the driver thread all
@@ -122,26 +122,24 @@ void ResetIoStats();
 // Retry policy.
 // ---------------------------------------------------------------------------
 
+// Deterministic exponential backoff before attempt k (k >= 2):
+//   min(kInitialBackoffSeconds * kBackoffMultiplier^(k-2),
+//       kMaxBackoffSeconds) seconds.
+inline constexpr double kInitialBackoffSeconds = 0.01;
+inline constexpr double kBackoffMultiplier = 2.0;
+inline constexpr double kMaxBackoffSeconds = 1.0;
+
 struct RetryPolicy {
   // Total attempts including the first (1 = no retry). Values < 1 behave
   // as 1.
   int64_t max_attempts = 3;
-  // Deterministic exponential backoff before attempt k (k >= 2):
-  //   min(initial * multiplier^(k-2), max) seconds.
-  double initial_backoff_seconds = 0.01;
-  double backoff_multiplier = 2.0;
-  double max_backoff_seconds = 1.0;
-  // Sleep seam. Default (unset): advance the FakeClock when one is
-  // installed, otherwise block in std::this_thread::sleep_for. Tests
-  // install a recorder to assert the exact backoff sequence.
-  std::function<void(double seconds)> sleeper;
 };
 
 // Backoff before attempt `attempt` (2-based; attempt 1 never sleeps).
-double BackoffSeconds(const RetryPolicy& policy, int64_t attempt);
+double BackoffSeconds(int64_t attempt);
 
-// Invokes the policy's sleeper (or the FakeClock-aware default).
-void SleepForBackoff(const RetryPolicy& policy, double seconds);
+// Sleeps `seconds`; advances the FakeClock instead when one is installed.
+void SleepForBackoff(double seconds);
 
 struct RetryOutcome {
   Status status = Status::Ok();  // last attempt's status

@@ -67,9 +67,7 @@ const char* AnomalyName(Anomaly anomaly) {
   return "unknown";
 }
 
-HealthMonitor::HealthMonitor(HealthConfig config) : config_(config) {
-  window_.assign(kLossWindow, 0.0);
-}
+HealthMonitor::HealthMonitor() { window_.assign(kLossWindow, 0.0); }
 
 Anomaly HealthMonitor::Flag(Anomaly anomaly) {
   if (anomaly != Anomaly::kNone) ++anomalies_;
@@ -78,13 +76,12 @@ Anomaly HealthMonitor::Flag(Anomaly anomaly) {
 
 Anomaly HealthMonitor::ObserveLoss(double loss) {
   if (!IsFiniteValue(loss)) return Flag(Anomaly::kNonFiniteLoss);
-  if (config_.loss_spike_factor > 0.0 &&
-      window_count_ >= config_.min_loss_samples) {
+  if (window_count_ >= kMinLossSamples) {
     const double mean = window_sum_ / static_cast<double>(window_count_);
     // `mean` can legitimately approach zero late in training; the +1e-12
     // floor keeps the threshold meaningful without flagging tiny absolute
     // wobbles around zero.
-    if (loss > config_.loss_spike_factor * (mean + 1e-12)) {
+    if (loss > kLossSpikeFactor * (mean + 1e-12)) {
       return Flag(Anomaly::kLossSpike);
     }
   }
@@ -102,7 +99,7 @@ Anomaly HealthMonitor::ObserveLoss(double loss) {
 
 Anomaly HealthMonitor::ObserveGradientNorm(double pre_clip_norm) {
   if (!IsFiniteValue(pre_clip_norm)) return Flag(Anomaly::kNonFiniteGradient);
-  if (config_.max_grad_norm > 0.0 && pre_clip_norm > config_.max_grad_norm) {
+  if (pre_clip_norm > kMaxGradNorm) {
     return Flag(Anomaly::kGradientExplosion);
   }
   return Anomaly::kNone;

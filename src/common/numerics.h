@@ -57,22 +57,17 @@ int64_t FirstNonFiniteGradient(const std::vector<Variable>& parameters);
 // Per-step health monitoring.
 // --------------------------------------------------------------------------
 
-// Rolling window of recent healthy loss values feeding the spike detector
-// of HealthConfig.
+// Rolling window of recent healthy loss values feeding the spike detector.
 inline constexpr int64_t kLossWindow = 16;
-
-struct HealthConfig {
-  // A finite loss exceeding `loss_spike_factor` x the rolling-window mean
-  // is flagged as a spike (softmax saturation and LR blow-ups show up here
-  // one or two steps before the first NaN). Requires `min_loss_samples`
-  // observations of warm-up; <= 0 disables the detector.
-  double loss_spike_factor = 1e3;
-  int64_t min_loss_samples = 4;
-  // A finite pre-clip gradient norm above this is an explosion even though
-  // clipping would bound it: the direction is already saturated noise.
-  // <= 0 disables the bound.
-  double max_grad_norm = 1e9;
-};
+// A finite loss exceeding kLossSpikeFactor x the rolling-window mean is
+// flagged as a spike (softmax saturation and LR blow-ups show up here one
+// or two steps before the first NaN), once kMinLossSamples healthy losses
+// have warmed the window up.
+inline constexpr double kLossSpikeFactor = 1e3;
+inline constexpr int64_t kMinLossSamples = 4;
+// A finite pre-clip gradient norm above this is an explosion even though
+// clipping would bound it: the direction is already saturated noise.
+inline constexpr double kMaxGradNorm = 1e9;
 
 enum class Anomaly {
   kNone = 0,
@@ -93,7 +88,7 @@ const char* AnomalyName(Anomaly anomaly);
 // baseline used to judge the next step.
 class HealthMonitor {
  public:
-  explicit HealthMonitor(HealthConfig config = HealthConfig());
+  HealthMonitor();
 
   // Checks a scalar loss: non-finite, or a spike against the rolling mean.
   Anomaly ObserveLoss(double loss);
@@ -113,12 +108,9 @@ class HealthMonitor {
   // Total anomalies flagged over the monitor's lifetime (survives Reset).
   int64_t anomalies_observed() const { return anomalies_; }
 
-  const HealthConfig& config() const { return config_; }
-
  private:
   Anomaly Flag(Anomaly anomaly);
 
-  HealthConfig config_;
   std::vector<double> window_;  // ring buffer of recent healthy losses
   int64_t window_pos_ = 0;
   int64_t window_count_ = 0;

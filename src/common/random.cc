@@ -87,13 +87,4 @@ int64_t Rng::UniformInt(int64_t n) {
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
-std::vector<int64_t> Rng::Permutation(int64_t n) {
-  std::vector<int64_t> result(n);
-  for (int64_t i = 0; i < n; ++i) result[i] = i;
-  Shuffle(&result);
-  return result;
-}
-
-Rng Rng::Fork() { return Rng(Next()); }
-
 }  // namespace autocts

@@ -54,13 +54,6 @@ class Rng {
     }
   }
 
-  // A random permutation of [0, n).
-  std::vector<int64_t> Permutation(int64_t n);
-
-  // Derives an independent child generator; useful for fanning a single
-  // experiment seed out to multiple components.
-  Rng Fork();
-
  private:
   uint64_t state_[4];
   bool has_cached_normal_ = false;

@@ -65,9 +65,8 @@ StatusOr<std::string> TextReader::Get(const std::string& key) const {
 StatusOr<int64_t> TextReader::GetInt(const std::string& key) const {
   StatusOr<std::string> value = Get(key);
   if (!value.ok()) return value.status();
-  char* end = nullptr;
-  const int64_t parsed = std::strtoll(value.value().c_str(), &end, 10);
-  if (end == value.value().c_str() || *end != '\0') {
+  int64_t parsed = 0;
+  if (!ParseExactInt(value.value(), &parsed)) {
     return Status::InvalidArgument("not an integer: " + value.value());
   }
   return parsed;
@@ -92,6 +91,20 @@ std::vector<std::string> TextReader::GetAll(const std::string& key) const {
   return values;
 }
 
+StatusOr<std::vector<std::string>> TextReader::GetCounted(
+    const std::string& count_key, const std::string& key) const {
+  StatusOr<int64_t> count = GetInt(count_key);
+  if (!count.ok()) return count.status();
+  std::vector<std::string> values = GetAll(key);
+  if (static_cast<int64_t>(values.size()) != count.value()) {
+    return Status::InvalidArgument(
+        key + " record count mismatch: " + count_key + " says " +
+        std::to_string(count.value()) + ", found " +
+        std::to_string(values.size()));
+  }
+  return values;
+}
+
 std::string FormatExactDouble(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%a", value);
@@ -104,6 +117,16 @@ bool ParseExactDouble(const std::string& token, double* value) {
   errno = 0;
   const double parsed = std::strtod(token.c_str(), &end);
   if (end != token.c_str() + token.size()) return false;
+  *value = parsed;
+  return true;
+}
+
+bool ParseExactInt(const std::string& token, int64_t* value) {
+  if (token.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(token.c_str(), &end, 10);
+  if (end != token.c_str() + token.size() || errno == ERANGE) return false;
   *value = parsed;
   return true;
 }

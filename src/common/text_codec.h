@@ -42,6 +42,11 @@ class TextReader {
   StatusOr<double> GetDouble(const std::string& key) const;
   // All values recorded under `key`, in file order.
   std::vector<std::string> GetAll(const std::string& key) const;
+  // GetAll(key), which must hold exactly the integer under `count_key`
+  // values; a missing count is an error like Get's, a different number of
+  // records InvalidArgument.
+  StatusOr<std::vector<std::string>> GetCounted(const std::string& count_key,
+                                                const std::string& key) const;
 
  private:
   std::vector<std::pair<std::string, std::string>> entries_;
@@ -56,6 +61,10 @@ std::string FormatExactDouble(double value);
 // Parses a decimal or hexadecimal floating-point token. Returns false unless
 // the entire token was consumed.
 bool ParseExactDouble(const std::string& token, double* value);
+
+// Parses a base-10 integer token. Returns false unless the entire token was
+// consumed and the value fits in int64_t.
+bool ParseExactInt(const std::string& token, int64_t* value);
 
 // The count rule of every count-prefixed text field (tensor shapes, index
 // orders, value lists): `count` whitespace-separated items need at least

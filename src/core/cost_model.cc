@@ -11,16 +11,28 @@ namespace {
 //   conv ~ K*D^2, gdcc ~ 2*K*D^2, rnn ~ T-sequential 4*D^2 (and
 //   unparallelizable, so weighted up), attention ~ L*D + 4*D^2 projections,
 //   dgcn ~ 2*(K+1)*D^2 + propagation, cheb ~ K*D^2 + propagation.
+// A human-designed ST-block (ops/st_blocks.h) costs the sum of the Table-1
+// operators it is built from, by the same rule:
+//   stgcn_block = 2 gated temporal convs (D -> 2D, GLU: gdcc's 2*K*D^2
+//                 each) + cheb_gcn           = 1.0 + 1.0 + 0.9 = 2.9
+//   gwn_block   = gdcc + dgcn                = 1.0 + 1.4       = 2.4
+//   dcgru_block = gru whose gates are diffusion convs = gru + dgcn
+//                                            = 2.0 + 1.4       = 3.4
+//   mtgnn_block = gated dilated-inception conv (filter and gate, gdcc's
+//                 two convs) + mix-hop diffusion conv = gdcc + dgcn
+//                                            = 1.0 + 1.4       = 2.4
 struct CostEntry {
   const char* name;
   double cost;
 };
 
 constexpr CostEntry kCosts[] = {
-    {"zero", 0.0},     {"identity", 0.0}, {"conv1d", 0.5},
-    {"gdcc", 1.0},     {"lstm", 2.5},     {"gru", 2.0},
-    {"trans_t", 1.6},  {"inf_t", 1.2},    {"cheb_gcn", 0.9},
-    {"dgcn", 1.4},     {"trans_s", 1.5},  {"inf_s", 1.1},
+    {"zero", 0.0},          {"identity", 0.0},  {"conv1d", 0.5},
+    {"gdcc", 1.0},          {"lstm", 2.5},      {"gru", 2.0},
+    {"trans_t", 1.6},       {"inf_t", 1.2},     {"cheb_gcn", 0.9},
+    {"dgcn", 1.4},          {"trans_s", 1.5},   {"inf_s", 1.1},
+    {"stgcn_block", 2.9},   {"gwn_block", 2.4}, {"dcgru_block", 3.4},
+    {"mtgnn_block", 2.4},
 };
 
 }  // namespace

@@ -25,9 +25,9 @@
 
 namespace autocts::core {
 
-// Relative forward cost of one operator application; CHECK-fails on
-// unknown built-in names, returns `default_cost` for registered custom
-// operators.
+// Relative forward cost of one operator application; every operator
+// registered at start-up has an entry. CHECK-fails on unknown names,
+// returns `default_cost` for registered custom operators.
 double OperatorCost(const std::string& op_name, double default_cost = 1.0);
 
 // Total relative cost of a derived architecture (sum over kept edges).

@@ -330,9 +330,9 @@ std::string EvalConfigFingerprint(const std::vector<Genotype>& candidates,
       // existing eval checkpoints still match.
       << " restore_best=1"
       << " health=" << numerics::kLossWindow << ","
-      << FormatExactDouble(config.health.loss_spike_factor) << ","
-      << config.health.min_loss_samples << ","
-      << FormatExactDouble(config.health.max_grad_norm)
+      << FormatExactDouble(numerics::kLossSpikeFactor) << ","
+      << numerics::kMinLossSamples << ","
+      << FormatExactDouble(numerics::kMaxGradNorm)
       << " recovery=" << config.recovery.enabled << ","
       << config.recovery.max_recoveries << ","
       << config.recovery.max_consecutive_skips << ","

@@ -34,7 +34,11 @@ StatusOr<Genotype> Genotype::FromText(const std::string& text) {
   StatusOr<int64_t> num_blocks = reader.value().GetInt("num_blocks");
   if (!num_blocks.ok()) return num_blocks.status();
   for (const std::string& input : reader.value().GetAll("block_input")) {
-    genotype.block_inputs.push_back(std::strtoll(input.c_str(), nullptr, 10));
+    int64_t block_input = 0;
+    if (!ParseExactInt(input, &block_input)) {
+      return Status::InvalidArgument("malformed block_input: " + input);
+    }
+    genotype.block_inputs.push_back(block_input);
   }
   // The block count must match the records before it sizes anything.
   if (static_cast<int64_t>(genotype.block_inputs.size()) !=

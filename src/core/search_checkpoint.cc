@@ -85,33 +85,6 @@ Status ParseAdamState(const TextReader& reader, const std::string& key,
   return ParseMomentRecords(reader, key + "_v", slots, &out->second_moment);
 }
 
-Status ParseNamedTensors(
-    const TextReader& reader, const std::string& key,
-    std::vector<std::pair<std::string, Tensor>>* out) {
-  StatusOr<int64_t> count = reader.GetInt(key + "_count");
-  if (!count.ok()) return count.status();
-  const std::vector<std::string> records = reader.GetAll(key);
-  if (static_cast<int64_t>(records.size()) != count.value()) {
-    return Status::InvalidArgument(
-        key + " record count mismatch: header says " +
-        std::to_string(count.value()) + ", found " +
-        std::to_string(records.size()));
-  }
-  out->clear();
-  for (const std::string& record : records) {
-    std::istringstream stream(record);
-    std::string name;
-    if (!(stream >> name)) {
-      return Status::InvalidArgument("missing name in " + key + " record");
-    }
-    Tensor value;
-    Status status = nn::ParseTensorText(&stream, key + " " + name, &value);
-    if (!status.ok()) return status;
-    out->emplace_back(name, std::move(value));
-  }
-  return Status::Ok();
-}
-
 Status ParseIndexOrder(const TextReader& reader, const std::string& key,
                        std::vector<int64_t>* out) {
   StatusOr<std::string> record = reader.Get(key);
@@ -130,15 +103,26 @@ Status ParseIndexOrder(const TextReader& reader, const std::string& key,
   return ExpectEndOfRecord(&stream, key);
 }
 
-// Rolls an Adam optimizer back to its freshly-constructed state (step 0,
-// all moment slots lazy-undefined); used when a multi-part restore fails
-// halfway so the caller can safely fall back to a fresh search.
-void ResetAdam(optim::Adam* optimizer, size_t slots) {
-  optim::AdamState fresh;
-  fresh.first_moment.resize(slots);
-  fresh.second_moment.resize(slots);
-  const Status status = optimizer->ImportState(fresh);
-  AUTOCTS_CHECK(status.ok()) << status.ToString();
+// The restored split orders must have the live orders' sizes and index
+// only windows of the training split.
+Status CheckSplitOrders(const SearchCheckpoint& checkpoint,
+                        const std::vector<int64_t>& pseudo_train,
+                        const std::vector<int64_t>& pseudo_val) {
+  if (checkpoint.pseudo_train.size() != pseudo_train.size() ||
+      checkpoint.pseudo_val.size() != pseudo_val.size()) {
+    return Status::InvalidArgument("pseudo-split size mismatch");
+  }
+  const int64_t total = static_cast<int64_t>(pseudo_train.size()) +
+                        static_cast<int64_t>(pseudo_val.size());
+  for (const std::vector<int64_t>* order :
+       {&checkpoint.pseudo_train, &checkpoint.pseudo_val}) {
+    for (int64_t index : *order) {
+      if (index >= total) {
+        return Status::InvalidArgument("pseudo-split index out of range");
+      }
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -195,17 +179,14 @@ std::string EncodeSearchCheckpoint(const SearchCheckpoint& checkpoint) {
   out << "order_val = " << checkpoint.pseudo_val.size();
   for (int64_t index : checkpoint.pseudo_val) out << " " << index;
   out << "\n";
-  out << "param_count = " << checkpoint.parameters.size() << "\n";
-  for (const auto& [name, value] : checkpoint.parameters) {
-    out << "param = " << name;
-    nn::AppendTensorText(value, &out);
-    out << "\n";
-  }
-  out << "arch_count = " << checkpoint.arch_parameters.size() << "\n";
-  for (const auto& [name, value] : checkpoint.arch_parameters) {
-    out << "arch = " << name;
-    nn::AppendTensorText(value, &out);
-    out << "\n";
+  for (const auto& [key, tensors] :
+       {std::pair{"param", &checkpoint.parameters},
+        std::pair{"arch", &checkpoint.arch_parameters}}) {
+    out << key << "_count = " << tensors->size() << "\n";
+    for (const auto& [name, value] : *tensors) {
+      nn::AppendTensorRecord(key, name, value, &out);
+      out << "\n";
+    }
   }
   AppendAdamState(&out, "adam_w", checkpoint.weight_optimizer);
   AppendAdamState(&out, "adam_t", checkpoint.theta_optimizer);
@@ -299,10 +280,17 @@ StatusOr<SearchCheckpoint> DecodeSearchCheckpoint(const std::string& text) {
   status = ParseIndexOrder(reader, "order_val", &checkpoint.pseudo_val);
   if (!status.ok()) return status;
 
-  status = ParseNamedTensors(reader, "param", &checkpoint.parameters);
-  if (!status.ok()) return status;
-  status = ParseNamedTensors(reader, "arch", &checkpoint.arch_parameters);
-  if (!status.ok()) return status;
+  for (const auto& [key, tensors] :
+       {std::pair{"param", &checkpoint.parameters},
+        std::pair{"arch", &checkpoint.arch_parameters}}) {
+    StatusOr<std::vector<std::string>> records =
+        reader.GetCounted(std::string(key) + "_count", key);
+    if (!records.ok()) return records.status();
+    for (const std::string& record : records.value()) {
+      status = nn::ParseTensorRecord(record, tensors);
+      if (!status.ok()) return status;
+    }
+  }
 
   status = ParseAdamState(reader, "adam_w", &checkpoint.weight_optimizer);
   if (!status.ok()) return status;
@@ -397,12 +385,10 @@ SearchCheckpoint CaptureSearchState(const Supernet& supernet,
                                     const std::vector<int64_t>& pseudo_val) {
   SearchCheckpoint checkpoint;
   checkpoint.tau = supernet.temperature();
-  for (const auto& [name, parameter] : supernet.NamedParameters()) {
-    checkpoint.parameters.emplace_back(name, parameter.value().Clone());
-  }
-  for (const auto& [name, parameter] : supernet.NamedArchParameters()) {
-    checkpoint.arch_parameters.emplace_back(name, parameter.value().Clone());
-  }
+  checkpoint.parameters =
+      nn::CaptureTensors(nn::VariableSlots(supernet.NamedParameters()));
+  checkpoint.arch_parameters =
+      nn::CaptureTensors(nn::VariableSlots(supernet.NamedArchParameters()));
   checkpoint.weight_optimizer = weight_optimizer.ExportState();
   checkpoint.theta_optimizer = theta_optimizer.ExportState();
   checkpoint.rng = rng.GetState();
@@ -417,79 +403,30 @@ Status RestoreSearchState(const SearchCheckpoint& checkpoint,
                           std::vector<int64_t>* pseudo_train,
                           std::vector<int64_t>* pseudo_val) {
   AUTOCTS_CHECK(supernet != nullptr);
-  std::vector<std::pair<std::string, Variable>> parameters =
-      supernet->NamedParameters();
-  std::vector<std::pair<std::string, Variable>> arch_parameters =
-      supernet->NamedArchParameters();
+  const nn::TensorSlots weights =
+      nn::VariableSlots(supernet->NamedParameters());
+  const nn::TensorSlots theta =
+      nn::VariableSlots(supernet->NamedArchParameters());
 
-  // Phase 1: validate everything against the live searcher before touching
-  // any state, so a rejected checkpoint leaves the fresh run intact.
-  if (checkpoint.parameters.size() != parameters.size()) {
-    return Status::InvalidArgument(
-        "parameter count mismatch: checkpoint has " +
-        std::to_string(checkpoint.parameters.size()) + ", supernet has " +
-        std::to_string(parameters.size()));
-  }
-  for (size_t i = 0; i < parameters.size(); ++i) {
-    if (checkpoint.parameters[i].first != parameters[i].first) {
-      return Status::InvalidArgument(
-          "parameter name mismatch at slot " + std::to_string(i) + ": " +
-          checkpoint.parameters[i].first + " vs " + parameters[i].first);
-    }
-    if (checkpoint.parameters[i].second.shape() != parameters[i].second.shape()) {
-      return Status::InvalidArgument("parameter shape mismatch for: " +
-                                     parameters[i].first);
-    }
-  }
-  if (checkpoint.arch_parameters.size() != arch_parameters.size()) {
-    return Status::InvalidArgument(
-        "arch parameter count mismatch: checkpoint has " +
-        std::to_string(checkpoint.arch_parameters.size()) +
-        ", supernet has " + std::to_string(arch_parameters.size()));
-  }
-  for (size_t i = 0; i < arch_parameters.size(); ++i) {
-    if (checkpoint.arch_parameters[i].first != arch_parameters[i].first) {
-      return Status::InvalidArgument(
-          "arch parameter name mismatch at slot " + std::to_string(i) + ": " +
-          checkpoint.arch_parameters[i].first + " vs " +
-          arch_parameters[i].first);
-    }
-    if (checkpoint.arch_parameters[i].second.shape() !=
-        arch_parameters[i].second.shape()) {
-      return Status::InvalidArgument("arch parameter shape mismatch for: " +
-                                     arch_parameters[i].first);
-    }
-  }
-  if (checkpoint.pseudo_train.size() != pseudo_train->size() ||
-      checkpoint.pseudo_val.size() != pseudo_val->size()) {
-    return Status::InvalidArgument("pseudo-split size mismatch");
-  }
-  const int64_t total = static_cast<int64_t>(pseudo_train->size()) +
-                        static_cast<int64_t>(pseudo_val->size());
-  for (int64_t index : checkpoint.pseudo_train) {
-    if (index >= total) return Status::InvalidArgument("pseudo-train index out of range");
-  }
-  for (int64_t index : checkpoint.pseudo_val) {
-    if (index >= total) return Status::InvalidArgument("pseudo-val index out of range");
+  // Everything is checked before the first write, so a refused checkpoint
+  // leaves the fresh run intact.
+  const Status checks[] = {
+      nn::CheckTensors(checkpoint.parameters, weights, "parameter"),
+      nn::CheckTensors(checkpoint.arch_parameters, theta, "arch parameter"),
+      CheckSplitOrders(checkpoint, *pseudo_train, *pseudo_val),
+      weight_optimizer->CheckState(checkpoint.weight_optimizer),
+      theta_optimizer->CheckState(checkpoint.theta_optimizer)};
+  for (const Status& check : checks) {
+    if (!check.ok()) return check;
   }
 
-  // Phase 2: apply. The optimizer imports validate their own slots; if the
-  // second import fails after the first succeeded, roll the first back to
-  // its fresh state so the caller can safely fall back to a fresh search.
-  Status status = weight_optimizer->ImportState(checkpoint.weight_optimizer);
-  if (!status.ok()) return status;
-  status = theta_optimizer->ImportState(checkpoint.theta_optimizer);
-  if (!status.ok()) {
-    ResetAdam(weight_optimizer, checkpoint.weight_optimizer.first_moment.size());
-    return status;
-  }
-  for (size_t i = 0; i < parameters.size(); ++i) {
-    parameters[i].second.mutable_value() =
-        checkpoint.parameters[i].second.Clone();
-  }
-  for (size_t i = 0; i < arch_parameters.size(); ++i) {
-    arch_parameters[i].second.mutable_value() =
-        checkpoint.arch_parameters[i].second.Clone();
+  nn::CopyTensors(checkpoint.parameters, weights);
+  nn::CopyTensors(checkpoint.arch_parameters, theta);
+  const Status imported[] = {
+      weight_optimizer->ImportState(checkpoint.weight_optimizer),
+      theta_optimizer->ImportState(checkpoint.theta_optimizer)};
+  for (const Status& status : imported) {
+    AUTOCTS_CHECK(status.ok()) << status.ToString();
   }
   supernet->SetTemperature(checkpoint.tau);
   rng->SetState(checkpoint.rng);

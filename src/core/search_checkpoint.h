@@ -51,6 +51,7 @@
 #include "common/status.h"
 #include "core/searcher.h"
 #include "core/supernet.h"
+#include "nn/state_dict.h"
 #include "optim/adam.h"
 
 namespace autocts::core {
@@ -78,9 +79,10 @@ struct SearchCheckpoint {
   std::vector<int64_t> pseudo_train;
   std::vector<int64_t> pseudo_val;
 
-  // Supernet weights by dotted parameter name, and Theta by arch name.
-  std::vector<std::pair<std::string, Tensor>> parameters;
-  std::vector<std::pair<std::string, Tensor>> arch_parameters;
+  // Supernet weights by dotted parameter name, and Theta by arch name, in
+  // the supernet's order.
+  nn::NamedTensors parameters;
+  nn::NamedTensors arch_parameters;
 
   optim::AdamState weight_optimizer;
   optim::AdamState theta_optimizer;
@@ -116,7 +118,8 @@ StatusOr<SearchCheckpoint> LoadSearchCheckpointOrPrev(const std::string& path,
                                                       bool* used_prev);
 
 // Snapshots the searcher's live state into a checkpoint (cursor and loss
-// fields are left for the caller to fill in).
+// fields are left for the caller to fill in); weights and Theta through
+// nn::CaptureTensors.
 SearchCheckpoint CaptureSearchState(const Supernet& supernet,
                                     const optim::Adam& weight_optimizer,
                                     const optim::Adam& theta_optimizer,
@@ -132,9 +135,10 @@ SearchCheckpoint CaptureSearchState(const Supernet& supernet,
 // always last-good.
 Status CheckpointNumericHealth(const SearchCheckpoint& checkpoint);
 
-// Restores a checkpoint into live searcher state. Validates every record
-// (names, shapes, order sizes, optimizer slots) before mutating anything,
-// so a failed restore leaves the searcher in its freshly-initialized state.
+// Restores a checkpoint into live searcher state. Validates weights and
+// Theta (nn::CheckTensors), the split orders and both optimizers' slots
+// before the first write, so a failed restore leaves the searcher in its
+// freshly-initialized state.
 Status RestoreSearchState(const SearchCheckpoint& checkpoint,
                           Supernet* supernet, optim::Adam* weight_optimizer,
                           optim::Adam* theta_optimizer, Rng* rng,

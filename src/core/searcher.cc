@@ -334,7 +334,7 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
 
   // Numerical-health guard state. The monitor always observes; the
   // recovery tiers only engage when options_.recovery.enabled.
-  numerics::HealthMonitor monitor(options_.health);
+  numerics::HealthMonitor monitor;
   numerics::RecoveryPolicy recovery(options_.recovery);
   SearchCheckpoint last_good;
   int64_t healthy_steps_since_snapshot = 0;

@@ -112,13 +112,13 @@ struct SearchOptions {
 
   // Numerical-health guard layer (common/numerics.h). Every search step the
   // loss values, pre-clip gradient norms, and post-update parameters (w and
-  // Theta) are checked. With recovery enabled, a poisoned step is skipped
-  // when the parameters are still clean, or the search rolls back to the
-  // last-good in-memory snapshot (taken every recovery.snapshot_every_n_
-  // batches healthy steps) with a learning-rate backoff on both optimizers
-  // and one extra Rng draw. Without recovery, SearchWithStatus returns a
-  // non-OK Status carrying the autograd-trace attribution.
-  numerics::HealthConfig health;
+  // Theta) are checked against the numerics::k* thresholds. With recovery
+  // enabled, a poisoned step is skipped when the parameters are still
+  // clean, or the search rolls back to the last-good in-memory snapshot
+  // (taken every recovery.snapshot_every_n_batches healthy steps) with a
+  // learning-rate backoff on both optimizers and one extra Rng draw.
+  // Without recovery, SearchWithStatus returns a non-OK Status carrying the
+  // autograd-trace attribution.
   numerics::RecoveryOptions recovery;
 
   // Numeric fault-injection hook: invoked on every w update after the

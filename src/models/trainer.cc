@@ -1,7 +1,7 @@
 #include "models/trainer.h"
 
 #include <limits>
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "autograd/variable_ops.h"
@@ -106,14 +106,23 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
                         {.learning_rate = config.learning_rate,
                          .weight_decay = kTrainWeightDecay});
   Rng rng(config.seed);
-  numerics::HealthMonitor monitor(config.health);
+  numerics::HealthMonitor monitor;
   numerics::RecoveryPolicy recovery(config.recovery);
   const std::vector<Variable> parameters = model->Parameters();
+
+  // Best and last-good weights. Parameters only: a restore keeps the
+  // BatchNorm running statistics the model has accumulated.
+  const nn::TensorSlots weights = nn::VariableSlots(model->NamedParameters());
+  const auto restore_weights = [&](const nn::NamedTensors& snapshot) {
+    const Status status = nn::CheckTensors(snapshot, weights, "parameter");
+    AUTOCTS_CHECK(status.ok()) << status.ToString();
+    nn::CopyTensors(snapshot, weights);
+  };
 
   // Last-good state for the rollback tier: captured at the start of every
   // epoch while healthy, restored wholesale when an epoch diverges beyond
   // what step-skipping can absorb.
-  std::unique_ptr<nn::ParameterSnapshot> good_weights;
+  nn::NamedTensors good_weights;
   optim::AdamState good_optimizer_state;
   RngState good_rng_state;
   double good_best_validation_loss = 0.0;
@@ -123,12 +132,12 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
   double total_train_seconds = 0.0;
   double best_validation_loss = std::numeric_limits<double>::infinity();
   int64_t epochs_without_improvement = 0;
-  std::unique_ptr<nn::ParameterSnapshot> best_weights;
+  std::optional<nn::NamedTensors> best_weights;
   bool stop_early = false;
   int64_t total_batches = 0;  // across epochs, retries included
   for (int64_t epoch = 0; epoch < config.epochs && !stop_early; ++epoch) {
     if (config.recovery.enabled) {
-      good_weights = std::make_unique<nn::ParameterSnapshot>(*model);
+      good_weights = nn::CaptureTensors(weights);
       good_optimizer_state = optimizer.ExportState();
       good_rng_state = rng.GetState();
       good_best_validation_loss = best_validation_loss;
@@ -267,7 +276,7 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
         } else if (validation_loss < best_validation_loss - 1e-9) {
           best_validation_loss = validation_loss;
           epochs_without_improvement = 0;
-          best_weights = std::make_unique<nn::ParameterSnapshot>(*model);
+          best_weights = nn::CaptureTensors(weights);
         } else if (++epochs_without_improvement >=
                    config.early_stop_patience) {
           if (config.verbose) {
@@ -298,7 +307,7 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
       if (metrics != nullptr) {
         metrics->GetCounter(kRecoveries)->Increment();
       }
-      good_weights->Restore(model);
+      restore_weights(good_weights);
       const Status import_status = optimizer.ImportState(good_optimizer_state);
       AUTOCTS_CHECK(import_status.ok()) << import_status.ToString();
       rng.SetState(good_rng_state);
@@ -319,7 +328,7 @@ StatusOr<EvalResult> TrainAndEvaluateWithStatus(ForecastingModel* model,
   }
   result.train_seconds_per_epoch =
       result.epochs_run > 0 ? total_train_seconds / result.epochs_run : 0.0;
-  if (best_weights != nullptr) best_weights->Restore(model);
+  if (best_weights) restore_weights(*best_weights);
 
   // A token cancelled (or a deadline expired) during the last epoch's tail
   // is honored before the test evaluation, which can be long on large

@@ -76,11 +76,10 @@ struct TrainConfig {
 
   // Numerical-health guard layer (common/numerics.h): every batch the loss
   // value, the pre-clip gradient norm, and the post-step parameters are
-  // checked. Detected anomalies either recover (recovery.enabled: skip the
-  // poisoned step, or roll back to the epoch-start snapshot with a learning
-  // rate backoff) or fail the Status-returning entry point with an
-  // attribution message.
-  numerics::HealthConfig health;
+  // checked against the numerics::k* thresholds. Detected anomalies either
+  // recover (recovery.enabled: skip the poisoned step, or roll back to the
+  // epoch-start snapshot with a learning rate backoff) or fail the
+  // Status-returning entry point with an attribution message.
   numerics::RecoveryOptions recovery;
 
   // Test hook for fault injection: invoked on every training batch after

@@ -183,8 +183,7 @@ StatusOr<Tensor> ForecastClient::Predict(const Tensor& window,
   Status last = Status::Unavailable("no attempt made");
   for (int64_t attempt = 1; attempt <= attempts; ++attempt) {
     if (attempt > 1) {
-      fault::SleepForBackoff(options_.retry,
-                             fault::BackoffSeconds(options_.retry, attempt));
+      fault::SleepForBackoff(fault::BackoffSeconds(attempt));
     }
     if (!connected()) {
       const Status connect = ConnectOnce();

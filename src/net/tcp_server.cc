@@ -16,6 +16,9 @@
 namespace autocts::net {
 namespace {
 
+// listen(2) backlog.
+constexpr int kListenBacklog = 64;
+
 // Reads exactly `size` bytes. Returns the byte count actually read: `size`
 // on success, 0 on a clean EOF before the first byte, a partial count on
 // EOF mid-buffer, or -1 on a socket error.
@@ -85,7 +88,7 @@ Status TcpForecastServer::Start() {
                     sizeof(addr)) != 0) {
     failure = ErrnoStatus("bind " + options_.bind_address + ":" +
                           std::to_string(options_.port));
-  } else if (::listen(listen_fd_, options_.backlog) != 0) {
+  } else if (::listen(listen_fd_, kListenBacklog) != 0) {
     failure = ErrnoStatus("listen");
   }
   if (!failure.ok()) {

@@ -50,8 +50,6 @@ struct TcpServeOptions {
   // Bind address. The default only accepts loopback connections; use
   // "0.0.0.0" to serve a network.
   std::string bind_address = "127.0.0.1";
-  // listen(2) backlog.
-  int backlog = 64;
 };
 
 class TcpForecastServer {

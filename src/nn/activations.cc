@@ -11,11 +11,4 @@ Variable Glu(const Variable& x) {
   return ag::Mul(a, ag::Sigmoid(b));
 }
 
-Variable LeakyRelu(const Variable& x, double slope) {
-  AUTOCTS_CHECK_GT(slope, 0.0);
-  AUTOCTS_CHECK_LT(slope, 1.0);
-  // max(x, slope*x) == relu(x) - slope * relu(-x)
-  return ag::Sub(ag::Relu(x), ag::MulScalar(ag::Relu(ag::Neg(x)), slope));
-}
-
 }  // namespace autocts::nn

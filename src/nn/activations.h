@@ -10,9 +10,6 @@ namespace autocts::nn {
 // returns a * sigmoid(b). Requires an even last dimension.
 Variable Glu(const Variable& x);
 
-// Leaky ReLU: max(x, slope * x) with slope in (0, 1).
-Variable LeakyRelu(const Variable& x, double slope = 0.01);
-
 }  // namespace autocts::nn
 
 #endif  // AUTOCTS_NN_ACTIVATIONS_H_

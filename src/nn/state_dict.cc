@@ -3,25 +3,54 @@
 #include "common/text_codec.h"
 
 namespace autocts::nn {
-namespace {
 
-void AppendTensorRecord(const std::string& key, const std::string& name,
-                        const Tensor& value, std::ostringstream* out) {
-  *out << key << " = " << name;
-  AppendTensorText(value, out);
-  *out << "\n";
-}
-
-Status ParseTensorRecord(const std::string& record, std::string* name,
-                         Tensor* value) {
-  std::istringstream stream(record);
-  if (!(stream >> *name)) {
-    return Status::InvalidArgument("malformed record: " + record);
+TensorSlots VariableSlots(
+    const std::vector<std::pair<std::string, Variable>>& variables) {
+  TensorSlots slots;
+  slots.reserve(variables.size());
+  for (const auto& [name, variable] : variables) {
+    Variable handle = variable;
+    slots.emplace_back(name, &handle.mutable_value());
   }
-  return ParseTensorText(&stream, *name, value);
+  return slots;
 }
 
-}  // namespace
+NamedTensors CaptureTensors(const TensorSlots& slots) {
+  NamedTensors tensors;
+  tensors.reserve(slots.size());
+  for (const auto& [name, slot] : slots) {
+    tensors.emplace_back(name, slot->Clone());
+  }
+  return tensors;
+}
+
+Status CheckTensors(const NamedTensors& tensors, const TensorSlots& slots,
+                    const std::string& kind) {
+  if (tensors.size() != slots.size()) {
+    return Status::InvalidArgument(
+        kind + " count mismatch: state has " + std::to_string(tensors.size()) +
+        ", target has " + std::to_string(slots.size()));
+  }
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (tensors[i].first != slots[i].first) {
+      return Status::InvalidArgument(
+          kind + " " + std::to_string(i) + " is " + tensors[i].first +
+          ", expected " + slots[i].first);
+    }
+    if (tensors[i].second.shape() != slots[i].second->shape()) {
+      return Status::InvalidArgument(kind + " shape mismatch for: " +
+                                     slots[i].first);
+    }
+  }
+  return Status::Ok();
+}
+
+void CopyTensors(const NamedTensors& tensors, const TensorSlots& slots) {
+  AUTOCTS_CHECK_EQ(tensors.size(), slots.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    *slots[i].second = tensors[i].second.Clone();
+  }
+}
 
 void AppendTensorText(const Tensor& value, std::ostream* out) {
   *out << " " << value.ndim();
@@ -71,15 +100,23 @@ Status ParseTensorText(std::istringstream* record, const std::string& label,
   return Status::Ok();
 }
 
-std::string SaveStateDict(const Module& module) {
-  std::ostringstream out;
-  for (const auto& [name, parameter] : module.NamedParameters()) {
-    AppendTensorRecord("param", name, parameter.value(), &out);
+void AppendTensorRecord(const std::string& key, const std::string& name,
+                        const Tensor& value, std::ostream* out) {
+  *out << key << " = " << name;
+  AppendTensorText(value, out);
+}
+
+Status ParseTensorRecord(const std::string& record, NamedTensors* out) {
+  std::istringstream stream(record);
+  std::string name;
+  if (!(stream >> name)) {
+    return Status::InvalidArgument("named-tensor record without a name");
   }
-  for (const auto& [name, buffer] : module.NamedBuffers()) {
-    AppendTensorRecord("buffer", name, *buffer, &out);
-  }
-  return out.str();
+  Tensor value;
+  const Status status = ParseTensorText(&stream, name, &value);
+  if (!status.ok()) return status;
+  out->emplace_back(std::move(name), std::move(value));
+  return Status::Ok();
 }
 
 const Tensor* StateDict::FindParam(const std::string& name) const {
@@ -89,105 +126,79 @@ const Tensor* StateDict::FindParam(const std::string& name) const {
   return nullptr;
 }
 
-StatusOr<StateDict> ParseStateDict(const std::string& text) {
-  StatusOr<TextReader> reader = TextReader::Parse(text);
-  if (!reader.ok()) return reader.status();
-  StateDict state;
-  for (const auto& [key, out] : {std::pair{"param", &state.params},
-                                 std::pair{"buffer", &state.buffers}}) {
-    for (const std::string& record : reader.value().GetAll(key)) {
-      std::string name;
-      Tensor value;
-      Status status = ParseTensorRecord(record, &name, &value);
-      if (!status.ok()) return status;
-      out->emplace_back(name, value);
+StateDict CaptureStateDict(const Module& module) {
+  return {CaptureTensors(VariableSlots(module.NamedParameters())),
+          CaptureTensors(module.NamedBuffers())};
+}
+
+std::vector<std::string> StateDictLines(const StateDict& state) {
+  std::vector<std::string> lines;
+  lines.reserve(state.params.size() + state.buffers.size());
+  for (const auto& [key, tensors] : {std::pair{"param", &state.params},
+                                     std::pair{"buffer", &state.buffers}}) {
+    for (const auto& [name, value] : *tensors) {
+      std::ostringstream line;
+      AppendTensorRecord(key, name, value, &line);
+      lines.push_back(line.str());
     }
   }
+  return lines;
+}
+
+Status ParseStateLine(const std::string& line, StateDict* state) {
+  const size_t eq = line.find('=');
+  const std::string key =
+      StripWhitespace(line.substr(0, eq == std::string::npos ? 0 : eq));
+  NamedTensors* out = key == "param"    ? &state->params
+                      : key == "buffer" ? &state->buffers
+                                        : nullptr;
+  if (out == nullptr) {
+    return Status::InvalidArgument("not a param or buffer record");
+  }
+  return ParseTensorRecord(line.substr(eq + 1), out);
+}
+
+std::string SaveStateDict(const Module& module) {
+  std::string text;
+  for (const std::string& line : StateDictLines(CaptureStateDict(module))) {
+    text += line;
+    text += '\n';
+  }
+  return text;
+}
+
+StatusOr<StateDict> ParseStateDict(const std::string& text) {
+  StateDict state;
+  std::istringstream stream(text);
+  std::string line;
+  while (std::getline(stream, line)) {
+    const Status status = ParseStateLine(line, &state);
+    if (!status.ok()) return status;
+  }
   return state;
+}
+
+Status LoadStateDict(Module* module, const StateDict& state) {
+  AUTOCTS_CHECK(module != nullptr);
+  const TensorSlots params = VariableSlots(module->NamedParameters());
+  const TensorSlots buffers = module->NamedBuffers();
+  Status status = CheckTensors(state.params, params, "parameter");
+  // A state without buffer records (written before buffers existed) leaves
+  // the module's buffers at their current values.
+  const bool with_buffers = !state.buffers.empty();
+  if (status.ok() && with_buffers) {
+    status = CheckTensors(state.buffers, buffers, "buffer");
+  }
+  if (!status.ok()) return status;
+  CopyTensors(state.params, params);
+  if (with_buffers) CopyTensors(state.buffers, buffers);
+  return Status::Ok();
 }
 
 Status LoadStateDict(Module* module, const std::string& text) {
   StatusOr<StateDict> state = ParseStateDict(text);
   if (!state.ok()) return state.status();
   return LoadStateDict(module, state.value());
-}
-
-Status LoadStateDict(Module* module, const StateDict& state) {
-  AUTOCTS_CHECK(module != nullptr);
-
-  // Match against the module's parameters.
-  std::vector<std::pair<std::string, Variable>> parameters =
-      module->NamedParameters();
-  if (state.params.size() != parameters.size()) {
-    return Status::InvalidArgument(
-        "parameter count mismatch: file has " +
-        std::to_string(state.params.size()) + ", module has " +
-        std::to_string(parameters.size()));
-  }
-  for (auto& [name, parameter] : parameters) {
-    const Tensor* found = state.FindParam(name);
-    if (found == nullptr) return Status::NotFound("missing parameter: " + name);
-    if (found->shape() != parameter.shape()) {
-      return Status::InvalidArgument("shape mismatch for: " + name);
-    }
-  }
-
-  // Match buffer records against the module's buffers. Files written before
-  // buffers existed carry none — those load with buffers left at their
-  // current values — but an unknown buffer name or a shape mismatch is an
-  // architecture mismatch, rejected like a bad param record.
-  std::vector<std::pair<std::string, Tensor*>> buffers =
-      module->NamedBuffers();
-  for (const auto& [record_name, value] : state.buffers) {
-    Tensor* found = nullptr;
-    for (const auto& [name, buffer] : buffers) {
-      if (name == record_name) {
-        found = buffer;
-        break;
-      }
-    }
-    if (found == nullptr) {
-      return Status::InvalidArgument("unknown buffer: " + record_name);
-    }
-    if (found->shape() != value.shape()) {
-      return Status::InvalidArgument("shape mismatch for buffer: " +
-                                     record_name);
-    }
-  }
-
-  // All validated; now write values.
-  for (auto& [name, parameter] : parameters) {
-    parameter.mutable_value() = state.FindParam(name)->Clone();
-  }
-  for (const auto& [record_name, value] : state.buffers) {
-    for (auto& [name, buffer] : buffers) {
-      if (name == record_name) {
-        *buffer = value.Clone();
-        break;
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-ParameterSnapshot::ParameterSnapshot(const Module& module) {
-  for (const auto& [name, parameter] : module.NamedParameters()) {
-    values_.emplace_back(name, parameter.value().Clone());
-  }
-}
-
-void ParameterSnapshot::Restore(Module* module) const {
-  AUTOCTS_CHECK(module != nullptr);
-  std::vector<std::pair<std::string, Variable>> parameters =
-      module->NamedParameters();
-  AUTOCTS_CHECK_EQ(parameters.size(), values_.size())
-      << "snapshot/module structure mismatch";
-  for (size_t i = 0; i < parameters.size(); ++i) {
-    AUTOCTS_CHECK(parameters[i].first == values_[i].first)
-        << "snapshot/module parameter order mismatch at " << i;
-    AUTOCTS_CHECK(parameters[i].second.shape() == values_[i].second.shape());
-    parameters[i].second.mutable_value() = values_[i].second.Clone();
-  }
 }
 
 }  // namespace autocts::nn

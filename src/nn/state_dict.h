@@ -1,21 +1,27 @@
-// Parameter (de)serialization: save and restore the trained weights of any
-// Module by parameter name, in a line-oriented text format (no third-party
-// dependency). Used for checkpointing, best-weights restore, and shipping
-// trained forecasting models next to their genotypes.
+// Trained tensors by name: the one in-memory form of a module's weights,
+// the one capture and validate-then-copy restore, and the one text codec.
 //
-// Format (one record per parameter, then one per non-trainable buffer —
-// e.g. BatchNorm running statistics — registered via Module::RegisterBuffer):
+// A module's trained state is NamedTensors: (dotted name, tensor) pairs in
+// the order the module lists them. Model artifacts hold a StateDict (the
+// parameters, then the non-trainable buffers such as BatchNorm running
+// statistics); the trainer's best and last-good weights and the search
+// checkpoint's weights and Theta are NamedTensors too. All of them are
+// captured with CaptureTensors and restored with CheckTensors, which
+// validates every tensor before anything is written, then CopyTensors.
+//
+// Text form (one record per parameter, then one per buffer, registered via
+// Module::RegisterBuffer):
 //   param = <name> <ndim> <dim0> ... <dimk> <v0> <v1> ... <vn>
 //   buffer = <name> <ndim> <dim0> ... <dimk> <v0> <v1> ... <vn>
 // Values are written as C99 hex-floats ("%a") so every double round-trips
 // bit-identically; the loader also accepts decimal values from old files.
 // Files written before buffer records existed still load (the module's
-// buffers keep their current values); an unknown buffer name or shape
-// mismatch is rejected like any architecture mismatch.
+// buffers keep their current values); otherwise the records must name
+// every parameter and buffer in the module's order, each with its shape.
 //
 // The "<ndim> <dims...> <values...>" tail is the one tensor text codec of
-// the repository: search checkpoints and model artifacts embed tensors
-// through AppendTensorText/ParseTensorText too.
+// the repository, and "<name> <tensor>" the one named-tensor record: search
+// checkpoints and model artifacts embed both.
 #ifndef AUTOCTS_NN_STATE_DICT_H_
 #define AUTOCTS_NN_STATE_DICT_H_
 
@@ -30,6 +36,32 @@
 
 namespace autocts::nn {
 
+// Named tensors in their owner's order (deep copies, owned).
+using NamedTensors = std::vector<std::pair<std::string, Tensor>>;
+
+// The live tensors named state is captured from and restored into: a
+// module's buffers (Module::NamedBuffers) or the values of named variables
+// (VariableSlots).
+using TensorSlots = std::vector<std::pair<std::string, Tensor*>>;
+
+// The value tensors of `variables`. Variables are shared handles, so the
+// slots stay valid while their module (or supernet) lives.
+TensorSlots VariableSlots(
+    const std::vector<std::pair<std::string, Variable>>& variables);
+
+// Deep copies of the tensors in `slots`, in order.
+NamedTensors CaptureTensors(const TensorSlots& slots);
+
+// Validates `tensors` against `slots` without writing anything: the same
+// names in the same order, each with its slot's shape. `kind` names the
+// tensors in the message ("parameter", "buffer", "arch parameter").
+Status CheckTensors(const NamedTensors& tensors, const TensorSlots& slots,
+                    const std::string& kind);
+
+// Writes a deep copy of each tensor into its slot. Call only after
+// CheckTensors accepted the pair.
+void CopyTensors(const NamedTensors& tensors, const TensorSlots& slots);
+
 // Appends " <ndim> <dim0> ... <dimk> <v0> ... <vn>" (hex-float values).
 void AppendTensorText(const Tensor& value, std::ostream* out);
 
@@ -40,41 +72,43 @@ void AppendTensorText(const Tensor& value, std::ostream* out);
 Status ParseTensorText(std::istringstream* record, const std::string& label,
                        Tensor* out);
 
-// Serializes every named parameter of `module`.
-std::string SaveStateDict(const Module& module);
+// Appends "<key> = <name> <tensor text>", one named-tensor record without
+// its newline.
+void AppendTensorRecord(const std::string& key, const std::string& name,
+                        const Tensor& value, std::ostream* out);
 
-// The records of a state-dict text, parsed (every shape under the count
-// rule of ParseTensorText) but not yet matched against a module.
+// Parses the value of a named-tensor record, "<name> <tensor text>", and
+// appends it to `out`.
+Status ParseTensorRecord(const std::string& record, NamedTensors* out);
+
+// A module's trained state: its parameters, then its buffers.
 struct StateDict {
-  std::vector<std::pair<std::string, Tensor>> params;
-  std::vector<std::pair<std::string, Tensor>> buffers;
+  NamedTensors params;
+  NamedTensors buffers;
 
-  // The parameter record named `name`, or nullptr.
+  // The parameter named `name`, or nullptr.
   const Tensor* FindParam(const std::string& name) const;
 };
+
+// Deep copies of every parameter and buffer of `module`.
+StateDict CaptureStateDict(const Module& module);
+
+// The text records of `state`, one per line, without newlines.
+std::vector<std::string> StateDictLines(const StateDict& state);
+
+// Parses one text record ("param = ..." or "buffer = ...") into `state`.
+Status ParseStateLine(const std::string& line, StateDict* state);
+
+// The text form of `module`'s state, and its parser (every line one
+// record).
+std::string SaveStateDict(const Module& module);
 StatusOr<StateDict> ParseStateDict(const std::string& text);
 
-// Restores parameter values into `module`. Every parameter of the module
-// must be present in the text with a matching shape; unknown extra records
-// are rejected too (they signal an architecture mismatch).
+// Restores `state` into `module`: CheckTensors on the parameters (and on
+// the buffers when the state carries any), then CopyTensors. A mismatch,
+// which signals an architecture mismatch, writes nothing.
 Status LoadStateDict(Module* module, const StateDict& state);
 Status LoadStateDict(Module* module, const std::string& text);
-
-// In-memory snapshot/restore used for best-validation-weights tracking.
-// Snapshot captures deep copies of all parameter values. Intentionally
-// parameters-only: training-time rollback keeps the running statistics the
-// model has accumulated, matching the pre-buffer behaviour bit-for-bit.
-class ParameterSnapshot {
- public:
-  // Captures the current values of `module`'s parameters.
-  explicit ParameterSnapshot(const Module& module);
-
-  // Writes the captured values back (module must have identical structure).
-  void Restore(Module* module) const;
-
- private:
-  std::vector<std::pair<std::string, Tensor>> values_;
-};
 
 }  // namespace autocts::nn
 

@@ -28,7 +28,7 @@ AdamState Adam::ExportState() const {
   return state;
 }
 
-Status Adam::ImportState(const AdamState& state) {
+Status Adam::CheckState(const AdamState& state) const {
   if (state.step_count < 0) {
     return Status::InvalidArgument("negative Adam step count");
   }
@@ -53,6 +53,12 @@ Status Adam::ImportState(const AdamState& state) {
                                      std::to_string(i));
     }
   }
+  return Status::Ok();
+}
+
+Status Adam::ImportState(const AdamState& state) {
+  const Status status = CheckState(state);
+  if (!status.ok()) return status;
   step_count_ = state.step_count;
   for (size_t i = 0; i < parameters_.size(); ++i) {
     first_moment_[i] = state.first_moment[i].defined()

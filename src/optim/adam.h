@@ -39,11 +39,14 @@ class Adam : public Optimizer {
 
   // Deep-copies the optimizer state (moments + step count).
   AdamState ExportState() const;
-  // Restores a previously exported state. Validates slot counts and moment
-  // shapes against the parameter list before mutating anything, so a failed
-  // import leaves the optimizer untouched. The next Step() after a
-  // successful import is bit-identical to the step the exporting optimizer
-  // would have taken (including the step-count bias correction).
+  // Validates `state` against the parameter list (slot count, moment pairs
+  // and shapes, step count) without writing anything.
+  Status CheckState(const AdamState& state) const;
+  // Restores a previously exported state. Runs CheckState before mutating
+  // anything, so a failed import leaves the optimizer untouched. The next
+  // Step() after a successful import is bit-identical to the step the
+  // exporting optimizer would have taken (including the step-count bias
+  // correction).
   Status ImportState(const AdamState& state);
 
   int64_t step_count() const { return step_count_; }

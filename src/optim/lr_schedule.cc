@@ -18,18 +18,4 @@ double ExponentialSchedule::At(int64_t epoch) const {
   return std::max(floor_, initial_ * std::pow(gamma_, static_cast<double>(epoch)));
 }
 
-CosineSchedule::CosineSchedule(double initial, double final_value,
-                               int64_t total_epochs)
-    : initial_(initial), final_(final_value), total_epochs_(total_epochs) {
-  AUTOCTS_CHECK_GT(total_epochs, 0);
-}
-
-double CosineSchedule::At(int64_t epoch) const {
-  AUTOCTS_CHECK_GE(epoch, 0);
-  const double progress = std::min(
-      1.0, static_cast<double>(epoch) / static_cast<double>(total_epochs_));
-  return final_ +
-         0.5 * (initial_ - final_) * (1.0 + std::cos(M_PI * progress));
-}
-
 }  // namespace autocts::optim

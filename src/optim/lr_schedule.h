@@ -22,19 +22,6 @@ class ExponentialSchedule {
   double floor_;
 };
 
-// Cosine decay from `initial` to `final` over `total_epochs`.
-class CosineSchedule {
- public:
-  CosineSchedule(double initial, double final_value, int64_t total_epochs);
-
-  double At(int64_t epoch) const;
-
- private:
-  double initial_;
-  double final_;
-  int64_t total_epochs_;
-};
-
 }  // namespace autocts::optim
 
 #endif  // AUTOCTS_OPTIM_LR_SCHEDULE_H_

@@ -31,43 +31,22 @@ Status ParseDoubleList(const std::string& text, const std::string& label,
 }
 
 // Embeds a multi-line sub-document as `count_key = N` followed by N
-// repeated `line_key = <line>` records; decode re-joins them in order.
+// repeated `line_key = <line>` records.
 void AppendLines(TextWriter* writer, const std::string& count_key,
-                 const std::string& line_key, const std::string& text) {
-  std::istringstream stream(text);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(stream, line)) lines.push_back(line);
+                 const std::string& line_key,
+                 const std::vector<std::string>& lines) {
   writer->AddInt(count_key, static_cast<int64_t>(lines.size()));
   for (const std::string& l : lines) writer->Add(line_key, l);
-}
-
-Status ParseLines(const TextReader& reader, const std::string& count_key,
-                  const std::string& line_key, std::string* out) {
-  StatusOr<int64_t> count = reader.GetInt(count_key);
-  if (!count.ok()) return count.status();
-  const std::vector<std::string> lines = reader.GetAll(line_key);
-  if (static_cast<int64_t>(lines.size()) != count.value()) {
-    return Status::InvalidArgument(
-        line_key + " line count mismatch: expected " +
-        std::to_string(count.value()) + ", found " +
-        std::to_string(lines.size()));
-  }
-  std::ostringstream joined;
-  for (const std::string& l : lines) joined << l << "\n";
-  *out = joined.str();
-  return Status::Ok();
 }
 
 // The geometry fields size the model's weights, and the decoder bounds them
 // only from below. The state dict's shapes are bounded by its bytes (the
 // count rule of nn::ParseTensorText), so the fields must match them before
 // a model is built from the fields.
-Status CheckGeometry(const ModelArtifact& artifact,
-                     const nn::StateDict& state) {
+Status CheckGeometry(const ModelArtifact& artifact) {
   const ArtifactMeta& meta = artifact.meta;
   const auto expect = [&](const std::string& name, const Shape& shape) {
-    const Tensor* found = state.FindParam(name);
+    const Tensor* found = artifact.state.FindParam(name);
     return found != nullptr && found->shape() == shape
                ? Status::Ok()
                : Status::InvalidArgument(
@@ -109,7 +88,7 @@ ModelArtifact MakeModelArtifact(const core::DerivedModel& model,
   artifact.meta.zero_is_missing = data.zero_is_missing;
   artifact.genotype = model.genotype();
   artifact.scaler = data.scaler.GetState();
-  artifact.state_dict = nn::SaveStateDict(model);
+  artifact.state = nn::CaptureStateDict(model);
   artifact.adjacency = data.adjacency;
   return artifact;
 }
@@ -152,9 +131,14 @@ std::string EncodeModelArtifact(const ModelArtifact& artifact) {
   }
   writer.Add("adjacency", adjacency.str());
 
-  AppendLines(&writer, "genotype_lines", "genotype",
-              artifact.genotype.ToText());
-  AppendLines(&writer, "state_lines", "state", artifact.state_dict);
+  std::vector<std::string> genotype_lines;
+  std::istringstream genotype_text(artifact.genotype.ToText());
+  for (std::string line; std::getline(genotype_text, line);) {
+    genotype_lines.push_back(line);
+  }
+  AppendLines(&writer, "genotype_lines", "genotype", genotype_lines);
+  AppendLines(&writer, "state_lines", "state",
+              nn::StateDictLines(artifact.state));
 
   return SealText(writer.ToString());
 }
@@ -241,16 +225,23 @@ StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& text) {
     }
   }
 
+  StatusOr<std::vector<std::string>> lines =
+      reader.GetCounted("genotype_lines", "genotype");
+  if (!lines.ok()) return lines.status();
   std::string genotype_text;
-  status = ParseLines(reader, "genotype_lines", "genotype", &genotype_text);
-  if (!status.ok()) return status;
+  for (const std::string& line : lines.value()) genotype_text += line + "\n";
   StatusOr<core::Genotype> genotype = core::Genotype::FromText(genotype_text);
   if (!genotype.ok()) return genotype.status();
   artifact.genotype = genotype.value();
 
-  status = ParseLines(reader, "state_lines", "state", &artifact.state_dict);
+  lines = reader.GetCounted("state_lines", "state");
+  if (!lines.ok()) return lines.status();
+  for (const std::string& line : lines.value()) {
+    status = nn::ParseStateLine(line, &artifact.state);
+    if (!status.ok()) return status;
+  }
+  status = CheckGeometry(artifact);
   if (!status.ok()) return status;
-
   return artifact;
 }
 
@@ -271,22 +262,16 @@ StatusOr<ModelArtifact> LoadModelArtifactOrPrev(const std::string& path,
 
 StatusOr<std::unique_ptr<core::DerivedModel>> BuildModelFromArtifact(
     const ModelArtifact& artifact) {
-  StatusOr<nn::StateDict> state = nn::ParseStateDict(artifact.state_dict);
-  Status status =
-      state.ok() ? CheckGeometry(artifact, state.value()) : state.status();
-  std::unique_ptr<core::DerivedModel> model;
-  if (status.ok()) {
-    models::ModelContext context;
-    context.num_nodes = artifact.meta.num_nodes;
-    context.in_features = artifact.meta.in_features;
-    context.input_length = artifact.meta.input_length;
-    context.output_length = artifact.meta.output_length;
-    context.hidden_dim = artifact.meta.hidden_dim;
-    context.adjacency = artifact.adjacency;
-    context.seed = artifact.meta.seed;
-    model = std::make_unique<core::DerivedModel>(artifact.genotype, context);
-    status = nn::LoadStateDict(model.get(), state.value());
-  }
+  models::ModelContext context;
+  context.num_nodes = artifact.meta.num_nodes;
+  context.in_features = artifact.meta.in_features;
+  context.input_length = artifact.meta.input_length;
+  context.output_length = artifact.meta.output_length;
+  context.hidden_dim = artifact.meta.hidden_dim;
+  context.adjacency = artifact.adjacency;
+  context.seed = artifact.meta.seed;
+  auto model = std::make_unique<core::DerivedModel>(artifact.genotype, context);
+  const Status status = nn::LoadStateDict(model.get(), artifact.state);
   if (!status.ok()) {
     return Status(status.code(),
                   "artifact state dict does not match the genotype's "

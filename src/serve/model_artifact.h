@@ -19,6 +19,7 @@
 #include "core/derived_model.h"
 #include "data/scaler.h"
 #include "models/trainer.h"
+#include "nn/state_dict.h"
 
 namespace autocts::serve {
 
@@ -42,8 +43,8 @@ struct ModelArtifact {
   ArtifactMeta meta;
   core::Genotype genotype;
   data::StandardScaler::State scaler;
-  // nn::SaveStateDict text of the trained model (params + buffers).
-  std::string state_dict;
+  // The trained model's parameters and buffers.
+  nn::StateDict state;
   // Predefined adjacency; undefined when the graph is learned (the rebuilt
   // model then re-registers its adaptive adjacency, whose embeddings are
   // restored from the state dict).
@@ -52,13 +53,18 @@ struct ModelArtifact {
 
 // Bundles a trained model with the data it was trained on. The scaler,
 // window geometry, and adjacency come from `data`; weights and buffers are
-// captured as the model's current state dict.
+// captured with nn::CaptureStateDict.
 ModelArtifact MakeModelArtifact(const core::DerivedModel& model,
                                 const models::PreparedData& data,
                                 int64_t hidden_dim, uint64_t seed);
 
-// Text codec. Decode rejects any corruption: a flipped byte or truncation
-// anywhere fails the CRC trailer check before field parsing begins.
+// Text codec. The state dict travels as its text records, one `state`
+// line each after a `state_lines` count. Decode rejects any corruption: a
+// flipped byte or truncation anywhere fails the CRC trailer check before
+// field parsing begins. It then parses every field, the state records
+// straight into tensors, and checks the geometry fields against the state
+// dict's shapes (and num_nodes against the adjacency), so the model of
+// every artifact that decodes is sized by bytes the file holds.
 std::string EncodeModelArtifact(const ModelArtifact& artifact);
 StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& text);
 
@@ -70,8 +76,10 @@ StatusOr<ModelArtifact> LoadModelArtifact(const std::string& path);
 StatusOr<ModelArtifact> LoadModelArtifactOrPrev(const std::string& path,
                                                 bool* used_prev = nullptr);
 
-// Rebuilds the derived model from the artifact: fresh DerivedModel from the
-// genotype + geometry, trained state restored, switched to eval mode.
+// Rebuilds the derived model from a made or decoded artifact: fresh
+// DerivedModel from the genotype + geometry, trained state copied in with
+// nn::LoadStateDict (InvalidArgument when it does not match the genotype's
+// architecture), switched to eval mode. Parses no text.
 StatusOr<std::unique_ptr<core::DerivedModel>> BuildModelFromArtifact(
     const ModelArtifact& artifact);
 

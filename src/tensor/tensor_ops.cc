@@ -502,32 +502,6 @@ Tensor Max(const Tensor& a, int64_t axis, bool keepdim) {
   return out;
 }
 
-Tensor ArgMax(const Tensor& a, int64_t axis) {
-  axis = NormalizeAxis(axis, a.ndim());
-  int64_t outer, mid, inner;
-  AxisExtents(a.shape(), axis, &outer, &mid, &inner);
-  Tensor out =
-      Tensor::Uninitialized(ReducedShape(a.shape(), axis, /*keepdim=*/false));
-  const double* pa = a.data();
-  double* po = out.data();
-  ParallelOverReducedOutput(
-      outer, inner, [&](int64_t o, int64_t ilo, int64_t ihi) {
-        for (int64_t i = ilo; i < ihi; ++i) {
-          int64_t best = 0;
-          double best_value = pa[o * mid * inner + i];
-          for (int64_t m = 1; m < mid; ++m) {
-            const double value = pa[(o * mid + m) * inner + i];
-            if (value > best_value) {
-              best_value = value;
-              best = m;
-            }
-          }
-          po[o * inner + i] = static_cast<double>(best);
-        }
-      });
-  return out;
-}
-
 double SumAll(const Tensor& a) {
   const double* pa = a.data();
   return ParallelSum(0, a.size(), kReduceGrain, [&](int64_t lo, int64_t hi) {

@@ -56,8 +56,6 @@ Tensor MatMulNaive(const Tensor& a, const Tensor& b);
 Tensor Sum(const Tensor& a, int64_t axis, bool keepdim = false);
 Tensor Mean(const Tensor& a, int64_t axis, bool keepdim = false);
 Tensor Max(const Tensor& a, int64_t axis, bool keepdim = false);
-// Index of the maximum along `axis` (values are integral doubles).
-Tensor ArgMax(const Tensor& a, int64_t axis);
 double SumAll(const Tensor& a);
 double MeanAll(const Tensor& a);
 double MaxAll(const Tensor& a);

@@ -178,13 +178,6 @@ TEST(NoGradScope, DoesNotReachAnotherThreadsTape) {
   holder.join();
 }
 
-TEST(Variable, DetachStopsGradients) {
-  Variable a(Tensor::Ones({2}), true);
-  Variable loss = ag::SumAll(ag::Mul(ag::Detach(a), a));
-  loss.Backward();
-  EXPECT_DOUBLE_EQ(a.grad().data()[0], 1.0);  // Only the live path counts.
-}
-
 // ---------------------------------------------------------------------------
 // Finite-difference gradient checks for every differentiable op.
 // ---------------------------------------------------------------------------
@@ -361,37 +354,13 @@ TEST(GradCheck, ReshapePermuteSliceConcatPad) {
   EXPECT_TRUE(result.ok) << result.message;
 }
 
-TEST(GradCheck, IndexSelectWithDuplicates) {
-  GradCheckResult result = CheckGradients(
-      [](const std::vector<Variable>& v) {
-        const Variable sel = ag::IndexSelect(v[0], 0, {2, 0, 2});
-        return ag::SumAll(ag::Mul(sel, sel));
-      },
-      {RandomTensor({4, 3}, 13)}, 1e-6, 1e-5);
-  EXPECT_TRUE(result.ok) << result.message;
-}
-
-TEST(IndexSelect, ForwardGathersRows) {
-  Variable a(Tensor::FromVector({3, 2}, {1, 2, 3, 4, 5, 6}), false);
-  const Tensor sel = ag::IndexSelect(a, 0, {2, 1}).value();
-  EXPECT_EQ(sel.At({0, 0}), 5.0);
-  EXPECT_EQ(sel.At({1, 1}), 4.0);
-}
-
 TEST(GradCheck, Losses) {
   const Tensor pred = RandomTensor({2, 3}, 14);
   const Tensor target = RandomTensor({2, 3}, 15);
-  for (const int which : {0, 1, 2}) {
+  for (const int which : {0, 1}) {
     GradCheckResult result = CheckGradients(
         [which](const std::vector<Variable>& v) {
-          switch (which) {
-            case 0:
-              return ag::MseLoss(v[0], v[1]);
-            case 1:
-              return ag::L1Loss(v[0], v[1]);
-            default:
-              return ag::HuberLoss(v[0], v[1], 0.35);
-          }
+          return which == 0 ? ag::MseLoss(v[0], v[1]) : ag::L1Loss(v[0], v[1]);
         },
         {pred, target}, 1e-6, 1e-4);
     EXPECT_TRUE(result.ok) << "loss " << which << ": " << result.message;
@@ -403,8 +372,6 @@ TEST(Losses, KnownValues) {
   Variable y(Tensor::FromVector({2}, {0.0, 1.0}), false);
   EXPECT_NEAR(ag::L1Loss(p, y).value().item(), 1.5, 1e-12);
   EXPECT_NEAR(ag::MseLoss(p, y).value().item(), 2.5, 1e-12);
-  // Huber(delta=1): |1| -> 0.5; |2| -> 1*(2-0.5) = 1.5; mean = 1.0.
-  EXPECT_NEAR(ag::HuberLoss(p, y, 1.0).value().item(), 1.0, 1e-12);
 }
 
 TEST(GradCheck, DeepComposedExpression) {
@@ -456,8 +423,7 @@ Variable WeightedSum(const Variable& v, uint64_t seed) {
 
 std::vector<LabeledOpCase> LabeledOpCases() {
   // Inputs stay away from non-smooth points: denominators and sqrt/log
-  // arguments in [0.5, 1.5], abs/relu inputs bounded away from 0, huber
-  // residuals bounded away from |delta|.
+  // arguments in [0.5, 1.5], abs/relu inputs bounded away from 0.
   const Tensor positive = RandomTensor({2, 3}, 101, 0.5, 1.5);
   const Tensor generic = RandomTensor({2, 3}, 102);
   const Tensor generic_b = RandomTensor({2, 3}, 103);
@@ -520,13 +486,6 @@ std::vector<LabeledOpCase> LabeledOpCases() {
         return ag::Pad(v[0], /*axis=*/1, /*before=*/1, /*after=*/2);
       },
       {generic});
-  add("index_select",
-      [](const auto& v) { return ag::IndexSelect(v[0], /*axis=*/1,
-                                                 {2, 0, 0}); },
-      {generic});
-  add("huber_loss",
-      [](const auto& v) { return ag::HuberLoss(v[0], v[1], /*delta=*/10.0); },
-      {generic, generic_b});
   return cases;
 }
 

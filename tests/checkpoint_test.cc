@@ -465,6 +465,81 @@ TEST(SearcherCheckpoint, MismatchedConfigOrMissingFileStartsFresh) {
   RemoveGenerations(path);
 }
 
+// A resealed checkpoint that does not fit the supernet (one weight record
+// renamed, one Theta record reshaped, one Theta moment reshaped) is refused
+// whole: RestoreSearchState writes nothing, and the resumed search starts
+// fresh and ends bit-identical to a run that never saw the file. The edits
+// sit in the last record of each kind, after everything a restore that
+// wrote as it checked would already have written.
+TEST(SearcherCheckpoint, MismatchedStateIsRefusedBeforeAnyWrite) {
+  const PreparedData data = TinyData();
+  const SearchResult fresh = JointSearcher(TinyOptions()).Search(data);
+  const std::string path = TempPath("mismatched_state");
+  RemoveGenerations(path);
+  SearchOptions killed_options = CheckpointedOptions(path);
+  killed_options.post_checkpoint_hook = [](int64_t ordinal,
+                                           const std::string&) {
+    if (ordinal == 1) throw KillSignal{};
+  };
+  EXPECT_THROW(JointSearcher(killed_options).Search(data), KillSignal);
+  StatusOr<SearchCheckpoint> written = LoadSearchCheckpoint(path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+
+  // Live state shaped like the searcher's, to restore into directly.
+  core::Supernet supernet(
+      TinyOptions().supernet,
+      models::MakeModelContext(data, TinyOptions().supernet.hidden_dim, 1));
+  optim::Adam weight_optimizer(supernet.Parameters(), {});
+  optim::Adam theta_optimizer(supernet.ArchParameters(), {});
+  Rng rng(2);
+  std::vector<int64_t> pseudo_train(written.value().pseudo_train.size());
+  std::vector<int64_t> pseudo_val(written.value().pseudo_val.size());
+  const auto restore = [&](const SearchCheckpoint& checkpoint) {
+    return core::RestoreSearchState(checkpoint, &supernet, &weight_optimizer,
+                                    &theta_optimizer, &rng, &pseudo_train,
+                                    &pseudo_val);
+  };
+  const auto capture = [&] {
+    return core::CaptureSearchState(supernet, weight_optimizer,
+                                    theta_optimizer, rng, pseudo_train,
+                                    pseudo_val);
+  };
+
+  const std::pair<const char*, void (*)(SearchCheckpoint*)> edits[] = {
+      {"renamed weight",
+       [](SearchCheckpoint* c) { c->parameters.back().first += "_renamed"; }},
+      {"reshaped theta",
+       [](SearchCheckpoint* c) {
+         c->arch_parameters.back().second = Tensor::Zeros({1});
+       }},
+      {"reshaped theta moment",
+       [](SearchCheckpoint* c) {
+         c->theta_optimizer.first_moment.back() = Tensor::Zeros({1});
+         c->theta_optimizer.second_moment.back() = Tensor::Zeros({1});
+       }},
+  };
+  for (const auto& [what, edit] : edits) {
+    SearchCheckpoint edited = written.value();
+    edit(&edited);
+    const SearchCheckpoint before = capture();
+    EXPECT_EQ(restore(edited).code(), StatusCode::kInvalidArgument) << what;
+    ExpectCheckpointsBitsEqual(capture(), before);
+
+    ASSERT_TRUE(AtomicWriteFile(path, EncodeSearchCheckpoint(edited),
+                                /*keep_previous=*/false)
+                    .ok());
+    SearchOptions resume_options = CheckpointedOptions(path);
+    resume_options.resume = true;
+    const SearchResult resumed = JointSearcher(resume_options).Search(data);
+    EXPECT_EQ(resumed.genotype, fresh.genotype) << what;
+    EXPECT_EQ(resumed.final_validation_loss, fresh.final_validation_loss)
+        << what;
+  }
+  // The unedited checkpoint fits, so the refusals above are the edits'.
+  EXPECT_TRUE(restore(written.value()).ok());
+  RemoveGenerations(path);
+}
+
 // ---------------------------------------------------------------------------
 // State-dict round-trips.
 // ---------------------------------------------------------------------------

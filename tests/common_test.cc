@@ -92,29 +92,11 @@ TEST(Rng, UniformIntIsUnbiasedAcrossBuckets) {
   for (int c : counts) EXPECT_NEAR(c, n / 7, 500);
 }
 
-TEST(Rng, PermutationIsAPermutation) {
-  Rng rng(17);
-  const std::vector<int64_t> perm = rng.Permutation(50);
-  std::vector<bool> seen(50, false);
-  for (int64_t v : perm) {
-    ASSERT_GE(v, 0);
-    ASSERT_LT(v, 50);
-    EXPECT_FALSE(seen[v]);
-    seen[v] = true;
-  }
-}
-
 TEST(Rng, BernoulliMatchesProbability) {
   Rng rng(19);
   int hits = 0;
   for (int i = 0; i < 10000; ++i) hits += rng.Bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.02);
-}
-
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(23);
-  Rng child = a.Fork();
-  EXPECT_NE(a.Next(), child.Next());
 }
 
 TEST(TextCodec, RoundTripAllTypes) {

@@ -236,6 +236,13 @@ TEST(Genotype, FromTextRejectsGarbage) {
   EXPECT_FALSE(Genotype::FromText("nodes_per_block = 4\nnum_blocks = 1\n"
                                   "block_input = 0\nedge = 3 0 1 gdcc\n")
                    .ok());
+  // A block_input that is not an integer, in an otherwise valid genotype.
+  EXPECT_EQ(Genotype::FromText("nodes_per_block = 2\nnum_blocks = 2\n"
+                               "block_input = 0\nedge = 0 0 1 gdcc\n"
+                               "block_input = junk\nedge = 1 0 1 gdcc\n")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(Genotype, HistogramAndPrettyString) {

@@ -43,6 +43,16 @@ TEST(CostModel, OrderingMatchesFigure6) {
   EXPECT_LT(core::OperatorCost("inf_s"), core::OperatorCost("trans_s"));
 }
 
+// Every operator registered at start-up, the four human-designed blocks
+// included, is priced by the table rather than by the default custom
+// operators get.
+TEST(CostModel, EveryStartupOperatorHasAnExplicitEntry) {
+  for (const std::string& name : ops::OpRegistry::Global().Names()) {
+    if (name == "ext_test_op") continue;  // registered by the test below
+    EXPECT_GE(core::OperatorCost(name, /*default_cost=*/-1.0), 0.0) << name;
+  }
+}
+
 TEST(CostModel, UnknownBuiltinDiesCustomGetsDefault) {
   EXPECT_DEATH(core::OperatorCost("made_up_op"), "");
   if (!ops::OpRegistry::Global().Contains("ext_test_op")) {
@@ -203,11 +213,23 @@ TEST(StateDict, RejectsMismatchedArchitectures) {
 TEST(StateDict, SnapshotRestore) {
   Rng rng(13);
   nn::Linear layer(2, 2, &rng);
-  const nn::ParameterSnapshot snapshot(layer);
+  const nn::TensorSlots slots = nn::VariableSlots(layer.NamedParameters());
+  const nn::NamedTensors snapshot = nn::CaptureTensors(slots);
   layer.Parameters()[0].mutable_value().Fill(7.0);
-  snapshot.Restore(&layer);
+  // A renamed or reshaped tensor is refused before anything is written.
+  nn::NamedTensors renamed = snapshot;
+  renamed.back().first += "_renamed";
+  nn::NamedTensors reshaped = snapshot;
+  reshaped.back().second = Tensor::Zeros({3});
+  for (const nn::NamedTensors* bad : {&renamed, &reshaped}) {
+    EXPECT_EQ(nn::CheckTensors(*bad, slots, "parameter").code(),
+              StatusCode::kInvalidArgument);
+  }
+  ASSERT_TRUE(nn::CheckTensors(snapshot, slots, "parameter").ok());
+  nn::CopyTensors(snapshot, slots);
   EXPECT_FALSE(layer.Parameters()[0].value().AllClose(
       Tensor::Full({2, 2}, 7.0), 1e-9));
+  EXPECT_TRUE(layer.Parameters()[0].value().AllClose(snapshot[0].second, 0.0));
 }
 
 TEST(SecondOrderSearch, ProducesValidGenotypeAndDiffersFromFirstOrder) {

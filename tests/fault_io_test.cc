@@ -2,7 +2,7 @@
 // common/file_io.h) and its checkpoint/metrics call sites:
 //   * fault-plan grammar — parse/format round-trips and rejection of
 //     malformed specs;
-//   * deterministic retry — exact backoff sequences via a recorder sleeper,
+//   * deterministic retry — exact backoff sequences read off a FakeClock,
 //     retry-then-succeed, non-retryable short-circuit, budget exhaustion;
 //   * AtomicWriteFile under ENOSPC / EIO / SHORT / rename failure at both
 //     the rotate and publish steps — the target and ".prev" generations are
@@ -23,6 +23,7 @@
 #include "common/file_io.h"
 #include "common/logging.h"
 #include "common/metrics_registry.h"
+#include "common/stopwatch.h"
 #include "core/eval_scheduler.h"
 #include "core/search_checkpoint.h"
 #include "core/search_metrics.h"
@@ -62,18 +63,6 @@ std::string ReadAll(const std::string& path) {
   StatusOr<std::string> content = ReadFileToString(path);
   AUTOCTS_CHECK(content.ok());
   return content.value();
-}
-
-// Retry policy that never blocks the test: backoff sleeps are recorded
-// instead of slept.
-fault::RetryPolicy RecordingPolicy(std::vector<double>* sleeps,
-                                   int64_t max_attempts = 3) {
-  fault::RetryPolicy policy;
-  policy.max_attempts = max_attempts;
-  policy.sleeper = [sleeps](double seconds) {
-    if (sleeps != nullptr) sleeps->push_back(seconds);
-  };
-  return policy;
 }
 
 // ---------------------------------------------------------------------------
@@ -138,60 +127,57 @@ TEST(FaultPlan, NoPlanNeverFires) {
 // ---------------------------------------------------------------------------
 
 TEST(Retry, BackoffSequenceIsDeterministic) {
-  fault::RetryPolicy policy;
-  policy.initial_backoff_seconds = 0.01;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_seconds = 0.05;
-  EXPECT_DOUBLE_EQ(fault::BackoffSeconds(policy, 2), 0.01);
-  EXPECT_DOUBLE_EQ(fault::BackoffSeconds(policy, 3), 0.02);
-  EXPECT_DOUBLE_EQ(fault::BackoffSeconds(policy, 4), 0.04);
-  EXPECT_DOUBLE_EQ(fault::BackoffSeconds(policy, 5), 0.05);  // capped
-  EXPECT_DOUBLE_EQ(fault::BackoffSeconds(policy, 6), 0.05);
+  EXPECT_DOUBLE_EQ(fault::BackoffSeconds(1), 0.0);
+  EXPECT_DOUBLE_EQ(fault::BackoffSeconds(2), 0.01);
+  EXPECT_DOUBLE_EQ(fault::BackoffSeconds(3), 0.02);
+  EXPECT_DOUBLE_EQ(fault::BackoffSeconds(4), 0.04);
+  EXPECT_DOUBLE_EQ(fault::BackoffSeconds(8), 0.64);
+  EXPECT_DOUBLE_EQ(fault::BackoffSeconds(9), 1.0);  // capped
+  EXPECT_DOUBLE_EQ(fault::BackoffSeconds(10), 1.0);
 }
 
+// Under a FakeClock the backoff advances virtual time, so the gaps between
+// attempts are the exact backoff sequence and the test never sleeps.
 TEST(Retry, RetriesThenSucceedsAndSleepsTheExactBackoffs) {
   fault::ResetIoStats();
-  std::vector<double> sleeps;
-  fault::RetryPolicy policy = RecordingPolicy(&sleeps, 5);
-  policy.initial_backoff_seconds = 0.01;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_seconds = 1.0;
-  int calls = 0;
-  const fault::RetryOutcome outcome =
-      fault::RetryCall(policy, "test op", [&]() -> Status {
-        ++calls;
-        if (calls < 3) return Status::Unavailable("transient");
+  const ScopedFakeClock clock;
+  std::vector<int64_t> attempt_nanos;
+  const fault::RetryOutcome outcome = fault::RetryCall(
+      fault::RetryPolicy{.max_attempts = 5}, "test op", [&]() -> Status {
+        attempt_nanos.push_back(SteadyNowNanos());
+        if (attempt_nanos.size() < 3) return Status::Unavailable("transient");
         return Status::Ok();
       });
   EXPECT_TRUE(outcome.status.ok());
   EXPECT_EQ(outcome.attempts, 3);
   EXPECT_EQ(outcome.retries(), 2);
-  ASSERT_EQ(sleeps.size(), 2u);
-  EXPECT_DOUBLE_EQ(sleeps[0], 0.01);
-  EXPECT_DOUBLE_EQ(sleeps[1], 0.02);
+  ASSERT_EQ(attempt_nanos.size(), 3u);
+  EXPECT_EQ(attempt_nanos[1] - attempt_nanos[0], 10'000'000);
+  EXPECT_EQ(attempt_nanos[2] - attempt_nanos[1], 20'000'000);
   EXPECT_GE(fault::GetIoStats().retries, 2);
 }
 
 TEST(Retry, NonRetryableStatusShortCircuits) {
-  std::vector<double> sleeps;
+  const ScopedFakeClock clock;
   int calls = 0;
   const fault::RetryOutcome outcome = fault::RetryCall(
-      RecordingPolicy(&sleeps), "test op", [&]() -> Status {
+      fault::RetryPolicy(), "test op", [&]() -> Status {
         ++calls;
         return Status::InvalidArgument("malformed input");
       });
   EXPECT_EQ(outcome.attempts, 1);
   EXPECT_EQ(calls, 1);
-  EXPECT_TRUE(sleeps.empty());
+  EXPECT_EQ(SteadyNowNanos(), 0);  // never backed off
   EXPECT_EQ(outcome.status.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Retry, ExhaustedBudgetReportsLastStatus) {
   fault::ResetIoStats();
   const int64_t failures_before = fault::GetIoStats().failures;
+  const ScopedFakeClock clock;
   int calls = 0;
   const fault::RetryOutcome outcome =
-      fault::RetryCall(RecordingPolicy(nullptr, 3), "test op",
+      fault::RetryCall(fault::RetryPolicy(), "test op",
                        [&]() -> Status {
                          ++calls;
                          return Status::Unavailable("still down");
@@ -340,7 +326,6 @@ SearchOptions TinySearchOptions() {
   options.epochs = 1;
   options.batch_size = 8;
   options.max_batches_per_epoch = 4;
-  options.io_retry = RecordingPolicy(nullptr, 3);
   return options;
 }
 
@@ -430,7 +415,6 @@ EvalSchedulerOptions TinyEvalOptions() {
   options.train.batch_size = 8;
   options.train.max_batches_per_epoch = 2;
   options.train.seed = 7;
-  options.io_retry = RecordingPolicy(nullptr, 3);
   return options;
 }
 

@@ -7,7 +7,6 @@
 #include "nn/batch_norm.h"
 #include "nn/conv.h"
 #include "nn/dropout.h"
-#include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "tensor/tensor_ops.h"
 
@@ -16,7 +15,6 @@ namespace {
 
 using nn::BatchNorm;
 using nn::Dropout;
-using nn::LayerNorm;
 using nn::Linear;
 using nn::TemporalConv1d;
 
@@ -199,31 +197,6 @@ TEST(BatchNorm, WorksOn4dTensors) {
   EXPECT_EQ(bn.Forward(x).shape(), (Shape{2, 5, 3, 4}));
 }
 
-TEST(LayerNorm, NormalizesLastDim) {
-  Rng rng(15);
-  LayerNorm ln(8);
-  const Tensor y =
-      ln.Forward(Variable(Tensor::Rand({4, 8}, &rng, -3.0, 7.0), false))
-          .value();
-  for (int64_t r = 0; r < 4; ++r) {
-    double mean = 0.0;
-    for (int64_t c = 0; c < 8; ++c) mean += y.At({r, c});
-    EXPECT_NEAR(mean / 8.0, 0.0, 1e-9);
-  }
-}
-
-TEST(LayerNorm, GradCheck) {
-  Rng rng(16);
-  LayerNorm ln(4);
-  GradCheckResult result = CheckGradients(
-      [&](const std::vector<Variable>& v) {
-        const Variable y = ln.Forward(v[0]);
-        return ag::SumAll(ag::Mul(y, y));
-      },
-      {Tensor::Rand({3, 4}, &rng, -1.0, 1.0)}, 1e-6, 1e-4);
-  EXPECT_TRUE(result.ok) << result.message;
-}
-
 TEST(Dropout, EvalModeIsIdentity) {
   Dropout dropout(0.5, 1);
   dropout.SetTraining(false);
@@ -256,13 +229,6 @@ TEST(Activations, GluHalvesChannelsAndGates) {
   EXPECT_NEAR(y.data()[0], 2.0 * 0.5, 1e-9);       // sigmoid(0) = 0.5
   EXPECT_NEAR(y.data()[1], 3.0 * 1.0, 1e-6);       // sigmoid(100) ~= 1
   EXPECT_DEATH(nn::Glu(Variable(Tensor::Ones({1, 3}), false)), "");
-}
-
-TEST(Activations, LeakyReluSlope) {
-  Tensor x = Tensor::FromVector({2}, {-2.0, 3.0});
-  const Tensor y = nn::LeakyRelu(Variable(x, false), 0.1).value();
-  EXPECT_NEAR(y.data()[0], -0.2, 1e-12);
-  EXPECT_NEAR(y.data()[1], 3.0, 1e-12);
 }
 
 TEST(Activations, GluGradCheck) {

@@ -86,7 +86,7 @@ TEST(Numerics, FirstNonFiniteParameterAndGradient) {
 // ---------------------------------------------------------------------------
 
 TEST(HealthMonitor, FlagsNonFiniteLossImmediately) {
-  numerics::HealthMonitor monitor{numerics::HealthConfig()};
+  numerics::HealthMonitor monitor;
   EXPECT_EQ(monitor.ObserveLoss(1.0), numerics::Anomaly::kNone);
   EXPECT_EQ(monitor.ObserveLoss(kNaN), numerics::Anomaly::kNonFiniteLoss);
   EXPECT_EQ(monitor.ObserveLoss(kInf), numerics::Anomaly::kNonFiniteLoss);
@@ -94,11 +94,8 @@ TEST(HealthMonitor, FlagsNonFiniteLossImmediately) {
 }
 
 TEST(HealthMonitor, DetectsLossSpikeOnlyAfterWarmup) {
-  numerics::HealthConfig config;
-  config.loss_spike_factor = 10.0;
-  config.min_loss_samples = 4;
-  numerics::HealthMonitor monitor(config);
-  // Before min_loss_samples healthy observations, no spike detection: the
+  numerics::HealthMonitor monitor;
+  // Before kMinLossSamples healthy observations, no spike detection: the
   // very first loss can be huge without being an anomaly.
   EXPECT_EQ(monitor.ObserveLoss(1e9), numerics::Anomaly::kNone);
   for (int i = 0; i < 4; ++i) {
@@ -115,15 +112,13 @@ TEST(HealthMonitor, DetectsLossSpikeOnlyAfterWarmup) {
 }
 
 TEST(HealthMonitor, FlagsGradientNormAnomalies) {
-  numerics::HealthConfig config;
-  config.max_grad_norm = 100.0;
-  numerics::HealthMonitor monitor(config);
+  numerics::HealthMonitor monitor;
   EXPECT_EQ(monitor.ObserveGradientNorm(5.0), numerics::Anomaly::kNone);
   EXPECT_EQ(monitor.ObserveGradientNorm(kNaN),
             numerics::Anomaly::kNonFiniteGradient);
   EXPECT_EQ(monitor.ObserveGradientNorm(kInf),
             numerics::Anomaly::kNonFiniteGradient);
-  EXPECT_EQ(monitor.ObserveGradientNorm(1e6),
+  EXPECT_EQ(monitor.ObserveGradientNorm(2 * numerics::kMaxGradNorm),
             numerics::Anomaly::kGradientExplosion);
 }
 

@@ -6,7 +6,6 @@
 #include "autograd/variable_ops.h"
 #include "optim/adam.h"
 #include "optim/lr_schedule.h"
-#include "optim/sgd.h"
 #include "tensor/tensor_ops.h"
 
 namespace autocts {
@@ -25,58 +24,6 @@ Tensor MinimizeQuadratic(MakeOptimizer make, int steps) {
     optimizer->Step();
   }
   return w.value();
-}
-
-TEST(Sgd, ConvergesOnQuadratic) {
-  const Tensor w = MinimizeQuadratic(
-      [](std::vector<Variable> params) {
-        return std::make_unique<optim::Sgd>(std::move(params),
-                                            optim::Sgd::Options{.learning_rate = 0.2});
-      },
-      200);
-  EXPECT_NEAR(w.data()[0], 1.0, 1e-3);
-  EXPECT_NEAR(w.data()[1], 2.0, 1e-3);
-  EXPECT_NEAR(w.data()[2], 3.0, 1e-3);
-}
-
-TEST(Sgd, MomentumAcceleratesFirstSteps) {
-  // With momentum the second step is larger than the first-step size.
-  auto run = [](double momentum) {
-    Variable w(Tensor::Scalar(10.0), true);
-    optim::Sgd opt({w}, {.learning_rate = 0.01, .momentum = momentum});
-    double prev = w.value().item();
-    double first_delta = 0.0;
-    double second_delta = 0.0;
-    for (int i = 0; i < 2; ++i) {
-      Variable loss = ag::MseLoss(w, Variable(Tensor::Scalar(0.0), false));
-      opt.ZeroGrad();
-      loss.Backward();
-      opt.Step();
-      const double delta = std::abs(w.value().item() - prev);
-      prev = w.value().item();
-      if (i == 0) {
-        first_delta = delta;
-      } else {
-        second_delta = delta;
-      }
-    }
-    return std::make_pair(first_delta, second_delta);
-  };
-  const auto [f0, s0] = run(0.0);
-  const auto [f1, s1] = run(0.9);
-  EXPECT_NEAR(f0, f1, 1e-9);   // Same first step.
-  EXPECT_GT(s1, s0 * 1.5);     // Momentum compounds.
-}
-
-TEST(Sgd, WeightDecayShrinksWeights) {
-  Variable w(Tensor::Scalar(1.0), true);
-  optim::Sgd opt({w}, {.learning_rate = 0.1, .weight_decay = 1.0});
-  // Zero-gradient step: only decay acts.
-  Variable loss = ag::MulScalar(ag::SumAll(w), 0.0);
-  opt.ZeroGrad();
-  loss.Backward();
-  opt.Step();
-  EXPECT_NEAR(w.value().item(), 0.9, 1e-12);
 }
 
 TEST(Adam, ConvergesOnQuadratic) {
@@ -272,23 +219,16 @@ TEST(Schedules, ExponentialDecaysToFloor) {
   for (int e = 0; e < 50; ++e) EXPECT_GE(schedule.At(e), schedule.At(e + 1));
 }
 
-TEST(Schedules, CosineEndpoints) {
-  optim::CosineSchedule schedule(1.0, 0.1, 10);
-  EXPECT_NEAR(schedule.At(0), 1.0, 1e-12);
-  EXPECT_NEAR(schedule.At(10), 0.1, 1e-12);
-  EXPECT_NEAR(schedule.At(5), 0.55, 1e-12);  // Midpoint of cosine.
-  EXPECT_NEAR(schedule.At(20), 0.1, 1e-12);  // Clamped after the horizon.
-}
-
 TEST(Optimizer, SetLearningRateTakesEffect) {
   Variable w(Tensor::Scalar(1.0), true);
-  optim::Sgd opt({w}, {.learning_rate = 0.0});
+  optim::Adam opt({w}, {.learning_rate = 0.0});
   opt.SetLearningRate(0.5);
   Variable loss = ag::SumAll(w);
   opt.ZeroGrad();
   loss.Backward();
   opt.Step();
-  EXPECT_NEAR(w.value().item(), 0.5, 1e-12);
+  // Adam's first step moves each weight by the learning rate.
+  EXPECT_NEAR(w.value().item(), 0.5, 1e-6);
 }
 
 TEST(Optimizer, TrainsATinyNetworkToFitXor) {

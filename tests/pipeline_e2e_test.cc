@@ -18,6 +18,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifndef _WIN32
@@ -96,6 +97,28 @@ const char kSearchFlags[] =
 const char kEvalFlags[] =
     "--hidden 8 --epochs 1 --batch 8 --max-batches 2 --train-seed 11 "
     "--quiet 1";
+
+// A flag value that does not parse as a whole is a usage error naming the
+// flag, raised before any work: no output file is written.
+TEST(PipelineE2E, UnparsableFlagValueIsUsageError) {
+  const std::string out = TempPath("bad_flag_out.txt");
+  const std::pair<std::string, std::string> cases[] = {
+      {"generate", "--nodes abc"},
+      {"search", "--epochs two"},
+      {"search", "--cost-weight 0.5x"},
+  };
+  for (const auto& [command, flag] : cases) {
+    std::remove(out.c_str());
+    const CliRun run = RunCli(command + " " + kDataFlags + " " + flag +
+                                  " --out " + out,
+                              "bad_flag");
+    EXPECT_EQ(run.exit_code, 2) << flag << ": " << run.output;
+    EXPECT_NE(run.output.find(flag.substr(0, flag.find(' '))),
+              std::string::npos)
+        << run.output;
+    EXPECT_FALSE(FileExists(out)) << flag;
+  }
+}
 
 TEST(PipelineE2E, KilledAndResumedPipelineIsBitIdentical) {
   const std::string straight_cands = TempPath("straight_cands.txt");

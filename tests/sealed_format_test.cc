@@ -11,7 +11,7 @@
 //     and nothing of the claimed size is allocated: no unpooled BufferPool
 //     block (the only kind above 2^24 elements) and no growth of the
 //     resident high-water mark. An artifact geometry field that its state
-//     dict does not bound gets the same check through the model build.
+//     dict does not bound is refused by the same decode.
 // The state-dict codec, embedded in every artifact, gets the same
 // hostile-shape cases.
 //
@@ -22,7 +22,6 @@
 
 #include <cstdlib>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -61,8 +60,6 @@ struct SealedFormat {
   std::function<std::string()> encode_fixture;
   Codec round_trip;  // decode, then re-encode
   std::vector<HostileCount> hostile_counts;
-  // What the hostile-count sweep runs, when more than round_trip.
-  Codec load = nullptr;
 };
 
 template <typename T>
@@ -78,34 +75,8 @@ Codec RoundTrip(StatusOr<T> (*decode)(const std::string&),
 // A claim far above the largest pool bucket (2^24 elements).
 constexpr char kHuge[] = "100000000";
 
-// Decodes an artifact and builds its model, the step that sizes weights
-// from the geometry fields.
-StatusOr<std::string> LoadArtifactModel(const std::string& text) {
-  StatusOr<serve::ModelArtifact> decoded = serve::DecodeModelArtifact(text);
-  if (!decoded.ok()) return decoded.status();
-  const Status built = serve::BuildModelFromArtifact(decoded.value()).status();
-  if (!built.ok()) return built;
-  return text;
-}
-
-// A state-dict record of zeros with the given shape.
-std::string ZeroParam(const std::string& name, const Shape& shape) {
-  std::ostringstream record;
-  record << "state = param = " << name;
-  nn::AppendTensorText(Tensor::Zeros(shape), &record);
-  record << "\n";
-  return record.str();
-}
-
 std::vector<SealedFormat> Formats() {
   const std::string huge = kHuge;
-  // A state dict that fits the golden geometry (2 features, hidden 4,
-  // Q = 2), so the artifact passes the geometry check and its model is
-  // built.
-  const Edit fitting_state = {
-      "\nstate = format = fake\nstate = param = tiny\n",
-      "\n" + ZeroParam("embedding.weight", {2, 4}) +
-          ZeroParam("head.fc2.weight", {8, 2})};
   return {
       {"search_checkpoint",
        [] {
@@ -155,23 +126,22 @@ std::vector<SealedFormat> Formats() {
            "\ngenotype = num_blocks = " + huge + "\n"}}},
         {"state_lines",
          {{"\nstate_lines = 2\n", "\nstate_lines = " + huge + "\n"}}},
+        {"state shape overflow",
+         {{"embedding.weight 2 2 4 ",
+           "embedding.weight 3 2097152 2097152 2097152 "}}},
         // Only the geometry check can refuse hidden_dim 2^20, which would
         // size [2^20, 2^21] head weights.
         {"hidden_dim beyond the state dict",
-         {{"\nhidden_dim = 4\n", "\nhidden_dim = 1048576\n"},
-          fitting_state}},
+         {{"\nhidden_dim = 4\n", "\nhidden_dim = 1048576\n"}}},
         // Genotype::Validate refuses both before a model is built: an
         // operator the registry cannot create, and a node count the
         // blocks' edges cannot feed (which a forward would size by).
         {"unknown operator",
          {{"\ngenotype = edge = 0 0 1 identity\n",
-           "\ngenotype = edge = 0 0 1 bogus_op\n"},
-          fitting_state}},
+           "\ngenotype = edge = 0 0 1 bogus_op\n"}}},
         {"genotype nodes_per_block",
          {{"\ngenotype = nodes_per_block = 3\n",
-           "\ngenotype = nodes_per_block = " + huge + "\n"},
-          fitting_state}}},
-       LoadArtifactModel},
+           "\ngenotype = nodes_per_block = " + huge + "\n"}}}}},
   };
 }
 
@@ -267,11 +237,9 @@ TEST_P(SealedFormatTest, HostileCountsAreRejectedBeforeAllocating) {
           << hostile.field << ": ambiguous edit";
       edited.replace(at, edit.from.size(), edit.to);
     }
-    const Codec& load =
-        GetParam().load ? GetParam().load : GetParam().round_trip;
     Status status;
     const Footprint footprint = MeasureFootprint(
-        [&] { status = load(SealText(edited)).status(); });
+        [&] { status = GetParam().round_trip(SealText(edited)).status(); });
     ExpectInvalidArgument(status, hostile.field);
     ExpectNoAllocationForClaim(footprint, hostile.field);
   }
@@ -298,17 +266,6 @@ TEST(StateDictCodec, HostileShapesAreInvalidArgumentNotAbort) {
     ExpectInvalidArgument(status, record);
     ExpectNoAllocationForClaim(footprint, record);
   }
-}
-
-TEST(StateDictCodec, ArtifactWithOverflowingStateFailsToBuild) {
-  serve::ModelArtifact artifact = fixtures::CompactArtifact();
-  artifact.state_dict = "param = w 3 2097152 2097152 2097152\n";
-  StatusOr<serve::ModelArtifact> decoded =
-      serve::DecodeModelArtifact(serve::EncodeModelArtifact(artifact));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ExpectInvalidArgument(
-      serve::BuildModelFromArtifact(decoded.value()).status(),
-      "BuildModelFromArtifact");
 }
 
 // The metrics state embedded in search checkpoints follows the same rule.

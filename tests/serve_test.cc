@@ -64,7 +64,8 @@ TEST(ModelArtifact, EncodeDecodeRoundTripIsByteExact) {
   EXPECT_EQ(serve::EncodeModelArtifact(decoded.value()), text);
   EXPECT_EQ(decoded.value().meta.num_nodes, artifact.meta.num_nodes);
   EXPECT_EQ(decoded.value().meta.seed, artifact.meta.seed);
-  EXPECT_EQ(decoded.value().state_dict, artifact.state_dict);
+  EXPECT_EQ(nn::StateDictLines(decoded.value().state),
+            nn::StateDictLines(artifact.state));
   EXPECT_EQ(decoded.value().genotype.ToText(), artifact.genotype.ToText());
 }
 
@@ -72,9 +73,12 @@ TEST(ModelArtifact, StateDictCarriesBatchNormBuffers) {
   // The derived model wraps ops in BatchNorm, so a faithful artifact must
   // carry its running statistics as "buffer = " records.
   const ModelArtifact& artifact = TrainedServingModel().artifact;
-  EXPECT_NE(artifact.state_dict.find("buffer = "), std::string::npos);
-  EXPECT_NE(artifact.state_dict.find("running_mean"), std::string::npos);
-  EXPECT_NE(artifact.state_dict.find("running_var"), std::string::npos);
+  std::string buffers;
+  for (const auto& [name, value] : artifact.state.buffers) buffers += name;
+  EXPECT_NE(buffers.find("running_mean"), std::string::npos);
+  EXPECT_NE(buffers.find("running_var"), std::string::npos);
+  EXPECT_NE(serve::EncodeModelArtifact(artifact).find("state = buffer = "),
+            std::string::npos);
 }
 
 TEST(ModelArtifact, RebuiltModelMatchesOriginalBitForBit) {
@@ -105,9 +109,10 @@ TEST(ModelArtifact, RebuiltModelMatchesOriginalBitForBit) {
 }
 
 // Every geometry field the model is sized from must match the state
-// dict's shapes (or, for num_nodes, the adjacency). A num_nodes off by one
-// used to build without complaint.
-TEST(ModelArtifact, GeometryThatDisagreesWithTheStateDictIsRejected) {
+// dict's shapes (or, for num_nodes, the adjacency), and the decoder itself
+// checks it: every artifact that decodes can be built. The state lines
+// must be state-dict records.
+TEST(ModelArtifact, GeometryThatDisagreesWithTheStateDictIsRejectedAtDecode) {
   const std::pair<const char*, void (*)(ModelArtifact*)> edits[] = {
       {"num_nodes", [](ModelArtifact* a) { ++a->meta.num_nodes; }},
       {"in_features", [](ModelArtifact* a) { ++a->meta.in_features; }},
@@ -118,10 +123,21 @@ TEST(ModelArtifact, GeometryThatDisagreesWithTheStateDictIsRejected) {
   for (const auto& [field, edit] : edits) {
     ModelArtifact artifact = TrainedServingModel().artifact;
     edit(&artifact);
-    EXPECT_EQ(serve::BuildModelFromArtifact(artifact).status().code(),
+    EXPECT_EQ(serve::DecodeModelArtifact(serve::EncodeModelArtifact(artifact))
+                  .status()
+                  .code(),
               StatusCode::kInvalidArgument)
         << field;
   }
+  StatusOr<std::string> payload = UnsealText(
+      serve::EncodeModelArtifact(TrainedServingModel().artifact));
+  ASSERT_TRUE(payload.ok());
+  // A state line that is not a param or buffer record.
+  std::string foreign = payload.value();
+  const std::string param = "\nstate = param = ";
+  foreign.replace(foreign.find(param), param.size(), "\nstate = format = ");
+  EXPECT_EQ(serve::DecodeModelArtifact(SealText(foreign)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ModelArtifact, TrainedArtifactRejectsSpotCorruptions) {

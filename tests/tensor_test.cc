@@ -226,13 +226,6 @@ TEST_P(ReductionTest, MaxIsUpperBound) {
 
 INSTANTIATE_TEST_SUITE_P(AllAxes, ReductionTest, ::testing::Values(0, 1, 2));
 
-TEST(Reduction, ArgMaxPicksLargest) {
-  Tensor a = Tensor::FromVector({2, 3}, {1, 5, 2, 9, 0, 3});
-  Tensor am = ArgMax(a, 1);
-  EXPECT_EQ(am.data()[0], 1.0);
-  EXPECT_EQ(am.data()[1], 0.0);
-}
-
 TEST(Softmax, RowsSumToOneAndOrderPreserved) {
   Rng rng(9);
   Tensor a = Tensor::Randn({4, 7}, &rng, 0.0, 3.0);
@@ -246,7 +239,10 @@ TEST(Softmax, RowsSumToOneAndOrderPreserved) {
     }
     EXPECT_NEAR(total, 1.0, 1e-12);
   }
-  EXPECT_EQ(ArgMax(a, 1).data()[2], ArgMax(s, 1).data()[2]);
+  // Order preserved.
+  for (int64_t c = 1; c < 7; ++c) {
+    EXPECT_EQ(a.At({2, c}) > a.At({2, 0}), s.At({2, c}) > s.At({2, 0}));
+  }
 }
 
 TEST(Softmax, StableForLargeValues) {

@@ -182,7 +182,11 @@ serve::ModelArtifact CompactArtifact() {
   artifact.scaler.null_value = 0.0;
   artifact.scaler.means = {1.5, -2.25};
   artifact.scaler.stddevs = {0.5, 3.0};
-  artifact.state_dict = "format = fake\nparam = tiny\n";
+  // Zero weights whose shapes fit the geometry (2 features, hidden 4,
+  // Q = 2), so the artifact decodes; they do not make up the genotype's
+  // architecture, so no model is built from it.
+  artifact.state.params = {{"embedding.weight", Tensor::Zeros({2, 4})},
+                           {"head.fc2.weight", Tensor::Zeros({8, 2})}};
   artifact.adjacency = Tensor::Ones({3, 3});
   return artifact;
 }

@@ -64,8 +64,9 @@ void ExpectBitsEqual(const Tensor& a, const Tensor& b,
 //     denormal, -0.0, huge magnitudes) and a lazy (undefined) Adam slot;
 //   * an eval checkpoint with a NaN train loss, an anomaly record and a
 //     failure record;
-//   * a model artifact whose embedded state text is short (artifact decode
-//     validates the document, not state-dict consistency).
+//   * a model artifact whose state dict is two zero tensors that fit its
+//     geometry (artifact decode checks the geometry against the state
+//     dict's shapes; the build checks the architecture).
 core::SearchCheckpoint SyntheticSearchCheckpoint();
 core::EvalCheckpoint SampleEvalCheckpoint();
 serve::ModelArtifact CompactArtifact();

@@ -150,6 +150,7 @@
 //   autocts_cli serve-tcp --artifact model.artifact --serve-workers 4
 //   autocts_cli predict-remote --kind traffic-flow --nodes 10 --steps 1200
 //       --port 7077
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -190,15 +191,29 @@ struct Args {
     auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
+  // A value that does not parse as a whole is a usage error (exit 2).
   int64_t GetInt(const std::string& key, int64_t fallback) const {
     auto it = options.find(key);
-    return it == options.end() ? fallback : std::strtoll(it->second.c_str(),
-                                                         nullptr, 10);
+    int64_t value = fallback;
+    if (it != options.end() && !ParseExactInt(it->second, &value)) {
+      BadValue(key, it->second);
+    }
+    return value;
   }
   double GetDouble(const std::string& key, double fallback) const {
     auto it = options.find(key);
-    return it == options.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
+    double value = fallback;
+    if (it != options.end() && !ParseExactDouble(it->second, &value)) {
+      BadValue(key, it->second);
+    }
+    return value;
+  }
+
+  [[noreturn]] static void BadValue(const std::string& key,
+                                    const std::string& value) {
+    std::fprintf(stderr, "bad value for --%s: '%s'\n", key.c_str(),
+                 value.c_str());
+    std::exit(2);
   }
 };
 
@@ -339,10 +354,13 @@ void PrintTestMetrics(const models::EvalResult& result) {
 }
 
 int ListOps() {
-  for (const std::string& name : ops::OpRegistry::Global().Names()) {
-    std::printf("%-10s cost=%.2f %s\n", name.c_str(),
+  const std::vector<std::string> names = ops::OpRegistry::Global().Names();
+  size_t width = 0;
+  for (const std::string& name : names) width = std::max(width, name.size());
+  for (const std::string& name : names) {
+    std::printf("%-*s cost=%.2f%s\n", static_cast<int>(width), name.c_str(),
                 core::OperatorCost(name),
-                core::IsParametricOp(name) ? "" : "(non-parametric)");
+                core::IsParametricOp(name) ? "" : " (non-parametric)");
   }
   return 0;
 }

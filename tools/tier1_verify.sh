@@ -52,7 +52,7 @@ if [[ -n "${AUTOCTS_SANITIZE:-}" ]]; then
 fi
 
 cmake -B "${BUILD_DIR}" -S . "${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}"
-cmake --build "${BUILD_DIR}" -j
+cmake --build "${BUILD_DIR}" -j"$(nproc)"
 # An explicit job count: ctest 3.25 reads a bare trailing -j as serial.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j"$(nproc)"
 AUTOCTS_NUM_THREADS=4 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j"$(nproc)"
@@ -68,7 +68,7 @@ AUTOCTS_TENSOR_POOL=0 ctest --test-dir "${BUILD_DIR}" \
 # build is already sanitized, or when explicitly disabled).
 if [[ -z "${AUTOCTS_SANITIZE:-}" && -z "${AUTOCTS_SKIP_ASAN:-}" ]]; then
   cmake -B build-address -S . -DAUTOCTS_SANITIZE=address
-  cmake --build build-address -j --target checkpoint_test \
+  cmake --build build-address -j"$(nproc)" --target checkpoint_test \
       --target numerics_test --target sealed_format_test \
       --target buffer_pool_test \
       --target eval_scheduler_test --target pipeline_e2e_test \
@@ -91,7 +91,7 @@ fi
 # cancelled while its eval workers run).
 if [[ -z "${AUTOCTS_SANITIZE:-}" && -z "${AUTOCTS_SKIP_TSAN:-}" ]]; then
   cmake -B build-thread -S . -DAUTOCTS_SANITIZE=thread
-  cmake --build build-thread -j --target observability_test \
+  cmake --build build-thread -j"$(nproc)" --target observability_test \
       --target determinism_test --target parallel_test \
       --target buffer_pool_test --target eval_scheduler_test \
       --target bounded_queue_test --target cancellation_test
