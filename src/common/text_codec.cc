@@ -1,8 +1,9 @@
 #include "common/text_codec.h"
 
-#include <cerrno>
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 namespace autocts {
@@ -13,13 +14,6 @@ void TextWriter::Add(const std::string& key, const std::string& value) {
 
 void TextWriter::AddInt(const std::string& key, int64_t value) {
   Add(key, std::to_string(value));
-}
-
-void TextWriter::AddDouble(const std::string& key, double value) {
-  std::ostringstream stream;
-  stream.precision(17);
-  stream << value;
-  Add(key, stream.str());
 }
 
 std::string TextWriter::ToString() const {
@@ -72,17 +66,6 @@ StatusOr<int64_t> TextReader::GetInt(const std::string& key) const {
   return parsed;
 }
 
-StatusOr<double> TextReader::GetDouble(const std::string& key) const {
-  StatusOr<std::string> value = Get(key);
-  if (!value.ok()) return value.status();
-  char* end = nullptr;
-  const double parsed = std::strtod(value.value().c_str(), &end);
-  if (end == value.value().c_str() || *end != '\0') {
-    return Status::InvalidArgument("not a double: " + value.value());
-  }
-  return parsed;
-}
-
 std::vector<std::string> TextReader::GetAll(const std::string& key) const {
   std::vector<std::string> values;
   for (const auto& [entry_key, value] : entries_) {
@@ -111,24 +94,49 @@ std::string FormatExactDouble(double value) {
   return buffer;
 }
 
-bool ParseExactDouble(const std::string& token, double* value) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) return false;
+bool ParseExactDouble(std::string_view token, double* value) {
+  const char* first = token.data();
+  const char* last = first + token.size();
+  const char* digits = first + (first != last && *first == '-' ? 1 : 0);
+  double parsed = 0.0;
+  std::from_chars_result result{};
+  if (last - digits > 2 && digits[0] == '0' && digits[1] == 'x') {
+    // from_chars takes its own '-' and "inf"/"nan" here; only a digit or
+    // the point may follow the prefix.
+    const char lead = digits[2];
+    if (!std::isxdigit(static_cast<unsigned char>(lead)) && lead != '.') {
+      return false;
+    }
+    result = std::from_chars(digits + 2, last, parsed, std::chars_format::hex);
+    if (digits != first) parsed = -parsed;
+  } else {
+    result = std::from_chars(first, last, parsed);
+  }
+  if (result.ec != std::errc() || result.ptr != last) return false;
   *value = parsed;
   return true;
 }
 
-bool ParseExactInt(const std::string& token, int64_t* value) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(token.c_str(), &end, 10);
-  if (end != token.c_str() + token.size() || errno == ERANGE) return false;
+bool ParseExactInt(std::string_view token, int64_t* value) {
+  int64_t parsed = 0;
+  const char* last = token.data() + token.size();
+  const auto [end, ec] = std::from_chars(token.data(), last, parsed);
+  if (ec != std::errc() || end != last) return false;
   *value = parsed;
   return true;
+}
+
+std::string_view NextToken(std::string_view* text) {
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  const size_t begin = text->find_first_not_of(kSpace);
+  if (begin == std::string_view::npos) {
+    *text = {};
+    return {};
+  }
+  const size_t end = std::min(text->find_first_of(kSpace, begin), text->size());
+  const std::string_view token = text->substr(begin, end - begin);
+  text->remove_prefix(end);
+  return token;
 }
 
 std::vector<std::string> SplitString(const std::string& text, char delimiter) {

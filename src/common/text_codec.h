@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -22,7 +23,6 @@ class TextWriter {
  public:
   void Add(const std::string& key, const std::string& value);
   void AddInt(const std::string& key, int64_t value);
-  void AddDouble(const std::string& key, double value);
   // Returns the accumulated document.
   std::string ToString() const;
 
@@ -39,7 +39,6 @@ class TextReader {
   // Returns the value of the first entry with `key`, or NotFound.
   StatusOr<std::string> Get(const std::string& key) const;
   StatusOr<int64_t> GetInt(const std::string& key) const;
-  StatusOr<double> GetDouble(const std::string& key) const;
   // All values recorded under `key`, in file order.
   std::vector<std::string> GetAll(const std::string& key) const;
   // GetAll(key), which must hold exactly the integer under `count_key`
@@ -55,16 +54,24 @@ class TextReader {
 // Formats `value` as a C99 hexadecimal float ("%a", e.g. "0x1.999999999999ap-4"
 // for 0.1). Unlike fixed-precision decimal output, the hex form is an exact
 // image of the bits, so every finite double — including denormals — parses
-// back bit-identically via ParseExactDouble/strtod.
+// back bit-identically via ParseExactDouble.
 std::string FormatExactDouble(double value);
 
-// Parses a decimal or hexadecimal floating-point token. Returns false unless
-// the entire token was consumed.
-bool ParseExactDouble(const std::string& token, double* value);
+// Parses one floating-point token with std::from_chars: hexadecimal after an
+// optional '-' and "0x" (FormatExactDouble's form), decimal, "inf" or "nan"
+// otherwise (the 17-digit decimal form of older files). Returns false
+// unless the entire token was consumed and the value is in range; a '+',
+// a second sign ("0x-1p0") or "0X" is refused.
+bool ParseExactDouble(std::string_view token, double* value);
 
-// Parses a base-10 integer token. Returns false unless the entire token was
-// consumed and the value fits in int64_t.
-bool ParseExactInt(const std::string& token, int64_t* value);
+// Parses a base-10 integer token (an optional '-', then digits). Returns
+// false unless the entire token was consumed and the value fits in int64_t.
+bool ParseExactInt(std::string_view token, int64_t* value);
+
+// Removes the first whitespace-separated token from `*text` and returns it
+// (empty once only whitespace is left). Whitespace is what istream
+// extraction skips: space, \t, \n, \v, \f and \r.
+std::string_view NextToken(std::string_view* text);
 
 // The count rule of every count-prefixed text field (tensor shapes, index
 // orders, value lists): `count` whitespace-separated items need at least

@@ -51,18 +51,21 @@ Status ParseMomentRecords(const TextReader& reader, const std::string& key,
   out->assign(slots, Tensor());
   std::vector<bool> seen(slots, false);
   for (const std::string& record : records) {
-    std::istringstream stream(record);
+    std::string_view rest = record;
     int64_t slot = 0;
-    int defined = 0;
-    if (!(stream >> slot >> defined) || slot < 0 || slot >= slots ||
-        (defined != 0 && defined != 1) || seen[slot]) {
+    const bool slot_ok = ParseExactInt(NextToken(&rest), &slot);
+    const std::string_view defined = NextToken(&rest);
+    if (!slot_ok || slot < 0 || slot >= slots ||
+        (defined != "0" && defined != "1") || seen[slot]) {
       return Status::InvalidArgument("malformed " + key + " record: " + record);
     }
     seen[slot] = true;
-    Status status = defined == 1
-                        ? nn::ParseTensorText(&stream, key, &(*out)[slot])
-                        : ExpectEndOfRecord(&stream, key);
-    if (!status.ok()) return status;
+    if (defined == "1") {
+      const Status status = nn::ParseTensorText(rest, key, &(*out)[slot]);
+      if (!status.ok()) return status;
+    } else if (!NextToken(&rest).empty()) {
+      return Status::InvalidArgument("trailing tokens in record: " + key);
+    }
   }
   return Status::Ok();
 }

@@ -1,5 +1,7 @@
 #include "nn/state_dict.h"
 
+#include <sstream>
+
 #include "common/text_codec.h"
 
 namespace autocts::nn {
@@ -64,36 +66,33 @@ void AppendTensorText(const Tensor& value, std::ostream* out) {
   }
 }
 
-Status ParseTensorText(std::istringstream* record, const std::string& label,
+Status ParseTensorText(std::string_view text, const std::string& label,
                        Tensor* out) {
   int64_t ndim = 0;
-  if (!(*record >> ndim) || ndim < 0 || ndim > 8) {
+  if (!ParseExactInt(NextToken(&text), &ndim) || ndim < 0 || ndim > 8) {
     return Status::InvalidArgument("bad tensor rank in record: " + label);
   }
   Shape shape(ndim);
   int64_t elements = 1;
   bool overflow = false;
   for (int64_t& d : shape) {
-    if (!(*record >> d) || d < 0) {
+    if (!ParseExactInt(NextToken(&text), &d) || d < 0) {
       return Status::InvalidArgument("bad tensor shape in record: " + label);
     }
     overflow |= __builtin_mul_overflow(elements, d, &elements);
   }
-  if (overflow || !CountFits(elements, record->rdbuf()->in_avail())) {
+  if (overflow || !CountFits(elements, static_cast<int64_t>(text.size()))) {
     return Status::InvalidArgument(
         "tensor shape claims more values than its record holds: " + label);
   }
   Tensor value = Tensor::Uninitialized(shape);
-  // Token-wise strtod parsing: istream extraction does not accept the
-  // hex-float form (LWG 2381).
-  std::string token;
   for (int64_t i = 0; i < value.size(); ++i) {
-    if (!(*record >> token) || !ParseExactDouble(token, &value.data()[i])) {
+    if (!ParseExactDouble(NextToken(&text), &value.data()[i])) {
       return Status::InvalidArgument("truncated or malformed values in: " +
                                      label);
     }
   }
-  if (*record >> token) {
+  if (!NextToken(&text).empty()) {
     return Status::InvalidArgument("trailing values in: " + label);
   }
   *out = std::move(value);
@@ -106,14 +105,13 @@ void AppendTensorRecord(const std::string& key, const std::string& name,
   AppendTensorText(value, out);
 }
 
-Status ParseTensorRecord(const std::string& record, NamedTensors* out) {
-  std::istringstream stream(record);
-  std::string name;
-  if (!(stream >> name)) {
+Status ParseTensorRecord(std::string_view record, NamedTensors* out) {
+  std::string name(NextToken(&record));
+  if (name.empty()) {
     return Status::InvalidArgument("named-tensor record without a name");
   }
   Tensor value;
-  const Status status = ParseTensorText(&stream, name, &value);
+  const Status status = ParseTensorText(record, name, &value);
   if (!status.ok()) return status;
   out->emplace_back(std::move(name), std::move(value));
   return Status::Ok();
@@ -155,7 +153,7 @@ Status ParseStateLine(const std::string& line, StateDict* state) {
   if (out == nullptr) {
     return Status::InvalidArgument("not a param or buffer record");
   }
-  return ParseTensorRecord(line.substr(eq + 1), out);
+  return ParseTensorRecord(std::string_view(line).substr(eq + 1), out);
 }
 
 std::string SaveStateDict(const Module& module) {

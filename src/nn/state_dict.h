@@ -26,8 +26,8 @@
 #define AUTOCTS_NN_STATE_DICT_H_
 
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -65,11 +65,13 @@ void CopyTensors(const NamedTensors& tensors, const TensorSlots& slots);
 // Appends " <ndim> <dim0> ... <dimk> <v0> ... <vn>" (hex-float values).
 void AppendTensorText(const Tensor& value, std::ostream* out);
 
-// Parses the tensor that ends `record`. The element count the shape claims
-// must fit the bytes left in the record (CountFits in common/text_codec.h),
-// checked with overflow-safe arithmetic before any storage is acquired; a
-// bad rank, shape, value or trailing token is InvalidArgument.
-Status ParseTensorText(std::istringstream* record, const std::string& label,
+// Parses `text`, the tensor text that ends a record, in place: tokens are
+// read straight from its bytes (ParseExactInt, ParseExactDouble). The
+// element count the shape claims must fit the bytes left in the record
+// (CountFits in common/text_codec.h), checked with overflow-safe arithmetic
+// before any storage is acquired; a bad rank, shape, value or trailing
+// token is InvalidArgument.
+Status ParseTensorText(std::string_view text, const std::string& label,
                        Tensor* out);
 
 // Appends "<key> = <name> <tensor text>", one named-tensor record without
@@ -79,7 +81,7 @@ void AppendTensorRecord(const std::string& key, const std::string& name,
 
 // Parses the value of a named-tensor record, "<name> <tensor text>", and
 // appends it to `out`.
-Status ParseTensorRecord(const std::string& record, NamedTensors* out);
+Status ParseTensorRecord(std::string_view record, NamedTensors* out);
 
 // A module's trained state: its parameters, then its buffers.
 struct StateDict {

@@ -11,20 +11,18 @@ namespace {
 
 constexpr char kFormatName[] = "autocts-model-artifact";
 
-Status ParseDoubleList(const std::string& text, const std::string& label,
+Status ParseDoubleList(std::string_view text, const std::string& label,
                        int64_t expected, std::vector<double>* out) {
   if (!CountFits(expected, static_cast<int64_t>(text.size()))) {
     return Status::InvalidArgument("truncated values in: " + label);
   }
-  std::istringstream stream(text);
   out->assign(expected, 0.0);
-  std::string token;
   for (int64_t i = 0; i < expected; ++i) {
-    if (!(stream >> token) || !ParseExactDouble(token, &(*out)[i])) {
+    if (!ParseExactDouble(NextToken(&text), &(*out)[i])) {
       return Status::InvalidArgument("truncated values in: " + label);
     }
   }
-  if (stream >> token) {
+  if (!NextToken(&text).empty()) {
     return Status::InvalidArgument("trailing values in: " + label);
   }
   return Status::Ok();
@@ -211,16 +209,14 @@ StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& text) {
   StatusOr<std::string> adjacency = reader.Get("adjacency");
   if (!adjacency.ok()) return adjacency.status();
   {
-    std::istringstream stream(adjacency.value());
-    int defined = 0;
-    if (!(stream >> defined) || (defined != 0 && defined != 1)) {
-      return Status::InvalidArgument("malformed adjacency record");
-    }
-    std::string extra;
-    if (defined == 1) {
-      status = nn::ParseTensorText(&stream, "adjacency", &artifact.adjacency);
+    std::string_view record = adjacency.value();
+    const std::string_view defined = NextToken(&record);
+    if (defined == "1") {
+      status = nn::ParseTensorText(record, "adjacency", &artifact.adjacency);
       if (!status.ok()) return status;
-    } else if (stream >> extra) {
+    } else if (defined != "0") {
+      return Status::InvalidArgument("malformed adjacency record");
+    } else if (!NextToken(&record).empty()) {
       return Status::InvalidArgument("trailing tokens in adjacency record");
     }
   }

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "tensor/strided_walk.h"
+
 namespace autocts {
 
 int64_t NumElements(const Shape& shape) {
@@ -180,26 +182,17 @@ Tensor Tensor::Permute(const std::vector<int64_t>& perm) const {
     seen[perm[i]] = true;
     out_shape[i] = shape_[perm[i]];
   }
-  Tensor out = Uninitialized(out_shape);
+  // A strided gather: output axis i reads the input with the stride of
+  // input axis perm[i].
   const std::vector<int64_t> in_strides = RowMajorStrides(shape_);
-  const std::vector<int64_t> out_strides = RowMajorStrides(out_shape);
-  const int64_t rank = ndim();
-  std::vector<int64_t> index(rank, 0);
-  const double* src = data();
-  double* dst = out.data();
-  for (int64_t flat = 0; flat < size_; ++flat) {
-    // `index` is the multi-index into the output tensor.
-    int64_t src_offset = 0;
-    for (int64_t axis = 0; axis < rank; ++axis) {
-      src_offset += index[axis] * in_strides[perm[axis]];
-    }
-    dst[flat] = src[src_offset];
-    for (int64_t axis = rank - 1; axis >= 0; --axis) {
-      if (++index[axis] < out_shape[axis]) break;
-      index[axis] = 0;
-    }
+  internal::AxisScratch strides(ndim());
+  for (int64_t axis = 0; axis < ndim(); ++axis) {
+    strides[axis] = in_strides[perm[axis]];
   }
-  (void)out_strides;
+  Tensor out = Uninitialized(out_shape);
+  const internal::StridedWalk walk(out_shape, strides.data(),
+                                   /*stride_b=*/nullptr);
+  internal::GatherRuns(walk, data(), out.data(), 0, size_);
   return out;
 }
 

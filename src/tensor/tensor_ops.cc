@@ -1,49 +1,25 @@
 #include "tensor/tensor_ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/parallel.h"
+#include "tensor/strided_walk.h"
 
 namespace autocts {
 namespace {
 
-// Fixed chunk sizes for ParallelFor. These are part of the determinism
-// contract: reductions combine per-chunk partials in chunk order, so chunk
-// boundaries must depend only on problem extents (see common/parallel.h).
-constexpr int64_t kElementwiseGrain = 16384;
+using internal::AxisScratch;
+using internal::StridedWalk;
+
+// Fixed chunk sizes for ParallelFor (kElementwiseGrain is in the header).
+// These are part of the determinism contract: reductions combine per-chunk
+// partials in chunk order, so chunk boundaries must depend only on problem
+// extents (see common/parallel.h).
 constexpr int64_t kReduceGrain = 8192;
 constexpr int64_t kCopyGrain = 16384;
-
-// Zero-initialized per-axis scratch (strides, multi-indices) for the kernel
-// hot paths. Inline storage covers every rank this codebase produces; a
-// hypothetical deeper tensor spills to the heap rather than corrupting the
-// stack, so correctness never depends on the inline bound.
-class AxisScratch {
- public:
-  explicit AxisScratch(int64_t size) : size_(size) {
-    if (size_ > kInlineRank) {
-      heap_.resize(static_cast<size_t>(size_));
-      ptr_ = heap_.data();
-    }
-    std::fill(ptr_, ptr_ + size_, int64_t{0});
-  }
-  AxisScratch(const AxisScratch&) = delete;
-  AxisScratch& operator=(const AxisScratch&) = delete;
-
-  int64_t* data() { return ptr_; }
-  const int64_t* data() const { return ptr_; }
-  int64_t& operator[](int64_t i) { return ptr_[i]; }
-  int64_t operator[](int64_t i) const { return ptr_[i]; }
-  int64_t size() const { return size_; }
-
- private:
-  static constexpr int64_t kInlineRank = 8;
-  int64_t inline_[kInlineRank];
-  std::vector<int64_t> heap_;
-  int64_t* ptr_ = inline_;
-  int64_t size_;
-};
 
 // Strides of `shape` expanded to broadcast against `out_shape`: axes of size
 // 1 (or missing on the left) get stride 0. Writes into `result`, which must
@@ -69,38 +45,6 @@ void BroadcastStridesInto(const Shape& shape, const Shape& out_shape,
   }
 }
 
-// Walks flat indices [lo, hi) of a tensor of shape `out_shape`, maintaining
-// two broadcast input offsets with strides `sa` / `sb`, and calls
-// emit(flat, oa, ob) for each element. Seeking to `lo` is O(rank), so
-// chunked parallel execution pays no per-chunk rescan.
-template <typename Emit>
-void ForEachBroadcast(const Shape& out_shape, const int64_t* sa,
-                      const int64_t* sb, int64_t lo, int64_t hi, Emit emit) {
-  const int64_t rank = static_cast<int64_t>(out_shape.size());
-  AxisScratch index(rank);
-  int64_t oa = 0;
-  int64_t ob = 0;
-  int64_t rem = lo;
-  for (int64_t axis = rank - 1; axis >= 0; --axis) {
-    index[axis] = rem % out_shape[axis];
-    rem /= out_shape[axis];
-    oa += index[axis] * sa[axis];
-    ob += index[axis] * sb[axis];
-  }
-  for (int64_t flat = lo; flat < hi; ++flat) {
-    emit(flat, oa, ob);
-    for (int64_t axis = rank - 1; axis >= 0; --axis) {
-      ++index[axis];
-      oa += sa[axis];
-      ob += sb[axis];
-      if (index[axis] < out_shape[axis]) break;
-      index[axis] = 0;
-      oa -= sa[axis] * out_shape[axis];
-      ob -= sb[axis] * out_shape[axis];
-    }
-  }
-}
-
 template <typename Fn>
 Tensor BinaryOp(const Tensor& a, const Tensor& b, Fn fn) {
   if (a.shape() == b.shape()) {  // Fast path: no broadcasting.
@@ -120,25 +64,35 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, Fn fn) {
   AxisScratch sb(out_rank);
   BroadcastStridesInto(a.shape(), out_shape, sa.data());
   BroadcastStridesInto(b.shape(), out_shape, sb.data());
+  const StridedWalk walk(out_shape, sa.data(), sb.data());
+  const int64_t inner_a = walk.inner_stride_a();
+  const int64_t inner_b = walk.inner_stride_b();
   const double* pa = a.data();
   const double* pb = b.data();
   double* po = out.data();
+  // One loop per inner-stride pattern: (1,1) for operands that share the
+  // inner axis, (1,0) and (0,1) for bias adds, [1] weights and per-channel
+  // operands, and a strided loop for anything else.
   ParallelFor(0, out.size(), kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-    ForEachBroadcast(out_shape, sa.data(), sb.data(), lo, hi,
-                     [&](int64_t flat, int64_t oa, int64_t ob) {
-                       po[flat] = fn(pa[oa], pb[ob]);
-                     });
-  });
-  return out;
-}
-
-template <typename Fn>
-Tensor UnaryOp(const Tensor& a, Fn fn) {
-  Tensor out = Tensor::Uninitialized(a.shape());
-  const double* pa = a.data();
-  double* po = out.data();
-  ParallelFor(0, a.size(), kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) po[i] = fn(pa[i]);
+    walk.ForEachRun(lo, hi, [&](int64_t flat, int64_t oa, int64_t ob,
+                                int64_t length) {
+      const double* x = pa + oa;
+      const double* y = pb + ob;
+      double* __restrict__ dst = po + flat;
+      if (inner_a == 1 && inner_b == 1) {
+        for (int64_t i = 0; i < length; ++i) dst[i] = fn(x[i], y[i]);
+      } else if (inner_a == 1 && inner_b == 0) {
+        const double yv = *y;
+        for (int64_t i = 0; i < length; ++i) dst[i] = fn(x[i], yv);
+      } else if (inner_a == 0 && inner_b == 1) {
+        const double xv = *x;
+        for (int64_t i = 0; i < length; ++i) dst[i] = fn(xv, y[i]);
+      } else {
+        for (int64_t i = 0; i < length; ++i) {
+          dst[i] = fn(x[i * inner_a], y[i * inner_b]);
+        }
+      }
+    });
   });
   return out;
 }
@@ -228,41 +182,44 @@ Tensor Maximum(const Tensor& a, const Tensor& b) {
 }
 
 Tensor AddScalar(const Tensor& a, double value) {
-  return UnaryOp(a, [value](double x) { return x + value; });
+  return Apply(a, [value](double x) { return x + value; });
 }
 Tensor MulScalar(const Tensor& a, double value) {
-  return UnaryOp(a, [value](double x) { return x * value; });
+  return Apply(a, [value](double x) { return x * value; });
 }
 Tensor PowScalar(const Tensor& a, double exponent) {
-  return UnaryOp(a, [exponent](double x) { return std::pow(x, exponent); });
+  return Apply(a, [exponent](double x) { return std::pow(x, exponent); });
 }
 
 Tensor Neg(const Tensor& a) {
-  return UnaryOp(a, [](double x) { return -x; });
+  return Apply(a, [](double x) { return -x; });
 }
 Tensor Exp(const Tensor& a) {
-  return UnaryOp(a, [](double x) { return std::exp(x); });
+  return Apply(a, [](double x) { return std::exp(x); });
 }
 Tensor Log(const Tensor& a) {
-  return UnaryOp(a, [](double x) { return std::log(x); });
+  return Apply(a, [](double x) { return std::log(x); });
 }
 Tensor Sqrt(const Tensor& a) {
-  return UnaryOp(a, [](double x) { return std::sqrt(x); });
+  return Apply(a, [](double x) { return std::sqrt(x); });
 }
 Tensor Abs(const Tensor& a) {
-  return UnaryOp(a, [](double x) { return std::abs(x); });
+  return Apply(a, [](double x) { return std::abs(x); });
 }
 Tensor Tanh(const Tensor& a) {
-  return UnaryOp(a, [](double x) { return std::tanh(x); });
+  return Apply(a, [](double x) { return std::tanh(x); });
 }
 Tensor Sigmoid(const Tensor& a) {
-  return UnaryOp(a, [](double x) { return 1.0 / (1.0 + std::exp(-x)); });
+  return Apply(a, [](double x) { return 1.0 / (1.0 + std::exp(-x)); });
 }
 Tensor Relu(const Tensor& a) {
-  return UnaryOp(a, [](double x) { return x > 0.0 ? x : 0.0; });
-}
-Tensor Apply(const Tensor& a, const std::function<double(double)>& fn) {
-  return UnaryOp(a, fn);
+  // x > 0.0 ? x : 0.0 without a data-dependent branch: the mask keeps every
+  // bit of a positive x and clears all others, so NaN and -0.0 give +0.0
+  // exactly as the comparison does.
+  return Apply(a, [](double x) {
+    return std::bit_cast<double>(std::bit_cast<uint64_t>(x) &
+                                 -static_cast<uint64_t>(x > 0.0));
+  });
 }
 
 namespace {
@@ -280,7 +237,10 @@ struct MatMulPlan {
   std::vector<int64_t> b_offset;
 };
 
-MatMulPlan PlanMatMul(const Tensor& a, const Tensor& b) {
+// With `fold_rows` and a 2-D b, a's leading dims fold into m: a is dense
+// row-major, so its batch matrices are consecutive rows of one [rows, k]
+// matrix and the whole call is a single product.
+MatMulPlan PlanMatMul(const Tensor& a, const Tensor& b, bool fold_rows) {
   AUTOCTS_CHECK_GE(a.ndim(), 2);
   AUTOCTS_CHECK_GE(b.ndim(), 2);
   MatMulPlan plan;
@@ -290,6 +250,15 @@ MatMulPlan PlanMatMul(const Tensor& a, const Tensor& b) {
   AUTOCTS_CHECK_EQ(plan.k, b.dim(-2))
       << "matmul inner dims " << ShapeToString(a.shape()) << " x "
       << ShapeToString(b.shape());
+  if (fold_rows && b.ndim() == 2) {
+    plan.out_shape = a.shape();
+    plan.out_shape.back() = plan.n;
+    plan.m = NumElements(Shape(a.shape().begin(), a.shape().end() - 1));
+    plan.num_batches = 1;
+    plan.a_offset = {0};
+    plan.b_offset = {0};
+    return plan;
+  }
   const Shape a_batch(a.shape().begin(), a.shape().end() - 2);
   const Shape b_batch(b.shape().begin(), b.shape().end() - 2);
   const Shape batch = BroadcastShapes(a_batch, b_batch);
@@ -326,15 +295,27 @@ MatMulPlan PlanMatMul(const Tensor& a, const Tensor& b) {
 // Rows of A per parallel work item; also the register-tile height.
 constexpr int64_t kRowBlock = 4;
 
+// On x86-64 the micro-kernel is compiled twice, for AVX2 and for the
+// baseline ISA, and the loader picks one per CPU. GCC contracts a * b + c
+// into a fused multiply-add whenever the target has one, even in ISO C++
+// mode, so neither target may enable FMA: then both clones round every
+// multiply and every add separately, like MatMulNaive. ThreadSanitizer
+// builds keep the baseline kernel only: the clones' resolver runs before
+// the TSan runtime is up, and its instrumentation crashes the process.
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+#define AUTOCTS_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define AUTOCTS_KERNEL_CLONES
+#endif
+
 // C[rows x n] += A-rows[rows x k] * B[k x n] with a 4x4 register tile: the
 // 16 accumulators live in registers across the whole k loop and each loaded
 // element of B feeds four multiply-adds. Every accumulator starts at +0.0
 // and sums its k terms in strictly ascending order — the same order as the
 // naive i-k-j loop — so blocked and naive results are bit-identical.
-inline void MicroKernel(const double* __restrict__ ma,
-                        const double* __restrict__ mb,
-                        double* __restrict__ mo, int64_t rows, int64_t n,
-                        int64_t k) {
+AUTOCTS_KERNEL_CLONES
+void MicroKernel(const double* __restrict__ ma, const double* __restrict__ mb,
+                 double* __restrict__ mo, int64_t rows, int64_t n, int64_t k) {
   int64_t i = 0;
   for (; i + 4 <= rows; i += 4) {
     const double* a0 = ma + (i + 0) * k;
@@ -397,7 +378,7 @@ inline void MicroKernel(const double* __restrict__ ma,
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
-  const MatMulPlan plan = PlanMatMul(a, b);
+  const MatMulPlan plan = PlanMatMul(a, b, /*fold_rows=*/true);
   Tensor out(plan.out_shape);  // zero-initialized: MicroKernel accumulates
   const int64_t m = plan.m;
   const int64_t k = plan.k;
@@ -429,7 +410,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor MatMulNaive(const Tensor& a, const Tensor& b) {
-  const MatMulPlan plan = PlanMatMul(a, b);
+  const MatMulPlan plan = PlanMatMul(a, b, /*fold_rows=*/false);
   Tensor out(plan.out_shape);
   const int64_t m = plan.m;
   const int64_t k = plan.k;
@@ -714,17 +695,13 @@ Tensor BroadcastTo(const Tensor& a, const Shape& target) {
       << ShapeToString(target);
   if (a.shape() == target) return a;
   Tensor out = Tensor::Uninitialized(target);
-  const int64_t out_rank = static_cast<int64_t>(target.size());
-  AxisScratch sa(out_rank);
-  AxisScratch zero(out_rank);
+  AxisScratch sa(static_cast<int64_t>(target.size()));
   BroadcastStridesInto(a.shape(), target, sa.data());
+  const StridedWalk walk(target, sa.data(), /*stride_b=*/nullptr);
   const double* pa = a.data();
   double* po = out.data();
   ParallelFor(0, out.size(), kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-    ForEachBroadcast(target, sa.data(), zero.data(), lo, hi,
-                     [&](int64_t flat, int64_t oa, int64_t /*ob*/) {
-                       po[flat] = pa[oa];
-                     });
+    internal::GatherRuns(walk, pa, po, lo, hi);
   });
   return out;
 }

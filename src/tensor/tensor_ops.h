@@ -6,12 +6,16 @@
 #ifndef AUTOCTS_TENSOR_TENSOR_OPS_H_
 #define AUTOCTS_TENSOR_TENSOR_OPS_H_
 
-#include <functional>
 #include <vector>
 
+#include "common/parallel.h"
 #include "tensor/tensor.h"
 
 namespace autocts {
+
+// Fixed ParallelFor chunk size of the elementwise kernels. Chunk boundaries
+// depend only on the element count (see common/parallel.h).
+inline constexpr int64_t kElementwiseGrain = 16384;
 
 // Returns the broadcast result shape of `a` and `b`; CHECK-fails if the
 // shapes are incompatible.
@@ -38,13 +42,28 @@ Tensor Abs(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Relu(const Tensor& a);
-// Applies `fn` to every element (test/metrics helper; not differentiable).
-Tensor Apply(const Tensor& a, const std::function<double(double)>& fn);
+
+// Returns fn(x) for every element x of `a` (not differentiable). The
+// unary kernels above and the autograd layer's backward closures use it;
+// `fn` is a template parameter, so it inlines into the loop.
+template <typename Fn>
+Tensor Apply(const Tensor& a, Fn fn) {
+  Tensor out = Tensor::Uninitialized(a.shape());
+  const double* pa = a.data();
+  double* po = out.data();
+  ParallelFor(0, a.size(), kElementwiseGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) po[i] = fn(pa[i]);
+  });
+  return out;
+}
 
 // Batched matrix multiplication: a [..., m, k] x b [..., k, n] -> [..., m, n]
-// with broadcasting over the leading (batch) dimensions. Cache-blocked and
-// parallelized over batch x row blocks; bit-identical to MatMulNaive (the
-// per-element accumulation order over k is the same ascending order).
+// with broadcasting over the leading (batch) dimensions. When b is 2-D (a
+// weight), a's leading dims fold into m and the call is one [rows, k] x
+// [k, n] product. Cache-blocked 4x4 register tiles, parallelized over
+// 4-row blocks; on x86-64 the tile kernel has an AVX2 clone picked at load
+// time. Bit-identical to MatMulNaive: every output sums its k terms in the
+// same ascending order, and neither clone fuses a multiply with an add.
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
 // Unblocked serial reference implementation of MatMul, kept for parity

@@ -602,6 +602,11 @@ TEST(StateDict, PathologicalDoublesRoundTripBitIdentically) {
       1e-310,                   // Subnormal range.
       1.7976931348623157e308,   // DBL_MAX.
       -123456.789,
+      0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
   };
   ProbeModule original(values);
   const std::string text = nn::SaveStateDict(original);
@@ -627,6 +632,39 @@ TEST(StateDict, LoaderStillAcceptsLegacyDecimalFiles) {
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(reloaded.weights_.value().data()[0], 0.25);
   EXPECT_EQ(reloaded.weights_.value().data()[1], -1.5);
+}
+
+TEST(StateDict, LegacySeventeenDigitDecimalRecordLoadsExactly) {
+  // The form the decimal writer produced: 17 significant digits, with the
+  // inf/nan spellings of iostream.
+  const std::vector<double> values = {
+      0.1, 1.0 / 3.0, 4.9406564584124654e-324, 1.7976931348623157e308,
+      -std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  ProbeModule reloaded(std::vector<double>(values.size(), 0.0));
+  const Status status = nn::LoadStateDict(
+      &reloaded,
+      "param = w 1 6 0.10000000000000001 0.33333333333333331 "
+      "4.9406564584124654e-324 1.7976931348623157e+308 -inf -nan\n");
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  for (size_t i = 0; i < values.size(); ++i) {
+    uint64_t want = 0, got = 0;
+    std::memcpy(&want, &values[i], sizeof(want));
+    std::memcpy(&got, &reloaded.weights_.value().data()[i], sizeof(got));
+    EXPECT_EQ(want, got) << "index " << i;
+  }
+}
+
+TEST(StateDict, MalformedValueTokensAreInvalidArgument) {
+  for (const char* token :
+       {"1e", "0x", "0x-1p0", "1.5junk", "-0x-1p0", "0xinf", "+0x1p0", "--1",
+        "1e999"}) {
+    ProbeModule reloaded({0.0});
+    const Status status = nn::LoadStateDict(
+        &reloaded, std::string("param = w 1 1 ") + token + "\n");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << token;
+    EXPECT_EQ(reloaded.weights_.value().data()[0], 0.0) << token;
+  }
 }
 
 }  // namespace

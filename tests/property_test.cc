@@ -3,7 +3,11 @@
 // builder, random operator pipelines, and random data round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "autograd/grad_check.h"
 #include "common/constants.h"
@@ -375,7 +379,228 @@ TEST_P(KernelParityTest, ParallelReductionsMatchSerialReference) {
   SetNumThreads(1);
 }
 
+// Bit patterns, so NaNs and signed zeros compare exactly.
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// Normal values with a sprinkling of NaN, +-0, +-inf and denormals.
+Tensor RandomWithSpecials(const Shape& shape, Rng* rng) {
+  constexpr double kSpecials[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min()};
+  Tensor t = Tensor::Randn(shape, rng);
+  for (int64_t i = 0; i < t.size(); ++i) {
+    if (rng->Bernoulli(0.02)) t.data()[i] = kSpecials[rng->UniformInt(8)];
+  }
+  return t;
+}
+
+// Offset into a row-major tensor of `shape` of the element that broadcasts
+// to multi-index `index` of a (right-aligned, higher-rank) output.
+int64_t BroadcastOffset(const Shape& shape, const std::vector<int64_t>& index) {
+  const size_t lead = index.size() - shape.size();
+  int64_t offset = 0;
+  for (size_t i = 0; i < shape.size(); ++i) {
+    offset = offset * shape[i] + (shape[i] == 1 ? 0 : index[lead + i]);
+  }
+  return offset;
+}
+
+// Calls visit(flat, index) for every element of `shape` in row-major order.
+template <typename Visit>
+void ForEachIndex(const Shape& shape, Visit visit) {
+  std::vector<int64_t> index(shape.size(), 0);
+  const int64_t total = NumElements(shape);
+  for (int64_t flat = 0; flat < total; ++flat) {
+    visit(flat, index);
+    for (int64_t d = static_cast<int64_t>(shape.size()) - 1; d >= 0; --d) {
+      if (++index[d] < shape[d]) break;
+      index[d] = 0;
+    }
+  }
+}
+
+// A random rank-0..6 output shape. A large one holds more than
+// kElementwiseGrain elements, so runs straddle ParallelFor chunks; its
+// largest axis is returned in `*long_axis`.
+Shape RandomBroadcastTarget(Rng* rng, bool large, int64_t* long_axis) {
+  Shape shape;
+  const int64_t rank = large ? 1 + rng->UniformInt(6) : rng->UniformInt(7);
+  for (int64_t i = 0; i < rank; ++i) shape.push_back(1 + rng->UniformInt(6));
+  *long_axis = -1;
+  if (large) {
+    *long_axis = rng->UniformInt(rank);
+    const int64_t others = NumElements(shape) / shape[*long_axis];
+    shape[*long_axis] = (kElementwiseGrain + others - 1) / others + 1 +
+                        rng->UniformInt(40);
+  }
+  return shape;
+}
+
+// An operand that broadcasts to `target`: the whole operand [1], or
+// `target` with some leading axes missing and some axes of size 1. Axis
+// `keep` of `target` (if any) is neither dropped nor squashed.
+Shape RandomOperandShape(const Shape& target, int64_t keep, Rng* rng) {
+  if (keep < 0 && rng->Bernoulli(0.15)) return {1};
+  const int64_t rank = static_cast<int64_t>(target.size());
+  int64_t missing = rng->Bernoulli(0.5) ? 0 : rng->UniformInt(rank + 1);
+  if (keep >= 0) missing = std::min(missing, keep);
+  Shape shape(target.begin() + missing, target.end());
+  for (int64_t axis = missing; axis < rank; ++axis) {
+    if (axis != keep && rng->Bernoulli(0.3)) shape[axis - missing] = 1;
+  }
+  return shape;
+}
+
+TEST_P(KernelParityTest, BinaryOpsMatchMultiIndexReferenceBitForBit) {
+  Rng rng(8000 + GetParam());
+  using Kernel = Tensor (*)(const Tensor&, const Tensor&);
+  using Scalar = double (*)(double, double);
+  const std::vector<std::pair<Kernel, Scalar>> ops = {
+      {&Add, [](double x, double y) { return x + y; }},
+      {&Sub, [](double x, double y) { return x - y; }},
+      {&Mul, [](double x, double y) { return x * y; }},
+      {&Div, [](double x, double y) { return x / y; }},
+      {&Maximum, [](double x, double y) { return std::max(x, y); }}};
+  for (int draw = 0; draw < 6; ++draw) {
+    int64_t long_axis = -1;
+    const Shape target = RandomBroadcastTarget(&rng, draw % 3 == 0, &long_axis);
+    const Shape a_shape = RandomOperandShape(target, long_axis, &rng);
+    const Shape b_shape = RandomOperandShape(target, -1, &rng);
+    const Tensor a = RandomWithSpecials(a_shape, &rng);
+    const Tensor b = RandomWithSpecials(b_shape, &rng);
+    // Right-aligned broadcast of the two operand shapes, computed here.
+    Shape out_shape(std::max(a_shape.size(), b_shape.size()), 1);
+    for (size_t i = 0; i < out_shape.size(); ++i) {
+      const size_t from_end = out_shape.size() - 1 - i;
+      for (const Shape* operand : {&a_shape, &b_shape}) {
+        if (from_end < operand->size()) {
+          out_shape[i] = std::max(out_shape[i],
+                                  (*operand)[operand->size() - 1 - from_end]);
+        }
+      }
+    }
+    for (const int64_t threads : {1, 4}) {
+      SetNumThreads(threads);
+      for (size_t op = 0; op < ops.size(); ++op) {
+        const Tensor out = ops[op].first(a, b);
+        ASSERT_EQ(out.shape(), out_shape);
+        ForEachIndex(out_shape, [&](int64_t flat, const std::vector<int64_t>& i) {
+          const double want =
+              ops[op].second(a.data()[BroadcastOffset(a_shape, i)],
+                             b.data()[BroadcastOffset(b_shape, i)]);
+          ASSERT_EQ(Bits(out.data()[flat]), Bits(want))
+              << "op " << op << " " << ShapeToString(a_shape) << " with "
+              << ShapeToString(b_shape) << " threads=" << threads
+              << " element " << flat;
+        });
+      }
+      const Tensor broadcast = BroadcastTo(b, target);
+      ASSERT_EQ(broadcast.shape(), target);
+      ForEachIndex(target, [&](int64_t flat, const std::vector<int64_t>& i) {
+        ASSERT_EQ(Bits(broadcast.data()[flat]),
+                  Bits(b.data()[BroadcastOffset(b_shape, i)]))
+            << ShapeToString(b_shape) << " to " << ShapeToString(target)
+            << " threads=" << threads << " element " << flat;
+      });
+    }
+  }
+  SetNumThreads(1);
+}
+
+TEST_P(KernelParityTest, EveryPermutationMatchesNaiveGather) {
+  Rng rng(9000 + GetParam());
+  Shape shape;
+  const int64_t rank = 1 + rng.UniformInt(5);  // 1..5
+  for (int64_t i = 0; i < rank; ++i) shape.push_back(1 + rng.UniformInt(5));
+  const Tensor a = RandomWithSpecials(shape, &rng);
+  const std::vector<int64_t> strides = RowMajorStrides(shape);
+  std::vector<int64_t> perm(rank);
+  for (int64_t i = 0; i < rank; ++i) perm[i] = i;
+  for (const int64_t threads : {1, 4}) {
+    SetNumThreads(threads);
+    do {
+      Shape out_shape(rank);
+      for (int64_t i = 0; i < rank; ++i) out_shape[i] = shape[perm[i]];
+      const Tensor out = a.Permute(perm);
+      ASSERT_EQ(out.shape(), out_shape);
+      ForEachIndex(out_shape, [&](int64_t flat, const std::vector<int64_t>& i) {
+        int64_t offset = 0;
+        for (int64_t axis = 0; axis < rank; ++axis) {
+          offset += i[axis] * strides[perm[axis]];
+        }
+        ASSERT_EQ(Bits(out.data()[flat]), Bits(a.data()[offset]))
+            << ShapeToString(shape) << " threads=" << threads;
+      });
+    } while (std::next_permutation(perm.begin(), perm.end()));
+  }
+  SetNumThreads(1);
+}
+
+TEST_P(KernelParityTest, FoldedMatMulWithWeightMatchesNaive) {
+  Rng rng(9500 + GetParam());
+  const int64_t k = 1 + rng.UniformInt(20);
+  const int64_t n = 1 + rng.UniformInt(20);
+  Shape a_shape;
+  const int64_t lead = 1 + rng.UniformInt(3);  // 1..3 leading dims
+  for (int64_t i = 0; i < lead; ++i) a_shape.push_back(1 + rng.UniformInt(5));
+  int64_t m = 1 + rng.UniformInt(13);
+  if (m % 4 == 0) ++m;  // rows that leave a partial register tile
+  a_shape.push_back(m);
+  a_shape.push_back(k);
+  const Tensor a = Tensor::Randn(a_shape, &rng);
+  const Tensor w = Tensor::Randn({k, n}, &rng);
+  const Tensor naive = MatMulNaive(a, w);
+  for (const int64_t threads : {1, 4}) {
+    SetNumThreads(threads);
+    const Tensor folded = MatMul(a, w);
+    ASSERT_EQ(folded.shape(), naive.shape());
+    for (int64_t i = 0; i < folded.size(); ++i) {
+      ASSERT_EQ(Bits(folded.data()[i]), Bits(naive.data()[i]))
+          << ShapeToString(a_shape) << " x [" << k << ", " << n
+          << "] threads=" << threads << " element " << i;
+    }
+  }
+  SetNumThreads(1);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelParityTest, ::testing::Range(0, 12));
+
+TEST(KernelParity, ReluAndItsBackwardMaskMatchTheComparisonOnSpecialValues) {
+  const std::vector<double> specials = {
+      0.0, -0.0, 1.0, -1.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest()};
+  // Tiled past one chunk so the threaded pass splits the work.
+  const int64_t size = 2 * kElementwiseGrain + 5;
+  Tensor x = Tensor::Uninitialized({size});
+  for (int64_t i = 0; i < size; ++i) x.data()[i] = specials[i % specials.size()];
+  for (const int64_t threads : {1, 4}) {
+    SetNumThreads(threads);
+    const Tensor y = Relu(x);
+    Variable leaf(x, /*requires_grad=*/true);
+    ag::SumAll(ag::Relu(leaf)).Backward();
+    for (int64_t i = 0; i < size; ++i) {
+      const double v = x.data()[i];
+      ASSERT_EQ(Bits(y.data()[i]), Bits(v > 0.0 ? v : 0.0))
+          << v << " threads=" << threads;
+      ASSERT_EQ(Bits(leaf.grad().data()[i]), Bits(v > 0.0 ? 1.0 : 0.0))
+          << v << " threads=" << threads;
+    }
+  }
+  SetNumThreads(1);
+}
 
 // ---------------------------------------------------------------------------
 // Numerical-robustness properties: the normalizing layers must map extreme

@@ -18,10 +18,13 @@
 # forecast-serving suites
 # (serve_test, serve_golden_test, and bounded_queue_test, label "serve",
 # whose server threads, promise/future handoffs, and artifact corruption
-# sweeps are lifetime-bug habitat), and the network suites
+# sweeps are lifetime-bug habitat), the network suites
 # (wire_codec_test and net_test, label "net", whose hostile-bytes fuzz
 # loops, raw-socket disconnect cases, and connection-handler threads are
-# exactly what ASan is for) are additionally run under AddressSanitizer
+# exactly what ASan is for), and the kernel suites (tensor_test,
+# property_test and parallel_test, label "kernels", whose strided walks and
+# folded matmuls are raw offset arithmetic) are additionally run under
+# AddressSanitizer
 # in a separate build directory: their kill/resume, fault-injection, retry/rollback,
 # and storage-recycling paths are exactly where lifetime bugs would hide.
 # Set AUTOCTS_SKIP_ASAN=1 to skip that pass (e.g. on machines without ASan
@@ -53,6 +56,14 @@ fi
 
 cmake -B "${BUILD_DIR}" -S . "${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}"
 cmake --build "${BUILD_DIR}" -j"$(nproc)"
+# Every kernel rounds each multiply and each add on its own, so the AVX2 and
+# baseline clones of the matmul micro-kernel agree with MatMulNaive bit for
+# bit. A fused multiply-add anywhere in the tensor library breaks that.
+TENSOR_DISASM="$(objdump -d "${BUILD_DIR}/src/libautocts_tensor.a")"
+if grep -E 'vfn?m(add|sub)' <<<"${TENSOR_DISASM}"; then
+  echo "FMA instruction in ${BUILD_DIR}/src/libautocts_tensor.a" >&2
+  exit 1
+fi
 # An explicit job count: ctest 3.25 reads a bare trailing -j as serial.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j"$(nproc)"
 AUTOCTS_NUM_THREADS=4 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j"$(nproc)"
@@ -75,9 +86,10 @@ if [[ -z "${AUTOCTS_SANITIZE:-}" && -z "${AUTOCTS_SKIP_ASAN:-}" ]]; then
       --target fault_io_test --target cancellation_test \
       --target serve_test --target serve_golden_test \
       --target bounded_queue_test --target wire_codec_test \
-      --target net_test
-  ctest --test-dir build-address -L 'faultinject|faultio|pool|e2e|serve|net' \
-      --output-on-failure
+      --target net_test --target tensor_test --target property_test \
+      --target parallel_test
+  ctest --test-dir build-address \
+      -L 'faultinject|faultio|pool|e2e|serve|net|kernels' --output-on-failure
   # With the pool disabled every release is a real free, restoring ASan's
   # use-after-free precision on tensor storage.
   AUTOCTS_TENSOR_POOL=0 ctest --test-dir build-address -L pool \
