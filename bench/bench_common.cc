@@ -1,5 +1,6 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -170,6 +171,40 @@ AutoCtsRun RunAutoCts(const models::PreparedData& prepared,
   run.eval = core::EvaluateGenotype(run.search.genotype, prepared,
                                     options.supernet.hidden_dim, eval_config);
   return run;
+}
+
+double PairedOverheadPercent(int pairs, const std::string& baseline,
+                             const std::function<double()>& run_baseline,
+                             const std::function<double()>& run_variant) {
+  std::vector<double> ratios;
+  std::vector<double> baseline_seconds;
+  for (int i = 0; i < pairs; ++i) {
+    double base = 0.0;
+    double variant = 0.0;
+    if (i % 2 == 0) {
+      base = run_baseline();
+      variant = run_variant();
+    } else {
+      variant = run_variant();
+      base = run_baseline();
+    }
+    ratios.push_back(variant / base);
+    baseline_seconds.push_back(base);
+  }
+  const auto median = [](std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    const size_t mid = values.size() / 2;
+    return values.size() % 2 == 1 ? values[mid]
+                                   : (values[mid - 1] + values[mid]) / 2.0;
+  };
+  const double overhead = (median(ratios) - 1.0) * 100.0;
+  std::printf("%-21s %8.3f s (median over %d pairs)\n",
+              (baseline + " run").c_str(), median(baseline_seconds), pairs);
+  std::printf("per-pair overhead     %+8.2f %% .. %+.2f %%\n",
+              (*std::min_element(ratios.begin(), ratios.end()) - 1.0) * 100.0,
+              (*std::max_element(ratios.begin(), ratios.end()) - 1.0) * 100.0);
+  std::printf("overhead (median)     %+8.2f %%   (budget: < 5%%)\n", overhead);
+  return overhead;
 }
 
 void PrintTitle(const std::string& title) {

@@ -9,6 +9,7 @@
 #ifndef AUTOCTS_BENCH_BENCH_COMMON_H_
 #define AUTOCTS_BENCH_BENCH_COMMON_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,21 @@ struct AutoCtsRun {
 AutoCtsRun RunAutoCts(const models::PreparedData& prepared,
                       const core::SearchOptions& options,
                       const models::TrainConfig& eval_config);
+
+// ----- Wall-clock overhead gate ----------------------------------------------
+
+// The overhead gate of the wall-clock smokes: `pairs` interleaved pairs of
+// runs of a baseline and a variant, each callable running once and
+// returning its seconds. The two runs of a pair see the same host state and
+// the side that runs first alternates, so drift and warm-up cancel within
+// a pair; the median of the per-pair ratios (variant / baseline) ignores
+// the pairs a host hiccup lands in, the first pair's cold start included.
+// Single runs vary by up to +-40% on a shared host. Prints the baseline's
+// median time, the per-pair range and the median, labelled `baseline`,
+// and returns the median overhead in percent.
+double PairedOverheadPercent(int pairs, const std::string& baseline,
+                             const std::function<double()>& run_baseline,
+                             const std::function<double()>& run_variant);
 
 // ----- Table formatting ----------------------------------------------------
 

@@ -12,11 +12,9 @@
 //      isolates the RetryCall bookkeeping.
 //   3. Transparency: both runs produce bit-identical genotypes and
 //      validation losses.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "bench_common.h"
 #include "common/fault.h"
@@ -99,40 +97,22 @@ void Run() {
       std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
       "/bench_fault_overhead.ckpt";
 
-  // The two runs of a pair see the same host state, and the side that runs
-  // first alternates, so drift and warm-up cancel within a pair; the median
-  // ratio ignores the pairs a host hiccup lands in. Single runs vary by up
-  // to +-40% on a shared host. One tensor thread: the wrapper's cost does
-  // not depend on kernel parallelism, and a run that needs one vCPU is
-  // shorter and less exposed to other load on the host.
+  // One tensor thread: the wrapper's cost does not depend on kernel
+  // parallelism, and a run that needs one vCPU is shorter and less exposed
+  // to other load on the host.
   SetNumThreads(1);
-  const int pairs = 17;
-  std::vector<double> ratios;
-  std::vector<double> bare_seconds;
   TimedRun bare;
   TimedRun wrapped;
-  for (int i = 0; i < pairs; ++i) {
-    if (i % 2 == 0) {
-      bare = RunOnce(options, prepared, checkpoint_path, false);
-      wrapped = RunOnce(options, prepared, checkpoint_path, true);
-    } else {
-      wrapped = RunOnce(options, prepared, checkpoint_path, true);
-      bare = RunOnce(options, prepared, checkpoint_path, false);
-    }
-    ratios.push_back(wrapped.seconds / bare.seconds);
-    bare_seconds.push_back(bare.seconds);
-  }
-  const auto median = [](std::vector<double> values) {
-    std::sort(values.begin(), values.end());
-    return values[values.size() / 2];
-  };
-  const double overhead = (median(ratios) - 1.0) * 100.0;
-  std::printf("bare policy (median)  %8.3f s over %d pairs\n",
-              median(bare_seconds), pairs);
-  std::printf("per-pair overhead     %+8.2f %% .. %+.2f %%\n",
-              (*std::min_element(ratios.begin(), ratios.end()) - 1.0) * 100.0,
-              (*std::max_element(ratios.begin(), ratios.end()) - 1.0) * 100.0);
-  std::printf("overhead (median)     %+8.2f %%   (budget: < 5%%)\n", overhead);
+  const double overhead = bench::PairedOverheadPercent(
+      /*pairs=*/17, "bare policy",
+      [&] {
+        bare = RunOnce(options, prepared, checkpoint_path, false);
+        return bare.seconds;
+      },
+      [&] {
+        wrapped = RunOnce(options, prepared, checkpoint_path, true);
+        return wrapped.seconds;
+      });
 
   AUTOCTS_CHECK(bare.genotype == wrapped.genotype)
       << "retry wiring changed the derived genotype";

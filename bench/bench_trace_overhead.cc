@@ -8,21 +8,27 @@
 //   3. Coverage: the per-op aggregate table accounts for >= 90% of the
 //      search root span's wall time (nothing significant is unattributed).
 //
-// Runs are interleaved (off/on/off/on/...) and the minimum per mode is
-// compared, which suppresses one-off scheduling noise better than means.
-#include <algorithm>
+// The overhead is the median of per-pair time ratios over interleaved
+// pairs of untraced and traced runs (bench::PairedOverheadPercent, the
+// gate bench_fault_overhead uses too), on one tensor thread.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
 #include "core/searcher.h"
 
 namespace autocts {
 namespace {
+
+// A quick run searches 2 batches in about 2 s; 6 pairs keep the quick
+// smoke near 30 s.
+constexpr int kQuickPairs = 6;
+constexpr int kPairs = 7;
 
 struct TimedRun {
   double seconds = 0.0;
@@ -61,38 +67,27 @@ void Run() {
   core::SearchOptions options = bench::DefaultSearchOptions();
   options.epochs = 1;
   options.max_batches_per_epoch = bench::Quick() ? 2 : 6;
-  const int repetitions = bench::Quick() ? 2 : 5;
 
-  double best_off = 0.0;
-  double best_on = 0.0;
-  TimedRun reference_off;
-  TimedRun reference_on;
-  for (int rep = 0; rep < repetitions; ++rep) {
-    const TimedRun off = RunOnce(options, prepared, /*traced=*/false);
-    const TimedRun on = RunOnce(options, prepared, /*traced=*/true);
-    if (rep == 0) {
-      reference_off = off;
-      reference_on = on;
-      best_off = off.seconds;
-      best_on = on.seconds;
-    } else {
-      best_off = std::min(best_off, off.seconds);
-      best_on = std::min(best_on, on.seconds);
-    }
-  }
-
-  const double overhead =
-      best_off > 0.0 ? (best_on - best_off) / best_off * 100.0 : 0.0;
+  // One tensor thread: the tracer's cost is per span, not per kernel
+  // thread, and a run that needs one vCPU is less exposed to other load on
+  // the host. Every run, traced or not, must reproduce the first one.
+  SetNumThreads(1);
+  TimedRun reference;
+  bool transparent = true;
+  const auto run = [&](bool traced) {
+    const TimedRun timed = RunOnce(options, prepared, traced);
+    if (reference.genotype.empty()) reference = timed;
+    transparent = transparent && timed.genotype == reference.genotype &&
+                  timed.validation_loss == reference.validation_loss;
+    return timed.seconds;
+  };
+  const double overhead = bench::PairedOverheadPercent(
+      bench::Quick() ? kQuickPairs : kPairs, "untraced",
+      [&] { return run(/*traced=*/false); },
+      [&] { return run(/*traced=*/true); });
   const double coverage = trace::Coverage("search");
-  std::printf("untraced (best of %d)  %8.3f s\n", repetitions, best_off);
-  std::printf("traced   (best of %d)  %8.3f s\n", repetitions, best_on);
-  std::printf("overhead              %+8.2f %%   (budget: < 5%%)\n", overhead);
   std::printf("coverage              %8.2f %%   (budget: >= 90%%)\n",
               coverage * 100.0);
-
-  const bool transparent =
-      reference_off.genotype == reference_on.genotype &&
-      reference_off.validation_loss == reference_on.validation_loss;
   std::printf("bit-transparent       %s\n", transparent ? "yes" : "NO");
 
   // Where the time goes: top ops by exclusive (self) time, as fractions of

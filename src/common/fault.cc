@@ -58,7 +58,7 @@ std::atomic<int64_t> g_failures{0};
 StatusOr<FaultPlan> ParseFaultPlan(const std::string& text) {
   FaultPlan plan;
   for (const std::string& raw : SplitString(text, ',')) {
-    const std::string spec = StripWhitespace(raw);
+    const std::string spec(StripWhitespace(raw));
     if (spec.empty()) continue;
     const auto malformed = [&spec](const std::string& why) {
       return Status::InvalidArgument("malformed fault spec \"" + spec +
@@ -76,8 +76,8 @@ StatusOr<FaultPlan> ParseFaultPlan(const std::string& text) {
       return malformed("unknown op \"" + fault.op +
                        "\" (write|open|close|rename|read|unlink)");
     }
-    const std::string kind =
-        StripWhitespace(spec.substr(colon + 1, at - colon - 1));
+    const std::string kind(
+        StripWhitespace(spec.substr(colon + 1, at - colon - 1)));
     if (kind == "SHORT") {
       if (fault.op != "write") return malformed("SHORT applies to write only");
       fault.short_write = true;
@@ -95,7 +95,7 @@ StatusOr<FaultPlan> ParseFaultPlan(const std::string& text) {
                          "\" (symbolic errno or SHORT)");
       }
     }
-    std::string ordinal_text = StripWhitespace(spec.substr(at + 1));
+    std::string ordinal_text(StripWhitespace(spec.substr(at + 1)));
     const size_t x = ordinal_text.find('x');
     if (x != std::string::npos) {
       char* end = nullptr;

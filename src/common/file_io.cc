@@ -82,7 +82,7 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
     return Status::Unavailable("cannot open: " + path + ": " +
                                ErrnoText(fault->error_number, true));
   }
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     // NotFound only for a genuinely missing file; everything else (EACCES,
     // EMFILE, ...) is a transient environment problem, not absence.
@@ -97,11 +97,15 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
     return Status::Unavailable("read failed: " + path + ": " +
                                ErrnoText(fault->error_number, true));
   }
-  std::string content{std::istreambuf_iterator<char>(in),
-                      std::istreambuf_iterator<char>()};
-  if (in.bad()) {
-    return Status::Unavailable("read failed: " + path + ": " +
-                               std::strerror(errno));
+  // One read sized by the file's length.
+  const std::streamoff size = in.tellg();
+  std::string content(size > 0 ? static_cast<size_t>(size) : 0, '\0');
+  in.seekg(0);
+  in.read(content.data(), static_cast<std::streamsize>(content.size()));
+  if (size < 0 || in.gcount() != size) {
+    return Status::Unavailable("short read: " + path + " (" +
+                               std::to_string(in.gcount()) + " of " +
+                               std::to_string(size) + " bytes)");
   }
   return content;
 }
@@ -247,21 +251,21 @@ std::string SealText(std::string payload) {
   return payload;
 }
 
-StatusOr<std::string> UnsealText(const std::string& text) {
+StatusOr<std::string> UnsealText(std::string text) {
   const size_t marker = text.rfind(kCrcKey);
   if (marker == std::string::npos ||
       (marker != 0 && text[marker - 1] != '\n')) {
     return Status::InvalidArgument("missing crc32 trailer");
   }
-  const std::string trailer = text.substr(marker + kCrcKeySize);
+  const std::string_view trailer =
+      std::string_view(text).substr(marker + kCrcKeySize);
   if (trailer.size() != 9 || trailer[8] != '\n' ||
       trailer.find_first_not_of("0123456789abcdef") != 8) {
     return Status::InvalidArgument("malformed or truncated crc32 trailer");
   }
   const uint32_t expected =
-      static_cast<uint32_t>(std::strtoul(trailer.c_str(), nullptr, 16));
-  std::string payload = text.substr(0, marker);
-  const uint32_t actual = Crc32(payload);
+      static_cast<uint32_t>(std::strtoul(trailer.data(), nullptr, 16));
+  const uint32_t actual = Crc32(text.data(), marker);
   if (expected != actual) {
     char message[64];
     std::snprintf(message, sizeof(message),
@@ -269,16 +273,17 @@ StatusOr<std::string> UnsealText(const std::string& text) {
                   actual);
     return Status::InvalidArgument(message);
   }
-  return payload;
+  text.resize(marker);
+  return text;
 }
 
 Status CheckFormatHeader(const TextReader& reader, const std::string& format,
                          int64_t version) {
-  const StatusOr<std::string> found = reader.Get("format");
+  const StatusOr<std::string_view> found = reader.Get("format");
   if (!found.ok() || found.value() != format) {
     return Status::InvalidArgument(
         "not a " + format + " document: format = " +
-        (found.ok() ? found.value() : std::string("<missing>")));
+        std::string(found.ok() ? found.value() : "<missing>"));
   }
   const StatusOr<int64_t> found_version = reader.GetInt("version");
   if (!found_version.ok()) {
@@ -293,12 +298,12 @@ Status CheckFormatHeader(const TextReader& reader, const std::string& format,
   return Status::Ok();
 }
 
-StatusOr<TextReader> OpenSealedText(const std::string& text,
+StatusOr<TextReader> OpenSealedText(std::string text,
                                     const std::string& format,
                                     int64_t version) {
-  StatusOr<std::string> payload = UnsealText(text);
+  StatusOr<std::string> payload = UnsealText(std::move(text));
   if (!payload.ok()) return payload.status();
-  StatusOr<TextReader> reader = TextReader::Parse(payload.value());
+  StatusOr<TextReader> reader = TextReader::Parse(std::move(payload).value());
   if (!reader.ok()) return reader.status();
   const Status header = CheckFormatHeader(reader.value(), format, version);
   if (!header.ok()) return header;

@@ -22,7 +22,9 @@ uint32_t Crc32(const std::string& text);
 // True if `path` exists (any file type).
 bool FileExists(const std::string& path);
 
-// Reads the whole file; NotFound if it cannot be opened.
+// Reads the whole file with one read sized by its length. NotFound when
+// the file does not exist; any other failure to open or read it, a short
+// read included, is Unavailable.
 StatusOr<std::string> ReadFileToString(const std::string& path);
 
 // Crash-safe replacement of `path` with `content`:
@@ -46,29 +48,33 @@ Status AtomicWriteFile(const std::string& path, const std::string& content,
 // Appends the crc32 trailer line to `payload`.
 std::string SealText(std::string payload);
 
-// Verifies the trailer and returns the payload before it. Strict: the
-// trailer is the last line, holds exactly eight lowercase hex digits and
-// ends with a newline, so losing even the final byte is a truncation. Every
-// failure is InvalidArgument.
-StatusOr<std::string> UnsealText(const std::string& text);
+// Verifies the trailer in place and returns the payload before it: `text`
+// itself, cut short, so no byte is copied. Strict: the trailer is the last
+// line, holds exactly eight lowercase hex digits and ends with a newline,
+// so losing even the final byte is a truncation. Every failure is
+// InvalidArgument.
+StatusOr<std::string> UnsealText(std::string text);
 
 // InvalidArgument unless the `format` and `version` records match.
 Status CheckFormatHeader(const TextReader& reader, const std::string& format,
                          int64_t version);
 
 // UnsealText, then parse the payload and check its header.
-StatusOr<TextReader> OpenSealedText(const std::string& text,
+StatusOr<TextReader> OpenSealedText(std::string text,
                                     const std::string& format,
                                     int64_t version);
 
+// A decoder of a whole file's text. It takes the text by value, so a file
+// read moves its buffer into the decoder's TextReader.
+template <typename T>
+using TextDecoder = std::function<StatusOr<T>(std::string)>;
+
 // Reads `path` and decodes it; a decode error names the path.
 template <typename T>
-StatusOr<T> LoadFile(
-    const std::string& path,
-    const std::function<StatusOr<T>(const std::string&)>& decode) {
+StatusOr<T> LoadFile(const std::string& path, const TextDecoder<T>& decode) {
   StatusOr<std::string> text = ReadFileToString(path);
   if (!text.ok()) return text.status();
-  StatusOr<T> decoded = decode(text.value());
+  StatusOr<T> decoded = decode(std::move(text).value());
   if (!decoded.ok()) {
     return Status(decoded.status().code(),
                   path + ": " + decoded.status().message());
@@ -82,10 +88,8 @@ StatusOr<T> LoadFile(
 // fallback serves every reason a generation is unusable. `used_prev`
 // (optional) reports which generation loaded.
 template <typename T>
-StatusOr<T> LoadFileOrPrev(
-    const std::string& path,
-    const std::function<StatusOr<T>(const std::string&)>& decode,
-    bool* used_prev) {
+StatusOr<T> LoadFileOrPrev(const std::string& path,
+                           const TextDecoder<T>& decode, bool* used_prev) {
   if (used_prev != nullptr) *used_prev = false;
   StatusOr<T> primary = LoadFile<T>(path, decode);
   if (primary.ok() || !FileExists(path + ".prev")) return primary;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 #include "common/file_io.h"
 #include "common/macros.h"
@@ -313,121 +314,102 @@ std::string MetricsRegistry::EncodeState() const {
   return out;
 }
 
-namespace {
-
-Status MalformedState(const std::string& line) {
-  return Status::InvalidArgument("malformed metrics state line: " + line);
-}
-
-bool NextDouble(std::istringstream* in, double* value) {
-  std::string token;
-  if (!(*in >> token)) return false;
-  return ParseExactDouble(token, value);
-}
-
-bool NextInt(std::istringstream* in, int64_t* value) {
-  std::string token;
-  if (!(*in >> token)) return false;
-  char* end = nullptr;
-  *value = std::strtoll(token.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && end != token.c_str();
-}
-
-}  // namespace
-
-Status MetricsRegistry::DecodeState(const std::string& text) {
+Status MetricsRegistry::DecodeState(std::string_view text) {
+  // The kinds registered before the call: a decoded instrument may not
+  // change one, or the caller's next Get of that name would abort.
+  std::vector<std::pair<std::string, Entry::Kind>> registered;
+  for (const Entry& entry : entries_) {
+    registered.emplace_back(entry.name(), entry.kind);
+  }
   Reset();
-  std::istringstream lines(text);
-  std::string line;
+  const auto fail = [this](const char* why, std::string_view line) {
+    Reset();
+    return Status::InvalidArgument(why + std::string(line));
+  };
+  constexpr char kMalformed[] = "malformed metrics state line: ";
+  constexpr char kTaken[] =
+      "metrics state names an instrument twice or as another kind than "
+      "its registration: ";
+  // True unless `name` was decoded already or registered as another kind.
+  const auto name_free = [&](const std::string& name, Entry::Kind kind) {
+    if (Find(name) != nullptr) return false;
+    for (const auto& [registered_name, registered_kind] : registered) {
+      if (registered_name == name && registered_kind != kind) return false;
+    }
+    return true;
+  };
   bool saw_header = false;
-  while (std::getline(lines, line)) {
+  for (std::string_view rest = text; !rest.empty();) {
+    const std::string_view line = NextLine(&rest);
     if (line.empty()) continue;
-    std::istringstream in(line);
-    std::string tag;
-    in >> tag;
+    TokenCursor in(line);
+    const std::string_view tag = in.Word();
     if (!saw_header) {
       int64_t version = 0;
-      if (tag != "obsv" || !NextInt(&in, &version) || version != 1) {
-        Reset();
-        return Status::InvalidArgument("bad metrics state header: " + line);
+      if (tag != "obsv" || !in.Int(&version) || version != 1) {
+        return fail("bad metrics state header: ", line);
       }
       saw_header = true;
       continue;
     }
     if (tag == "counter") {
-      std::string name;
+      const std::string name(in.Word());
       int64_t value = 0;
-      if (!(in >> name) || !NextInt(&in, &value) || !IsToken(name)) {
-        Reset();
-        return MalformedState(line);
-      }
+      if (!IsToken(name) || !in.Int(&value)) return fail(kMalformed, line);
+      if (!name_free(name, Entry::Kind::kCounter)) return fail(kTaken, line);
       GetCounter(name)->Set(value);
     } else if (tag == "gauge") {
-      std::string name;
+      const std::string name(in.Word());
       double value = 0.0;
-      if (!(in >> name) || !NextDouble(&in, &value) || !IsToken(name)) {
-        Reset();
-        return MalformedState(line);
-      }
+      if (!IsToken(name) || !in.Double(&value)) return fail(kMalformed, line);
+      if (!name_free(name, Entry::Kind::kGauge)) return fail(kTaken, line);
       GetGauge(name)->Set(value);
     } else if (tag == "hist") {
-      std::string name;
+      const std::string name(in.Word());
       int64_t num_bounds = 0;
-      if (!(in >> name) || !NextInt(&in, &num_bounds) || !IsToken(name) ||
-          !CountFits(num_bounds, in.rdbuf()->in_avail())) {
-        Reset();
-        return MalformedState(line);
+      if (!IsToken(name) || !in.Int(&num_bounds) ||
+          !CountFits(num_bounds, in.bytes_left())) {
+        return fail(kMalformed, line);
+      }
+      if (!name_free(name, Entry::Kind::kHistogram)) {
+        return fail(kTaken, line);
       }
       std::vector<double> bounds(static_cast<size_t>(num_bounds));
-      for (double& bound : bounds) {
-        if (!NextDouble(&in, &bound)) {
-          Reset();
-          return MalformedState(line);
+      for (size_t i = 0; i < bounds.size(); ++i) {
+        // The Histogram constructor's rule, NaN included.
+        if (!in.Double(&bounds[i]) || std::isnan(bounds[i]) ||
+            (i > 0 && !(bounds[i - 1] < bounds[i]))) {
+          return fail(kMalformed, line);
         }
       }
       Histogram* h = GetHistogram(name, bounds);
-      if (!NextInt(&in, &h->count_) || !NextDouble(&in, &h->sum_) ||
-          !NextDouble(&in, &h->min_) || !NextDouble(&in, &h->max_)) {
-        Reset();
-        return MalformedState(line);
+      if (!in.Int(&h->count_) || !in.Double(&h->sum_) ||
+          !in.Double(&h->min_) || !in.Double(&h->max_)) {
+        return fail(kMalformed, line);
       }
       for (int64_t& c : h->bucket_counts_) {
-        if (!NextInt(&in, &c)) {
-          Reset();
-          return MalformedState(line);
-        }
+        if (!in.Int(&c)) return fail(kMalformed, line);
       }
     } else if (tag == "row") {
       Row row;
       int64_t num_values = 0;
-      if (!(in >> row.kind) || !NextInt(&in, &row.epoch) ||
-          !NextInt(&in, &row.step) || !NextInt(&in, &num_values) ||
-          !IsToken(row.kind) ||
-          !CountFits(num_values, in.rdbuf()->in_avail())) {
-        Reset();
-        return MalformedState(line);
+      row.kind = in.Word();
+      if (!IsToken(row.kind) || !in.Int(&row.epoch) || !in.Int(&row.step) ||
+          !in.Int(&num_values) || !CountFits(num_values, in.bytes_left())) {
+        return fail(kMalformed, line);
       }
       row.values.resize(static_cast<size_t>(num_values));
       for (double& value : row.values) {
-        if (!NextDouble(&in, &value)) {
-          Reset();
-          return MalformedState(line);
-        }
+        if (!in.Double(&value)) return fail(kMalformed, line);
       }
       rows_.push_back(std::move(row));
     } else {
-      Reset();
-      return MalformedState(line);
+      return fail(kMalformed, line);
     }
-    std::string extra;
-    if (in >> extra) {
-      Reset();
-      return MalformedState(line);
-    }
+    if (!in.AtEnd()) return fail(kMalformed, line);
   }
   if (!saw_header && !text.empty()) {
-    Reset();
-    return Status::InvalidArgument("metrics state missing header");
+    return fail("metrics state missing header", "");
   }
   return Status::Ok();
 }

@@ -34,6 +34,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -152,8 +153,12 @@ class MetricsRegistry {
   std::string EncodeState() const;
 
   // Replaces the registry contents with a previously encoded state.
-  // On error the registry is left empty (as after Reset()).
-  Status DecodeState(const std::string& text);
+  // InvalidArgument, with the registry left empty (as after Reset()), for
+  // a malformed line, histogram bounds that are not strictly increasing
+  // (NaN included), a name that appears twice, or a name registered before
+  // the call under a different kind. So a decode that succeeds leaves no
+  // instrument a later Get of the caller's names could abort on.
+  Status DecodeState(std::string_view text);
 
   // Removes all instruments and rows.
   void Reset();

@@ -93,8 +93,8 @@ class HealthMonitor {
   // Checks a scalar loss: non-finite, or a spike against the rolling mean.
   Anomaly ObserveLoss(double loss);
 
-  // Checks a pre-clip global gradient norm (as returned by
-  // optim::ClipGradNorm) for non-finiteness or explosion.
+  // Checks a pre-clip global gradient norm (as reported by
+  // optim::ClipGradNormChecked) for non-finiteness or explosion.
   Anomaly ObserveGradientNorm(double pre_clip_norm);
 
   // Scans parameter values / accumulated gradients for non-finite entries.

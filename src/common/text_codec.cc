@@ -2,90 +2,122 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cstdio>
-#include <sstream>
 
 namespace autocts {
+namespace {
 
-void TextWriter::Add(const std::string& key, const std::string& value) {
-  entries_.emplace_back(key, value);
+constexpr std::string_view kSpace = " \t\n\v\f\r";
+
+}  // namespace
+
+void TextWriter::Add(std::string_view key, std::string_view value) {
+  Record(key).Word(value).End();
 }
 
-void TextWriter::AddInt(const std::string& key, int64_t value) {
-  Add(key, std::to_string(value));
+void TextWriter::AddInt(std::string_view key, int64_t value) {
+  Record(key).Int(value).End();
 }
 
-std::string TextWriter::ToString() const {
-  std::ostringstream stream;
-  for (const auto& [key, value] : entries_) {
-    stream << key << " = " << value << "\n";
-  }
-  return stream.str();
+TextWriter& TextWriter::Record(std::string_view key) {
+  text_ += key;
+  text_ += " = ";
+  first_token_ = true;
+  return *this;
 }
 
-StatusOr<TextReader> TextReader::Parse(const std::string& text) {
+void TextWriter::Separate() {
+  if (!first_token_) text_ += ' ';
+  first_token_ = false;
+}
+
+TextWriter& TextWriter::Double(double value) {
+  Separate();
+  char buffer[64];
+  const int size = std::snprintf(buffer, sizeof(buffer), "%a", value);
+  text_.append(buffer, static_cast<size_t>(size));
+  return *this;
+}
+
+TextWriter& TextWriter::Word(std::string_view word) {
+  Separate();
+  text_ += word;
+  return *this;
+}
+
+StatusOr<TextReader> TextReader::Parse(std::string text) {
   TextReader reader;
-  std::istringstream stream(text);
-  std::string line;
+  reader.text_ = std::make_shared<const std::string>(std::move(text));
+  std::string_view rest = *reader.text_;
   int line_number = 0;
-  while (std::getline(stream, line)) {
+  while (!rest.empty()) {
     ++line_number;
-    const std::string stripped = StripWhitespace(line);
-    if (stripped.empty() || stripped[0] == '#') continue;
-    const size_t eq = stripped.find('=');
-    if (eq == std::string::npos) {
+    const std::string_view line = StripWhitespace(NextLine(&rest));
+    if (line.empty() || line[0] == '#') continue;
+    const size_t eq = line.find('=');
+    if (eq == std::string_view::npos) {
       return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                     " has no '=': " + stripped);
+                                     " has no '=': " + std::string(line));
     }
-    std::string key = StripWhitespace(stripped.substr(0, eq));
-    std::string value = StripWhitespace(stripped.substr(eq + 1));
+    const std::string_view key = StripWhitespace(line.substr(0, eq));
     if (key.empty()) {
       return Status::InvalidArgument("line " + std::to_string(line_number) +
                                      " has empty key");
     }
-    reader.entries_.emplace_back(std::move(key), std::move(value));
+    reader.entries_.push_back({key, StripWhitespace(line.substr(eq + 1))});
   }
   return reader;
 }
 
-StatusOr<std::string> TextReader::Get(const std::string& key) const {
-  for (const auto& [entry_key, value] : entries_) {
-    if (entry_key == key) return value;
-  }
-  return Status::NotFound("key not found: " + key);
+TextReader TextReader::Slice(size_t first, size_t last) const {
+  TextReader slice;
+  slice.text_ = text_;
+  slice.entries_.assign(entries_.begin() + first, entries_.begin() + last);
+  return slice;
 }
 
-StatusOr<int64_t> TextReader::GetInt(const std::string& key) const {
-  StatusOr<std::string> value = Get(key);
+StatusOr<std::string_view> TextReader::Get(std::string_view key) const {
+  for (const Entry& entry : entries_) {
+    if (entry.key == key) return entry.value;
+  }
+  return Status::InvalidArgument("missing record: " + std::string(key));
+}
+
+StatusOr<int64_t> TextReader::GetInt(std::string_view key) const {
+  StatusOr<std::string_view> value = Get(key);
   if (!value.ok()) return value.status();
   int64_t parsed = 0;
   if (!ParseExactInt(value.value(), &parsed)) {
-    return Status::InvalidArgument("not an integer: " + value.value());
+    return Status::InvalidArgument("not an integer: " +
+                                   std::string(value.value()));
   }
   return parsed;
 }
 
-std::vector<std::string> TextReader::GetAll(const std::string& key) const {
-  std::vector<std::string> values;
-  for (const auto& [entry_key, value] : entries_) {
-    if (entry_key == key) values.push_back(value);
+std::vector<std::string_view> TextReader::GetAll(std::string_view key) const {
+  std::vector<std::string_view> values;
+  for (const Entry& entry : entries_) {
+    if (entry.key == key) values.push_back(entry.value);
   }
   return values;
 }
 
-StatusOr<std::vector<std::string>> TextReader::GetCounted(
-    const std::string& count_key, const std::string& key) const {
+StatusOr<std::vector<std::string_view>> TextReader::GetCounted(
+    std::string_view count_key, std::string_view key) const {
   StatusOr<int64_t> count = GetInt(count_key);
   if (!count.ok()) return count.status();
-  std::vector<std::string> values = GetAll(key);
+  std::vector<std::string_view> values = GetAll(key);
   if (static_cast<int64_t>(values.size()) != count.value()) {
     return Status::InvalidArgument(
-        key + " record count mismatch: " + count_key + " says " +
-        std::to_string(count.value()) + ", found " +
+        std::string(key) + " record count mismatch: " + std::string(count_key) +
+        " says " + std::to_string(count.value()) + ", found " +
         std::to_string(values.size()));
   }
   return values;
+}
+
+bool TokenCursor::AtEnd() const {
+  return rest_.find_first_not_of(kSpace) == std::string_view::npos;
 }
 
 std::string FormatExactDouble(double value) {
@@ -117,17 +149,7 @@ bool ParseExactDouble(std::string_view token, double* value) {
   return true;
 }
 
-bool ParseExactInt(std::string_view token, int64_t* value) {
-  int64_t parsed = 0;
-  const char* last = token.data() + token.size();
-  const auto [end, ec] = std::from_chars(token.data(), last, parsed);
-  if (ec != std::errc() || end != last) return false;
-  *value = parsed;
-  return true;
-}
-
 std::string_view NextToken(std::string_view* text) {
-  constexpr std::string_view kSpace = " \t\n\v\f\r";
   const size_t begin = text->find_first_not_of(kSpace);
   if (begin == std::string_view::npos) {
     *text = {};
@@ -139,31 +161,28 @@ std::string_view NextToken(std::string_view* text) {
   return token;
 }
 
-std::vector<std::string> SplitString(const std::string& text, char delimiter) {
-  std::vector<std::string> pieces;
-  std::string current;
-  for (char c : text) {
-    if (c == delimiter) {
-      pieces.push_back(StripWhitespace(current));
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  pieces.push_back(StripWhitespace(current));
-  return pieces;
+std::string_view NextLine(std::string_view* text) {
+  const size_t end = text->find('\n');
+  const std::string_view line = text->substr(0, end);
+  text->remove_prefix(end == std::string_view::npos ? text->size() : end + 1);
+  return line;
 }
 
-std::string StripWhitespace(const std::string& text) {
-  size_t begin = 0;
-  size_t end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
+std::vector<std::string> SplitString(const std::string& text, char delimiter) {
+  std::vector<std::string> pieces;
+  std::string_view rest = text;
+  while (true) {
+    const size_t end = rest.find(delimiter);
+    pieces.emplace_back(StripWhitespace(rest.substr(0, end)));
+    if (end == std::string_view::npos) return pieces;
+    rest.remove_prefix(end + 1);
   }
-  while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  return text.substr(begin, end - begin);
+}
+
+std::string_view StripWhitespace(std::string_view text) {
+  const size_t begin = text.find_first_not_of(kSpace);
+  if (begin == std::string_view::npos) return {};
+  return text.substr(begin, text.find_last_not_of(kSpace) - begin + 1);
 }
 
 }  // namespace autocts

@@ -54,68 +54,56 @@ std::string SanitizeLine(std::string text) {
 //   <mae> <rmse> <mape> <rrse> <corr> <final_train_loss>
 //   <train_seconds_per_epoch> <inference_ms_per_window>
 //   <num_horizons> [<mae> <rmse> <mape>]*
-std::string EncodeResultRecord(int64_t index, const models::EvalResult& r) {
-  std::ostringstream out;
-  out << index << " " << r.epochs_run << " " << r.parameter_count << " "
-      << r.recoveries << " " << r.skipped_steps << " "
-      << FormatExactDouble(r.average.mae) << " "
-      << FormatExactDouble(r.average.rmse) << " "
-      << FormatExactDouble(r.average.mape) << " "
-      << FormatExactDouble(r.rrse) << " " << FormatExactDouble(r.corr) << " "
-      << FormatExactDouble(r.final_train_loss) << " "
-      << FormatExactDouble(r.train_seconds_per_epoch) << " "
-      << FormatExactDouble(r.inference_ms_per_window) << " "
-      << r.per_horizon.size();
-  for (const metrics::PointMetrics& h : r.per_horizon) {
-    out << " " << FormatExactDouble(h.mae) << " "
-        << FormatExactDouble(h.rmse) << " " << FormatExactDouble(h.mape);
+void AppendResultRecord(int64_t index, const models::EvalResult& r,
+                        TextWriter* writer) {
+  writer->Record("result")
+      .Int(index)
+      .Int(r.epochs_run)
+      .Int(r.parameter_count)
+      .Int(r.recoveries)
+      .Int(r.skipped_steps);
+  for (double value : {r.average.mae, r.average.rmse, r.average.mape, r.rrse,
+                       r.corr, r.final_train_loss, r.train_seconds_per_epoch,
+                       r.inference_ms_per_window}) {
+    writer->Double(value);
   }
-  return out.str();
+  writer->Int(r.per_horizon.size());
+  for (const metrics::PointMetrics& h : r.per_horizon) {
+    writer->Double(h.mae).Double(h.rmse).Double(h.mape);
+  }
+  writer->End();
 }
 
-Status ParseResultRecord(const std::string& text, int64_t* index,
+Status ParseResultRecord(std::string_view text, int64_t* index,
                          models::EvalResult* result) {
-  std::istringstream in(text);
-  const auto fail = [&text]() {
-    return Status::InvalidArgument("malformed result record: " + text);
+  const auto fail = [text]() {
+    return Status::InvalidArgument("malformed result record: " +
+                                   std::string(text));
   };
-  const auto read_int = [&in](int64_t* value) -> bool {
-    return static_cast<bool>(in >> *value);
-  };
-  const auto read_double = [&in](double* value) -> bool {
-    std::string token;
-    if (!(in >> token)) return false;
-    return ParseExactDouble(token, value);
-  };
-  if (!read_int(index) || !read_int(&result->epochs_run) ||
-      !read_int(&result->parameter_count) ||
-      !read_int(&result->recoveries) || !read_int(&result->skipped_steps) ||
-      !read_double(&result->average.mae) ||
-      !read_double(&result->average.rmse) ||
-      !read_double(&result->average.mape) || !read_double(&result->rrse) ||
-      !read_double(&result->corr) ||
-      !read_double(&result->final_train_loss) ||
-      !read_double(&result->train_seconds_per_epoch) ||
-      !read_double(&result->inference_ms_per_window)) {
-    return fail();
+  TokenCursor in(text);
+  bool ok = in.Int(index) && in.Int(&result->epochs_run) &&
+            in.Int(&result->parameter_count) && in.Int(&result->recoveries) &&
+            in.Int(&result->skipped_steps);
+  for (double* value :
+       {&result->average.mae, &result->average.rmse, &result->average.mape,
+        &result->rrse, &result->corr, &result->final_train_loss,
+        &result->train_seconds_per_epoch, &result->inference_ms_per_window}) {
+    ok = ok && in.Double(value);
   }
   int64_t horizons = 0;
-  if (!read_int(&horizons) ||
-      !CountFits(horizons, in.rdbuf()->in_avail(), /*tokens_per_item=*/3)) {
+  if (!ok || !in.Int(&horizons) ||
+      !CountFits(horizons, in.bytes_left(), /*tokens_per_item=*/3)) {
     return fail();
   }
   result->per_horizon.resize(horizons);
-  for (int64_t h = 0; h < horizons; ++h) {
-    if (!read_double(&result->per_horizon[h].mae) ||
-        !read_double(&result->per_horizon[h].rmse) ||
-        !read_double(&result->per_horizon[h].mape)) {
+  for (metrics::PointMetrics& h : result->per_horizon) {
+    if (!in.Double(&h.mae) || !in.Double(&h.rmse) || !in.Double(&h.mape)) {
       return fail();
     }
   }
-  std::string trailing;
-  if (in >> trailing) {
+  if (!in.AtEnd()) {
     return Status::InvalidArgument("trailing tokens in result record: " +
-                                   text);
+                                   std::string(text));
   }
   return Status::Ok();
 }
@@ -142,14 +130,18 @@ Status DecodeFailureMessage(const std::string& message) {
 }
 
 // "<index> <free text>" records (anomaly attributions, failure messages).
-Status ParseIndexedText(const std::string& record, int64_t* index,
+void AppendIndexedText(std::string_view key, int64_t index,
+                       const std::string& text, TextWriter* writer) {
+  writer->Record(key).Int(index).Word(SanitizeLine(text)).End();
+}
+
+Status ParseIndexedText(std::string_view record, int64_t* index,
                         std::string* text) {
-  std::istringstream in(record);
-  if (!(in >> *index)) {
-    return Status::InvalidArgument("malformed record: " + record);
+  TokenCursor in(record);
+  if (!in.Int(index)) {
+    return Status::InvalidArgument("malformed record: " + std::string(record));
   }
-  std::getline(in, *text);
-  *text = StripWhitespace(*text);
+  *text = StripWhitespace(in.rest());
   return Status::Ok();
 }
 
@@ -175,81 +167,65 @@ uint64_t CandidateSeed(uint64_t base_seed, int64_t index) {
 
 std::string EncodeCandidateSet(const std::vector<Genotype>& candidates) {
   AUTOCTS_CHECK(!candidates.empty());
-  std::ostringstream out;
-  out << "format = " << kCandidateSetFormat << "\n";
-  out << "version = " << kCandidateSetVersion << "\n";
-  out << "count = " << candidates.size() << "\n";
+  TextWriter writer;
+  writer.Add("format", kCandidateSetFormat);
+  writer.AddInt("version", kCandidateSetVersion);
+  writer.AddInt("count", static_cast<int64_t>(candidates.size()));
   for (size_t i = 0; i < candidates.size(); ++i) {
-    out << "candidate = " << i << "\n" << candidates[i].ToText();
+    writer.AddInt("candidate", i);
+    candidates[i].AppendText(&writer);
   }
-  return out.str();
+  return writer.Release();
 }
 
-StatusOr<std::vector<Genotype>> DecodeCandidateSet(const std::string& text) {
-  // Split into a header (everything before the first "candidate" marker)
-  // and one text chunk per candidate.
-  std::string header;
-  std::vector<std::pair<int64_t, std::string>> chunks;
-  std::istringstream stream(text);
-  std::string line;
-  while (std::getline(stream, line)) {
-    const std::string stripped = StripWhitespace(line);
-    std::string key;
-    if (!stripped.empty() && stripped[0] != '#') {
-      const size_t eq = stripped.find('=');
-      if (eq != std::string::npos) {
-        key = StripWhitespace(stripped.substr(0, eq));
-      }
-    }
-    if (key == "candidate") {
-      const std::string value = StripWhitespace(
-          stripped.substr(stripped.find('=') + 1));
-      char* end = nullptr;
-      const int64_t index = std::strtoll(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
-        return Status::InvalidArgument("malformed candidate marker: " +
-                                       stripped);
-      }
-      chunks.emplace_back(index, std::string());
-      continue;
-    }
-    std::string* sink = chunks.empty() ? &header : &chunks.back().second;
-    sink->append(line);
-    sink->push_back('\n');
+StatusOr<std::vector<Genotype>> DecodeCandidateSet(std::string text) {
+  StatusOr<TextReader> parsed = TextReader::Parse(std::move(text));
+  if (!parsed.ok()) return parsed.status();
+  const TextReader& reader = parsed.value();
+  // A header (the records before the first "candidate" marker), then one
+  // run of records per candidate.
+  const std::vector<TextReader::Entry>& entries = reader.entries();
+  std::vector<size_t> markers;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].key == "candidate") markers.push_back(i);
   }
-
-  StatusOr<TextReader> reader = TextReader::Parse(header);
-  if (!reader.ok()) return reader.status();
-  const StatusOr<std::string> format = reader.value().Get("format");
-  if (!format.ok()) {
+  markers.push_back(entries.size());
+  const TextReader header = reader.Slice(0, markers.front());
+  const size_t found = markers.size() - 1;
+  if (!header.Get("format").ok()) {
     // Bare single-genotype document (e.g. a plain `search --out` file).
-    if (!chunks.empty()) {
+    if (found > 0) {
       return Status::InvalidArgument(
           "candidate markers without a candidate-set format header");
     }
-    StatusOr<Genotype> genotype = Genotype::FromText(text);
+    StatusOr<Genotype> genotype = Genotype::FromReader(reader);
     if (!genotype.ok()) return genotype.status();
     return std::vector<Genotype>{std::move(genotype).value()};
   }
-  const Status checked = CheckFormatHeader(
-      reader.value(), kCandidateSetFormat, kCandidateSetVersion);
+  const Status checked =
+      CheckFormatHeader(header, kCandidateSetFormat, kCandidateSetVersion);
   if (!checked.ok()) return checked;
-  const StatusOr<int64_t> count = reader.value().GetInt("count");
+  const StatusOr<int64_t> count = header.GetInt("count");
   if (!count.ok()) return count.status();
-  if (count.value() <= 0 ||
-      count.value() != static_cast<int64_t>(chunks.size())) {
+  if (count.value() <= 0 || count.value() != static_cast<int64_t>(found)) {
     return Status::InvalidArgument(
         "candidate count mismatch: header says " +
-        std::to_string(count.value()) + ", found " +
-        std::to_string(chunks.size()));
+        std::to_string(count.value()) + ", found " + std::to_string(found));
   }
   std::vector<Genotype> candidates;
-  candidates.reserve(chunks.size());
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    if (chunks[i].first != static_cast<int64_t>(i)) {
+  candidates.reserve(found);
+  for (size_t i = 0; i < found; ++i) {
+    TokenCursor marker(entries[markers[i]].value);
+    int64_t index = 0;
+    if (!marker.Int(&index) || !marker.AtEnd()) {
+      return Status::InvalidArgument("malformed candidate marker: " +
+                                     std::string(entries[markers[i]].value));
+    }
+    if (index != static_cast<int64_t>(i)) {
       return Status::InvalidArgument("candidate indices out of order");
     }
-    StatusOr<Genotype> genotype = Genotype::FromText(chunks[i].second);
+    StatusOr<Genotype> genotype =
+        Genotype::FromReader(reader.Slice(markers[i] + 1, markers[i + 1]));
     if (!genotype.ok()) {
       return Status::InvalidArgument("candidate " + std::to_string(i) + ": " +
                                      genotype.status().message());
@@ -268,7 +244,7 @@ Status SaveCandidateSet(const std::vector<Genotype>& candidates,
 StatusOr<std::vector<Genotype>> LoadCandidateSet(const std::string& path) {
   StatusOr<std::string> text = ReadFileToString(path);
   if (!text.ok()) return text.status();
-  return DecodeCandidateSet(text.value());
+  return DecodeCandidateSet(std::move(text).value());
 }
 
 // --------------------------------------------------------------------------
@@ -343,33 +319,32 @@ std::string EvalConfigFingerprint(const std::vector<Genotype>& candidates,
 }
 
 std::string EncodeEvalCheckpoint(const EvalCheckpoint& checkpoint) {
-  std::ostringstream out;
-  out << "format = " << kCheckpointFormat << "\n";
-  out << "version = " << EvalCheckpoint::kFormatVersion << "\n";
-  out << "config = " << checkpoint.config_fingerprint << "\n";
-  out << "candidates = " << checkpoint.candidate_count << "\n";
-  out << "completed = " << checkpoint.completed.size() << "\n";
-  out << "failures = " << checkpoint.failed.size() << "\n";
+  TextWriter writer;
+  writer.Add("format", kCheckpointFormat);
+  writer.AddInt("version", EvalCheckpoint::kFormatVersion);
+  writer.Add("config", checkpoint.config_fingerprint);
+  writer.AddInt("candidates", checkpoint.candidate_count);
+  writer.AddInt("completed", static_cast<int64_t>(checkpoint.completed.size()));
+  writer.AddInt("failures", static_cast<int64_t>(checkpoint.failed.size()));
   for (const auto& [index, result] : checkpoint.completed) {
-    out << "result = " << EncodeResultRecord(index, result) << "\n";
+    AppendResultRecord(index, result, &writer);
     if (!result.last_anomaly.empty()) {
-      out << "anomaly = " << index << " " << SanitizeLine(result.last_anomaly)
-          << "\n";
+      AppendIndexedText("anomaly", index, result.last_anomaly, &writer);
     }
   }
   for (const auto& [index, message] : checkpoint.failed) {
-    out << "failed = " << index << " " << SanitizeLine(message) << "\n";
+    AppendIndexedText("failed", index, message, &writer);
   }
-  return SealText(out.str());
+  return SealText(writer.Release());
 }
 
-StatusOr<EvalCheckpoint> DecodeEvalCheckpoint(const std::string& text) {
-  const StatusOr<TextReader> reader =
-      OpenSealedText(text, kCheckpointFormat, EvalCheckpoint::kFormatVersion);
+StatusOr<EvalCheckpoint> DecodeEvalCheckpoint(std::string text) {
+  const StatusOr<TextReader> reader = OpenSealedText(
+      std::move(text), kCheckpointFormat, EvalCheckpoint::kFormatVersion);
   if (!reader.ok()) return reader.status();
 
   EvalCheckpoint checkpoint;
-  const StatusOr<std::string> config = reader.value().Get("config");
+  const StatusOr<std::string_view> config = reader.value().Get("config");
   if (!config.ok()) return config.status();
   checkpoint.config_fingerprint = config.value();
   const StatusOr<int64_t> count = reader.value().GetInt("candidates");
@@ -387,7 +362,7 @@ StatusOr<EvalCheckpoint> DecodeEvalCheckpoint(const std::string& text) {
     return index >= 0 && index < checkpoint.candidate_count;
   };
 
-  for (const std::string& record : reader.value().GetAll("result")) {
+  for (const std::string_view record : reader.value().GetAll("result")) {
     int64_t index = -1;
     models::EvalResult result;
     Status parsed = ParseResultRecord(record, &index, &result);
@@ -406,7 +381,7 @@ StatusOr<EvalCheckpoint> DecodeEvalCheckpoint(const std::string& text) {
     return Status::InvalidArgument("completed count mismatch");
   }
 
-  for (const std::string& record : reader.value().GetAll("anomaly")) {
+  for (const std::string_view record : reader.value().GetAll("anomaly")) {
     int64_t index = -1;
     std::string message;
     Status parsed = ParseIndexedText(record, &index, &message);
@@ -416,12 +391,12 @@ StatusOr<EvalCheckpoint> DecodeEvalCheckpoint(const std::string& text) {
         [index](const auto& entry) { return entry.first == index; });
     if (it == checkpoint.completed.end()) {
       return Status::InvalidArgument(
-          "anomaly record without a matching result: " + record);
+          "anomaly record without a matching result: " + std::string(record));
     }
     it->second.last_anomaly = message;
   }
 
-  for (const std::string& record : reader.value().GetAll("failed")) {
+  for (const std::string_view record : reader.value().GetAll("failed")) {
     int64_t index = -1;
     std::string message;
     Status parsed = ParseIndexedText(record, &index, &message);

@@ -78,7 +78,7 @@ uint64_t CandidateSeed(uint64_t base_seed, int64_t index);
 // as a 1-candidate set, so `evaluate-topk --candidates` works on plain
 // `search --out` files.
 std::string EncodeCandidateSet(const std::vector<Genotype>& candidates);
-StatusOr<std::vector<Genotype>> DecodeCandidateSet(const std::string& text);
+StatusOr<std::vector<Genotype>> DecodeCandidateSet(std::string text);
 Status SaveCandidateSet(const std::vector<Genotype>& candidates,
                         const std::string& path);
 StatusOr<std::vector<Genotype>> LoadCandidateSet(const std::string& path);
@@ -153,7 +153,7 @@ std::string EvalConfigFingerprint(const std::vector<Genotype>& candidates,
 // returns InvalidArgument on any CRC mismatch, truncation, or malformed
 // record.
 std::string EncodeEvalCheckpoint(const EvalCheckpoint& checkpoint);
-StatusOr<EvalCheckpoint> DecodeEvalCheckpoint(const std::string& text);
+StatusOr<EvalCheckpoint> DecodeEvalCheckpoint(std::string text);
 
 // File wrappers (AtomicWriteFile protocol, ".prev" generation retained).
 Status SaveEvalCheckpoint(const EvalCheckpoint& checkpoint,

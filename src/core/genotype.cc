@@ -4,39 +4,46 @@
 #include <map>
 #include <sstream>
 
-#include "common/text_codec.h"
 #include "ops/op_registry.h"
 
 namespace autocts::core {
 
 std::string Genotype::ToText() const {
   TextWriter writer;
-  writer.AddInt("nodes_per_block", nodes_per_block);
-  writer.AddInt("num_blocks", num_blocks());
-  for (int64_t b = 0; b < num_blocks(); ++b) {
-    writer.AddInt("block_input", block_inputs[b]);
-    for (const EdgeGene& edge : blocks[b].edges) {
-      std::ostringstream value;
-      value << b << " " << edge.from << " " << edge.to << " " << edge.op;
-      writer.Add("edge", value.str());
-    }
-  }
-  return writer.ToString();
+  AppendText(&writer);
+  return writer.Release();
 }
 
-StatusOr<Genotype> Genotype::FromText(const std::string& text) {
-  StatusOr<TextReader> reader = TextReader::Parse(text);
+void Genotype::AppendText(TextWriter* writer) const {
+  writer->AddInt("nodes_per_block", nodes_per_block);
+  writer->AddInt("num_blocks", num_blocks());
+  for (int64_t b = 0; b < num_blocks(); ++b) {
+    writer->AddInt("block_input", block_inputs[b]);
+    for (const EdgeGene& edge : blocks[b].edges) {
+      writer->Record("edge").Int(b).Int(edge.from).Int(edge.to).Word(edge.op);
+      writer->End();
+    }
+  }
+}
+
+StatusOr<Genotype> Genotype::FromText(std::string text) {
+  StatusOr<TextReader> reader = TextReader::Parse(std::move(text));
   if (!reader.ok()) return reader.status();
+  return FromReader(reader.value());
+}
+
+StatusOr<Genotype> Genotype::FromReader(const TextReader& reader) {
   Genotype genotype;
-  StatusOr<int64_t> nodes = reader.value().GetInt("nodes_per_block");
+  StatusOr<int64_t> nodes = reader.GetInt("nodes_per_block");
   if (!nodes.ok()) return nodes.status();
   genotype.nodes_per_block = nodes.value();
-  StatusOr<int64_t> num_blocks = reader.value().GetInt("num_blocks");
+  StatusOr<int64_t> num_blocks = reader.GetInt("num_blocks");
   if (!num_blocks.ok()) return num_blocks.status();
-  for (const std::string& input : reader.value().GetAll("block_input")) {
+  for (const std::string_view input : reader.GetAll("block_input")) {
     int64_t block_input = 0;
     if (!ParseExactInt(input, &block_input)) {
-      return Status::InvalidArgument("malformed block_input: " + input);
+      return Status::InvalidArgument("malformed block_input: " +
+                                     std::string(input));
     }
     genotype.block_inputs.push_back(block_input);
   }
@@ -46,15 +53,20 @@ StatusOr<Genotype> Genotype::FromText(const std::string& text) {
     return Status::InvalidArgument("block_input count != num_blocks");
   }
   genotype.blocks.resize(num_blocks.value());
-  for (const std::string& edge_text : reader.value().GetAll("edge")) {
-    std::istringstream stream(edge_text);
+  for (const std::string_view edge_text : reader.GetAll("edge")) {
+    TokenCursor in(edge_text);
     int64_t block = 0;
     EdgeGene edge;
-    if (!(stream >> block >> edge.from >> edge.to >> edge.op)) {
-      return Status::InvalidArgument("malformed edge: " + edge_text);
+    const bool numbers =
+        in.Int(&block) && in.Int(&edge.from) && in.Int(&edge.to);
+    edge.op = in.Word();
+    if (!numbers || edge.op.empty() || !in.AtEnd()) {
+      return Status::InvalidArgument("malformed edge: " +
+                                     std::string(edge_text));
     }
     if (block < 0 || block >= num_blocks.value()) {
-      return Status::InvalidArgument("edge block out of range: " + edge_text);
+      return Status::InvalidArgument("edge block out of range: " +
+                                     std::string(edge_text));
     }
     genotype.blocks[block].edges.push_back(edge);
   }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/text_codec.h"
 
 namespace autocts::core {
 
@@ -39,9 +40,13 @@ struct Genotype {
 
   bool operator==(const Genotype& other) const = default;
 
-  // Round-trippable text form (common/text_codec format).
+  // Round-trippable text form (common/text_codec format). AppendText
+  // writes the same records into a larger document; FromReader decodes the
+  // records of a parsed one, such as one candidate of a candidate set.
   std::string ToText() const;
-  static StatusOr<Genotype> FromText(const std::string& text);
+  void AppendText(TextWriter* writer) const;
+  static StatusOr<Genotype> FromText(std::string text);
+  static StatusOr<Genotype> FromReader(const TextReader& reader);
 
   // Pretty multi-line description for logs and the Figure 8 case study.
   std::string ToPrettyString() const;

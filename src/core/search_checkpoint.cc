@@ -12,37 +12,24 @@ namespace {
 
 constexpr char kFormatName[] = "autocts-search-checkpoint";
 
-Status ExpectEndOfRecord(std::istringstream* stream, const std::string& label) {
-  std::string extra;
-  if (*stream >> extra) {
-    return Status::InvalidArgument("trailing tokens in record: " + label);
-  }
-  return Status::Ok();
-}
-
-void AppendAdamState(std::ostringstream* out, const std::string& key,
+void AppendAdamState(TextWriter* writer, const std::string& key,
                      const optim::AdamState& state) {
-  *out << key << " = " << state.step_count << " " << state.first_moment.size()
-       << "\n";
+  writer->Record(key).Int(state.step_count).Int(state.first_moment.size());
+  writer->End();
   for (size_t slot = 0; slot < state.first_moment.size(); ++slot) {
-    *out << key << "_m = " << slot << " "
-         << (state.first_moment[slot].defined() ? 1 : 0);
-    if (state.first_moment[slot].defined()) {
-      nn::AppendTensorText(state.first_moment[slot], out);
+    for (const auto& [suffix, moment] :
+         {std::pair{"_m", &state.first_moment[slot]},
+          std::pair{"_v", &state.second_moment[slot]}}) {
+      writer->Record(key + suffix).Int(slot).Int(moment->defined() ? 1 : 0);
+      if (moment->defined()) nn::AppendTensorText(*moment, writer);
+      writer->End();
     }
-    *out << "\n";
-    *out << key << "_v = " << slot << " "
-         << (state.second_moment[slot].defined() ? 1 : 0);
-    if (state.second_moment[slot].defined()) {
-      nn::AppendTensorText(state.second_moment[slot], out);
-    }
-    *out << "\n";
   }
 }
 
 Status ParseMomentRecords(const TextReader& reader, const std::string& key,
                           int64_t slots, std::vector<Tensor>* out) {
-  const std::vector<std::string> records = reader.GetAll(key);
+  const std::vector<std::string_view> records = reader.GetAll(key);
   if (static_cast<int64_t>(records.size()) != slots) {
     return Status::InvalidArgument(
         key + " record count mismatch: expected " + std::to_string(slots) +
@@ -50,20 +37,20 @@ Status ParseMomentRecords(const TextReader& reader, const std::string& key,
   }
   out->assign(slots, Tensor());
   std::vector<bool> seen(slots, false);
-  for (const std::string& record : records) {
-    std::string_view rest = record;
+  for (const std::string_view record : records) {
+    TokenCursor in(record);
     int64_t slot = 0;
-    const bool slot_ok = ParseExactInt(NextToken(&rest), &slot);
-    const std::string_view defined = NextToken(&rest);
-    if (!slot_ok || slot < 0 || slot >= slots ||
-        (defined != "0" && defined != "1") || seen[slot]) {
-      return Status::InvalidArgument("malformed " + key + " record: " + record);
+    int64_t defined = 0;
+    if (!in.Int(&slot) || slot < 0 || slot >= slots || !in.Int(&defined) ||
+        (defined != 0 && defined != 1) || seen[slot]) {
+      return Status::InvalidArgument("malformed " + key +
+                                     " record: " + std::string(record));
     }
     seen[slot] = true;
-    if (defined == "1") {
-      const Status status = nn::ParseTensorText(rest, key, &(*out)[slot]);
+    if (defined == 1) {
+      const Status status = nn::ParseTensorText(in.rest(), key, &(*out)[slot]);
       if (!status.ok()) return status;
-    } else if (!NextToken(&rest).empty()) {
+    } else if (!in.AtEnd()) {
       return Status::InvalidArgument("trailing tokens in record: " + key);
     }
   }
@@ -72,38 +59,40 @@ Status ParseMomentRecords(const TextReader& reader, const std::string& key,
 
 Status ParseAdamState(const TextReader& reader, const std::string& key,
                       optim::AdamState* out) {
-  StatusOr<std::string> header = reader.Get(key);
+  StatusOr<std::string_view> header = reader.Get(key);
   if (!header.ok()) return header.status();
-  std::istringstream stream(header.value());
+  TokenCursor in(header.value());
   int64_t slots = 0;
-  if (!(stream >> out->step_count >> slots) || out->step_count < 0 ||
-      slots < 0) {
-    return Status::InvalidArgument("malformed " + key + " header: " +
-                                   header.value());
+  if (!in.Int(&out->step_count) || !in.Int(&slots) || out->step_count < 0 ||
+      slots < 0 || !in.AtEnd()) {
+    return Status::InvalidArgument("malformed " + key +
+                                   " header: " + std::string(header.value()));
   }
-  Status status = ExpectEndOfRecord(&stream, key);
-  if (!status.ok()) return status;
-  status = ParseMomentRecords(reader, key + "_m", slots, &out->first_moment);
+  Status status =
+      ParseMomentRecords(reader, key + "_m", slots, &out->first_moment);
   if (!status.ok()) return status;
   return ParseMomentRecords(reader, key + "_v", slots, &out->second_moment);
 }
 
 Status ParseIndexOrder(const TextReader& reader, const std::string& key,
                        std::vector<int64_t>* out) {
-  StatusOr<std::string> record = reader.Get(key);
+  StatusOr<std::string_view> record = reader.Get(key);
   if (!record.ok()) return record.status();
-  std::istringstream stream(record.value());
+  TokenCursor in(record.value());
   int64_t n = 0;
-  if (!(stream >> n) || !CountFits(n, stream.rdbuf()->in_avail())) {
+  if (!in.Int(&n) || !CountFits(n, in.bytes_left())) {
     return Status::InvalidArgument("malformed " + key + " record");
   }
   out->assign(n, 0);
-  for (int64_t i = 0; i < n; ++i) {
-    if (!(stream >> (*out)[i]) || (*out)[i] < 0) {
+  for (int64_t& index : *out) {
+    if (!in.Int(&index) || index < 0) {
       return Status::InvalidArgument("truncated " + key + " record");
     }
   }
-  return ExpectEndOfRecord(&stream, key);
+  if (!in.AtEnd()) {
+    return Status::InvalidArgument("trailing tokens in record: " + key);
+  }
+  return Status::Ok();
 }
 
 // The restored split orders must have the live orders' sizes and index
@@ -163,118 +152,107 @@ std::string SearchConfigFingerprint(const SearchOptions& options,
 }
 
 std::string EncodeSearchCheckpoint(const SearchCheckpoint& checkpoint) {
-  std::ostringstream out;
-  out << "format = " << kFormatName << "\n";
-  out << "version = " << SearchCheckpoint::kFormatVersion << "\n";
-  out << "config = " << checkpoint.config_fingerprint << "\n";
-  out << "cursor = " << checkpoint.epoch << " " << checkpoint.step << "\n";
-  out << "tau = " << FormatExactDouble(checkpoint.tau) << "\n";
-  out << "val_loss = " << FormatExactDouble(checkpoint.val_loss_sum) << " "
-      << checkpoint.epoch_steps << " "
-      << FormatExactDouble(checkpoint.final_validation_loss) << "\n";
-  out << "rng = " << checkpoint.rng.words[0] << " " << checkpoint.rng.words[1]
-      << " " << checkpoint.rng.words[2] << " " << checkpoint.rng.words[3]
-      << " " << (checkpoint.rng.has_cached_normal ? 1 : 0) << " "
-      << FormatExactDouble(checkpoint.rng.cached_normal) << "\n";
-  out << "order_train = " << checkpoint.pseudo_train.size();
-  for (int64_t index : checkpoint.pseudo_train) out << " " << index;
-  out << "\n";
-  out << "order_val = " << checkpoint.pseudo_val.size();
-  for (int64_t index : checkpoint.pseudo_val) out << " " << index;
-  out << "\n";
+  TextWriter writer;
+  writer.Add("format", kFormatName);
+  writer.AddInt("version", SearchCheckpoint::kFormatVersion);
+  writer.Add("config", checkpoint.config_fingerprint);
+  writer.Record("cursor").Int(checkpoint.epoch).Int(checkpoint.step).End();
+  writer.Record("tau").Double(checkpoint.tau).End();
+  writer.Record("val_loss")
+      .Double(checkpoint.val_loss_sum)
+      .Int(checkpoint.epoch_steps)
+      .Double(checkpoint.final_validation_loss)
+      .End();
+  writer.Record("rng");
+  for (uint64_t word : checkpoint.rng.words) writer.Int(word);
+  writer.Int(checkpoint.rng.has_cached_normal ? 1 : 0)
+      .Double(checkpoint.rng.cached_normal)
+      .End();
+  for (const auto& [key, order] :
+       {std::pair{"order_train", &checkpoint.pseudo_train},
+        std::pair{"order_val", &checkpoint.pseudo_val}}) {
+    writer.Record(key).Int(order->size());
+    for (int64_t index : *order) writer.Int(index);
+    writer.End();
+  }
   for (const auto& [key, tensors] :
        {std::pair{"param", &checkpoint.parameters},
         std::pair{"arch", &checkpoint.arch_parameters}}) {
-    out << key << "_count = " << tensors->size() << "\n";
-    for (const auto& [name, value] : *tensors) {
-      nn::AppendTensorRecord(key, name, value, &out);
-      out << "\n";
-    }
+    writer.AddInt(std::string(key) + "_count",
+                  static_cast<int64_t>(tensors->size()));
+    nn::AppendTensorRecords(key, *tensors, &writer);
   }
-  AppendAdamState(&out, "adam_w", checkpoint.weight_optimizer);
-  AppendAdamState(&out, "adam_t", checkpoint.theta_optimizer);
+  AppendAdamState(&writer, "adam_w", checkpoint.weight_optimizer);
+  AppendAdamState(&writer, "adam_t", checkpoint.theta_optimizer);
   // Metrics state rides along as repeated single-line records so the
   // line-oriented reader (and the byte-flip corruption sweep) treat it
   // like any other payload. Zero lines — not an absent record — is the
   // "metrics off" encoding; absence only occurs in pre-observability
   // files, which still decode.
-  {
-    std::vector<std::string> metric_lines;
-    if (!checkpoint.metrics_state.empty()) {
-      std::istringstream stream(checkpoint.metrics_state);
-      std::string line;
-      while (std::getline(stream, line)) {
-        if (!line.empty()) metric_lines.push_back(line);
-      }
-    }
-    out << "metrics_count = " << metric_lines.size() << "\n";
-    for (const std::string& line : metric_lines) {
-      out << "metrics = " << line << "\n";
-    }
+  std::vector<std::string_view> metric_lines;
+  for (std::string_view rest = checkpoint.metrics_state; !rest.empty();) {
+    const std::string_view line = NextLine(&rest);
+    if (!line.empty()) metric_lines.push_back(line);
   }
-  return SealText(out.str());
+  writer.AddInt("metrics_count", static_cast<int64_t>(metric_lines.size()));
+  for (const std::string_view line : metric_lines) writer.Add("metrics", line);
+  return SealText(writer.Release());
 }
 
-StatusOr<SearchCheckpoint> DecodeSearchCheckpoint(const std::string& text) {
-  StatusOr<TextReader> parsed =
-      OpenSealedText(text, kFormatName, SearchCheckpoint::kFormatVersion);
+StatusOr<SearchCheckpoint> DecodeSearchCheckpoint(std::string text) {
+  StatusOr<TextReader> parsed = OpenSealedText(
+      std::move(text), kFormatName, SearchCheckpoint::kFormatVersion);
   if (!parsed.ok()) return parsed.status();
   const TextReader& reader = parsed.value();
 
   SearchCheckpoint checkpoint;
-  StatusOr<std::string> config = reader.Get("config");
+  StatusOr<std::string_view> config = reader.Get("config");
   if (!config.ok()) return config.status();
   checkpoint.config_fingerprint = config.value();
 
-  StatusOr<std::string> cursor = reader.Get("cursor");
+  StatusOr<std::string_view> cursor = reader.Get("cursor");
   if (!cursor.ok()) return cursor.status();
   {
-    std::istringstream stream(cursor.value());
-    if (!(stream >> checkpoint.epoch >> checkpoint.step) ||
-        checkpoint.epoch < 0 || checkpoint.step < 0) {
-      return Status::InvalidArgument("malformed cursor: " + cursor.value());
+    TokenCursor in(cursor.value());
+    if (!in.Int(&checkpoint.epoch) || !in.Int(&checkpoint.step) ||
+        checkpoint.epoch < 0 || checkpoint.step < 0 || !in.AtEnd()) {
+      return Status::InvalidArgument("malformed cursor: " +
+                                     std::string(cursor.value()));
     }
-    Status status = ExpectEndOfRecord(&stream, "cursor");
-    if (!status.ok()) return status;
   }
 
-  StatusOr<std::string> tau = reader.Get("tau");
+  StatusOr<std::string_view> tau = reader.Get("tau");
   if (!tau.ok()) return tau.status();
   if (!ParseExactDouble(tau.value(), &checkpoint.tau)) {
-    return Status::InvalidArgument("malformed tau: " + tau.value());
+    return Status::InvalidArgument("malformed tau: " +
+                                   std::string(tau.value()));
   }
 
-  StatusOr<std::string> val_loss = reader.Get("val_loss");
+  StatusOr<std::string_view> val_loss = reader.Get("val_loss");
   if (!val_loss.ok()) return val_loss.status();
   {
-    std::istringstream stream(val_loss.value());
-    std::string sum_token, final_token;
-    if (!(stream >> sum_token >> checkpoint.epoch_steps >> final_token) ||
-        checkpoint.epoch_steps < 0 ||
-        !ParseExactDouble(sum_token, &checkpoint.val_loss_sum) ||
-        !ParseExactDouble(final_token, &checkpoint.final_validation_loss)) {
-      return Status::InvalidArgument("malformed val_loss: " + val_loss.value());
+    TokenCursor in(val_loss.value());
+    if (!in.Double(&checkpoint.val_loss_sum) ||
+        !in.Int(&checkpoint.epoch_steps) || checkpoint.epoch_steps < 0 ||
+        !in.Double(&checkpoint.final_validation_loss) || !in.AtEnd()) {
+      return Status::InvalidArgument("malformed val_loss: " +
+                                     std::string(val_loss.value()));
     }
-    Status status = ExpectEndOfRecord(&stream, "val_loss");
-    if (!status.ok()) return status;
   }
 
-  StatusOr<std::string> rng = reader.Get("rng");
+  StatusOr<std::string_view> rng = reader.Get("rng");
   if (!rng.ok()) return rng.status();
   {
-    std::istringstream stream(rng.value());
-    int has_cached = 0;
-    std::string cached_token;
-    if (!(stream >> checkpoint.rng.words[0] >> checkpoint.rng.words[1] >>
-          checkpoint.rng.words[2] >> checkpoint.rng.words[3] >> has_cached >>
-          cached_token) ||
-        (has_cached != 0 && has_cached != 1) ||
-        !ParseExactDouble(cached_token, &checkpoint.rng.cached_normal)) {
-      return Status::InvalidArgument("malformed rng record: " + rng.value());
+    TokenCursor in(rng.value());
+    bool ok = true;
+    for (uint64_t& word : checkpoint.rng.words) ok = ok && in.Int(&word);
+    int64_t has_cached = 0;
+    if (!ok || !in.Int(&has_cached) || (has_cached != 0 && has_cached != 1) ||
+        !in.Double(&checkpoint.rng.cached_normal) || !in.AtEnd()) {
+      return Status::InvalidArgument("malformed rng record: " +
+                                     std::string(rng.value()));
     }
     checkpoint.rng.has_cached_normal = has_cached == 1;
-    Status status = ExpectEndOfRecord(&stream, "rng");
-    if (!status.ok()) return status;
   }
 
   Status status =
@@ -286,10 +264,10 @@ StatusOr<SearchCheckpoint> DecodeSearchCheckpoint(const std::string& text) {
   for (const auto& [key, tensors] :
        {std::pair{"param", &checkpoint.parameters},
         std::pair{"arch", &checkpoint.arch_parameters}}) {
-    StatusOr<std::vector<std::string>> records =
+    StatusOr<std::vector<std::string_view>> records =
         reader.GetCounted(std::string(key) + "_count", key);
     if (!records.ok()) return records.status();
-    for (const std::string& record : records.value()) {
+    for (const std::string_view record : records.value()) {
       status = nn::ParseTensorRecord(record, tensors);
       if (!status.ok()) return status;
     }
@@ -302,20 +280,14 @@ StatusOr<SearchCheckpoint> DecodeSearchCheckpoint(const std::string& text) {
 
   // Optional metrics block: pre-observability checkpoints (still version
   // 1, so their fingerprints remain valid) simply lack the record.
-  StatusOr<int64_t> metrics_count = reader.GetInt("metrics_count");
-  if (metrics_count.ok()) {
-    const int64_t count = metrics_count.value();
-    const std::vector<std::string> lines = reader.GetAll("metrics");
-    if (static_cast<int64_t>(lines.size()) != count) {
-      return Status::InvalidArgument(
-          "metrics_count does not match metrics records");
-    }
-    for (size_t i = 0; i < lines.size(); ++i) {
+  if (reader.Get("metrics_count").ok()) {
+    StatusOr<std::vector<std::string_view>> lines =
+        reader.GetCounted("metrics_count", "metrics");
+    if (!lines.ok()) return lines.status();
+    for (size_t i = 0; i < lines.value().size(); ++i) {
       if (i > 0) checkpoint.metrics_state += '\n';
-      checkpoint.metrics_state += lines[i];
+      checkpoint.metrics_state += lines.value()[i];
     }
-  } else if (metrics_count.status().code() != StatusCode::kNotFound) {
-    return metrics_count.status();
   }
   return checkpoint;
 }

@@ -11,7 +11,8 @@
 // genotype and final validation loss of an uninterrupted run; the
 // fault-injection suite in tests/checkpoint_test.cc enforces this.
 //
-// On-disk format (extends the nn/state_dict line-oriented codec):
+// On-disk format (a common/text_codec document; tensors use the
+// nn/state_dict tensor text):
 //
 //   format = autocts-search-checkpoint
 //   version = 1
@@ -104,7 +105,7 @@ std::string SearchConfigFingerprint(const SearchOptions& options,
 // CRC mismatch, truncation, or malformed record — it never crashes and
 // never returns a partially-parsed checkpoint.
 std::string EncodeSearchCheckpoint(const SearchCheckpoint& checkpoint);
-StatusOr<SearchCheckpoint> DecodeSearchCheckpoint(const std::string& text);
+StatusOr<SearchCheckpoint> DecodeSearchCheckpoint(std::string text);
 
 // File wrappers. Save uses AtomicWriteFile (temp + rename, previous
 // generation kept at "<path>.prev").

@@ -16,12 +16,15 @@
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "optim/adam.h"
-#include "optim/lr_schedule.h"
 #include "tensor/tensor_ops.h"
 
 #include <cmath>
 
 namespace autocts::core {
+
+double SearchTemperature(int64_t epoch) {
+  return std::max(kTauMin, kTauInit * std::pow(kTauDecay, epoch));
+}
 
 SearchOptions AutoStgLiteOptions() {
   SearchOptions options;
@@ -197,7 +200,6 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
                                .beta1 = kThetaBeta1,
                                .beta2 = kThetaBeta2,
                                .weight_decay = kThetaWeightDecay});
-  const optim::ExponentialSchedule tau_schedule(kTauInit, kTauDecay, kTauMin);
 
   // Divide the training windows evenly into pseudo-train / pseudo-val.
   const int64_t total = data.train().NumSamples();
@@ -268,8 +270,9 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
     // previous one like a corrupt one does.
     StatusOr<SearchCheckpoint> loaded = LoadFileOrPrev<SearchCheckpoint>(
         options_.checkpoint_path,
-        [](const std::string& text) -> StatusOr<SearchCheckpoint> {
-          StatusOr<SearchCheckpoint> decoded = DecodeSearchCheckpoint(text);
+        [](std::string text) -> StatusOr<SearchCheckpoint> {
+          StatusOr<SearchCheckpoint> decoded =
+              DecodeSearchCheckpoint(std::move(text));
           if (!decoded.ok()) return decoded;
           const Status health = CheckpointNumericHealth(decoded.value());
           if (!health.ok()) return health;
@@ -403,7 +406,7 @@ StatusOr<SearchResult> JointSearcher::SearchWithStatus(
     const bool continuing = resume_mid_epoch && epoch == start_epoch;
     if (!continuing) {
       supernet.SetTemperature(
-          options_.use_temperature ? tau_schedule.At(epoch) : 1.0);
+          options_.use_temperature ? SearchTemperature(epoch) : 1.0);
       rng.Shuffle(&pseudo_train);
       rng.Shuffle(&pseudo_val);
       val_loss_sum = 0.0;

@@ -36,6 +36,10 @@ inline constexpr double kTauInit = 5.0;
 inline constexpr double kTauDecay = 0.9;
 inline constexpr double kTauMin = 0.001;
 
+// The temperature of 0-based search epoch `epoch`:
+// max(kTauMin, kTauInit * kTauDecay^epoch).
+double SearchTemperature(int64_t epoch);
+
 // Perturbation scale of the second-order Theta step's finite-difference
 // Hessian-vector product (Liu et al., 2019; see bilevel_order):
 // eps = kUnrolledEpsilon / ||grad_w' L_val||.

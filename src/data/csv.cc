@@ -54,7 +54,7 @@ StatusOr<Tensor> LoadMatrixCsv(const std::string& path) {
           std::to_string(cells.size()));
     }
     for (size_t c = 0; c < cells.size(); ++c) {
-      const std::string cell = StripWhitespace(cells[c]);
+      const std::string cell(StripWhitespace(cells[c]));
       char* end = nullptr;
       const double value =
           cell.empty() ? 0.0 : std::strtod(cell.c_str(), &end);

@@ -1,10 +1,21 @@
 #include "nn/state_dict.h"
 
-#include <sstream>
-
-#include "common/text_codec.h"
-
 namespace autocts::nn {
+namespace {
+
+// Appends the record "<key> = <value>" to the state's params or buffers.
+Status ParseStateRecord(std::string_view key, std::string_view value,
+                        StateDict* state) {
+  NamedTensors* out = key == "param"    ? &state->params
+                      : key == "buffer" ? &state->buffers
+                                        : nullptr;
+  if (out == nullptr) {
+    return Status::InvalidArgument("not a param or buffer record");
+  }
+  return ParseTensorRecord(value, out);
+}
+
+}  // namespace
 
 TensorSlots VariableSlots(
     const std::vector<std::pair<std::string, Variable>>& variables) {
@@ -54,64 +65,67 @@ void CopyTensors(const NamedTensors& tensors, const TensorSlots& slots) {
   }
 }
 
-void AppendTensorText(const Tensor& value, std::ostream* out) {
-  *out << " " << value.ndim();
-  for (int64_t d : value.shape()) *out << " " << d;
+void AppendTensorText(const Tensor& value, TextWriter* writer) {
+  writer->Int(value.ndim());
+  for (int64_t d : value.shape()) writer->Int(d);
   // Hex-float ("%a") output is an exact image of the bits, so every
   // value — 0.1, denormals, extremes — reloads bit-identically. (The
   // previous 17-significant-digit decimal form is still accepted for old
   // files.)
-  for (int64_t i = 0; i < value.size(); ++i) {
-    *out << " " << FormatExactDouble(value.data()[i]);
-  }
+  for (int64_t i = 0; i < value.size(); ++i) writer->Double(value.data()[i]);
 }
 
 Status ParseTensorText(std::string_view text, const std::string& label,
                        Tensor* out) {
+  TokenCursor in(text);
   int64_t ndim = 0;
-  if (!ParseExactInt(NextToken(&text), &ndim) || ndim < 0 || ndim > 8) {
+  if (!in.Int(&ndim) || ndim < 0 || ndim > 8) {
     return Status::InvalidArgument("bad tensor rank in record: " + label);
   }
   Shape shape(ndim);
   int64_t elements = 1;
   bool overflow = false;
   for (int64_t& d : shape) {
-    if (!ParseExactInt(NextToken(&text), &d) || d < 0) {
+    if (!in.Int(&d) || d < 0) {
       return Status::InvalidArgument("bad tensor shape in record: " + label);
     }
     overflow |= __builtin_mul_overflow(elements, d, &elements);
   }
-  if (overflow || !CountFits(elements, static_cast<int64_t>(text.size()))) {
+  if (overflow || !CountFits(elements, in.bytes_left())) {
     return Status::InvalidArgument(
         "tensor shape claims more values than its record holds: " + label);
   }
   Tensor value = Tensor::Uninitialized(shape);
   for (int64_t i = 0; i < value.size(); ++i) {
-    if (!ParseExactDouble(NextToken(&text), &value.data()[i])) {
+    if (!in.Double(&value.data()[i])) {
       return Status::InvalidArgument("truncated or malformed values in: " +
                                      label);
     }
   }
-  if (!NextToken(&text).empty()) {
+  if (!in.AtEnd()) {
     return Status::InvalidArgument("trailing values in: " + label);
   }
   *out = std::move(value);
   return Status::Ok();
 }
 
-void AppendTensorRecord(const std::string& key, const std::string& name,
-                        const Tensor& value, std::ostream* out) {
-  *out << key << " = " << name;
-  AppendTensorText(value, out);
+void AppendTensorRecords(std::string_view key, const NamedTensors& tensors,
+                         TextWriter* writer) {
+  for (const auto& [name, value] : tensors) {
+    writer->Record(key).Word(name);
+    AppendTensorText(value, writer);
+    writer->End();
+  }
 }
 
 Status ParseTensorRecord(std::string_view record, NamedTensors* out) {
-  std::string name(NextToken(&record));
+  TokenCursor in(record);
+  std::string name(in.Word());
   if (name.empty()) {
     return Status::InvalidArgument("named-tensor record without a name");
   }
   Tensor value;
-  const Status status = ParseTensorText(record, name, &value);
+  const Status status = ParseTensorText(in.rest(), name, &value);
   if (!status.ok()) return status;
   out->emplace_back(std::move(name), std::move(value));
   return Status::Ok();
@@ -129,48 +143,33 @@ StateDict CaptureStateDict(const Module& module) {
           CaptureTensors(module.NamedBuffers())};
 }
 
-std::vector<std::string> StateDictLines(const StateDict& state) {
-  std::vector<std::string> lines;
-  lines.reserve(state.params.size() + state.buffers.size());
-  for (const auto& [key, tensors] : {std::pair{"param", &state.params},
-                                     std::pair{"buffer", &state.buffers}}) {
-    for (const auto& [name, value] : *tensors) {
-      std::ostringstream line;
-      AppendTensorRecord(key, name, value, &line);
-      lines.push_back(line.str());
-    }
-  }
-  return lines;
+void AppendStateDict(const StateDict& state, const std::string& prefix,
+                     TextWriter* writer) {
+  AppendTensorRecords(prefix + "param", state.params, writer);
+  AppendTensorRecords(prefix + "buffer", state.buffers, writer);
 }
 
-Status ParseStateLine(const std::string& line, StateDict* state) {
+Status ParseStateLine(std::string_view line, StateDict* state) {
   const size_t eq = line.find('=');
-  const std::string key =
-      StripWhitespace(line.substr(0, eq == std::string::npos ? 0 : eq));
-  NamedTensors* out = key == "param"    ? &state->params
-                      : key == "buffer" ? &state->buffers
-                                        : nullptr;
-  if (out == nullptr) {
+  if (eq == std::string_view::npos) {
     return Status::InvalidArgument("not a param or buffer record");
   }
-  return ParseTensorRecord(std::string_view(line).substr(eq + 1), out);
+  return ParseStateRecord(StripWhitespace(line.substr(0, eq)),
+                          line.substr(eq + 1), state);
 }
 
 std::string SaveStateDict(const Module& module) {
-  std::string text;
-  for (const std::string& line : StateDictLines(CaptureStateDict(module))) {
-    text += line;
-    text += '\n';
-  }
-  return text;
+  TextWriter writer;
+  AppendStateDict(CaptureStateDict(module), "", &writer);
+  return writer.Release();
 }
 
-StatusOr<StateDict> ParseStateDict(const std::string& text) {
+StatusOr<StateDict> ParseStateDict(std::string text) {
+  StatusOr<TextReader> reader = TextReader::Parse(std::move(text));
+  if (!reader.ok()) return reader.status();
   StateDict state;
-  std::istringstream stream(text);
-  std::string line;
-  while (std::getline(stream, line)) {
-    const Status status = ParseStateLine(line, &state);
+  for (const auto& [key, value] : reader.value().entries()) {
+    const Status status = ParseStateRecord(key, value, &state);
     if (!status.ok()) return status;
   }
   return state;
@@ -193,8 +192,8 @@ Status LoadStateDict(Module* module, const StateDict& state) {
   return Status::Ok();
 }
 
-Status LoadStateDict(Module* module, const std::string& text) {
-  StatusOr<StateDict> state = ParseStateDict(text);
+Status LoadStateDict(Module* module, std::string text) {
+  StatusOr<StateDict> state = ParseStateDict(std::move(text));
   if (!state.ok()) return state.status();
   return LoadStateDict(module, state.value());
 }

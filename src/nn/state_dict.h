@@ -25,13 +25,13 @@
 #ifndef AUTOCTS_NN_STATE_DICT_H_
 #define AUTOCTS_NN_STATE_DICT_H_
 
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "common/text_codec.h"
 #include "nn/module.h"
 
 namespace autocts::nn {
@@ -62,22 +62,21 @@ Status CheckTensors(const NamedTensors& tensors, const TensorSlots& slots,
 // CheckTensors accepted the pair.
 void CopyTensors(const NamedTensors& tensors, const TensorSlots& slots);
 
-// Appends " <ndim> <dim0> ... <dimk> <v0> ... <vn>" (hex-float values).
-void AppendTensorText(const Tensor& value, std::ostream* out);
+// Appends the tokens " <ndim> <dim0> ... <dimk> <v0> ... <vn>" (hex-float
+// values) to the writer's open record.
+void AppendTensorText(const Tensor& value, TextWriter* writer);
 
-// Parses `text`, the tensor text that ends a record, in place: tokens are
-// read straight from its bytes (ParseExactInt, ParseExactDouble). The
-// element count the shape claims must fit the bytes left in the record
-// (CountFits in common/text_codec.h), checked with overflow-safe arithmetic
-// before any storage is acquired; a bad rank, shape, value or trailing
-// token is InvalidArgument.
+// Parses `text`, the tensor text that ends a record, in place through a
+// TokenCursor. The element count the shape claims must fit the bytes left
+// in the record (CountFits in common/text_codec.h), checked with
+// overflow-safe arithmetic before any storage is acquired; a bad rank,
+// shape, value or trailing token is InvalidArgument.
 Status ParseTensorText(std::string_view text, const std::string& label,
                        Tensor* out);
 
-// Appends "<key> = <name> <tensor text>", one named-tensor record without
-// its newline.
-void AppendTensorRecord(const std::string& key, const std::string& name,
-                        const Tensor& value, std::ostream* out);
+// Appends one "<key> = <name> <tensor text>" record per tensor.
+void AppendTensorRecords(std::string_view key, const NamedTensors& tensors,
+                         TextWriter* writer);
 
 // Parses the value of a named-tensor record, "<name> <tensor text>", and
 // appends it to `out`.
@@ -95,22 +94,25 @@ struct StateDict {
 // Deep copies of every parameter and buffer of `module`.
 StateDict CaptureStateDict(const Module& module);
 
-// The text records of `state`, one per line, without newlines.
-std::vector<std::string> StateDictLines(const StateDict& state);
+// Appends the records of `state`: "<prefix>param = ..." per parameter,
+// then "<prefix>buffer = ..." per buffer. Artifacts nest them under the
+// prefix "state = ".
+void AppendStateDict(const StateDict& state, const std::string& prefix,
+                     TextWriter* writer);
 
-// Parses one text record ("param = ..." or "buffer = ...") into `state`.
-Status ParseStateLine(const std::string& line, StateDict* state);
+// Parses one record ("param = ..." or "buffer = ...") into `state`.
+Status ParseStateLine(std::string_view line, StateDict* state);
 
-// The text form of `module`'s state, and its parser (every line one
-// record).
+// The text form of `module`'s state, and its parser (a text document of
+// param and buffer records).
 std::string SaveStateDict(const Module& module);
-StatusOr<StateDict> ParseStateDict(const std::string& text);
+StatusOr<StateDict> ParseStateDict(std::string text);
 
 // Restores `state` into `module`: CheckTensors on the parameters (and on
 // the buffers when the state carries any), then CopyTensors. A mismatch,
 // which signals an architecture mismatch, writes nothing.
 Status LoadStateDict(Module* module, const StateDict& state);
-Status LoadStateDict(Module* module, const std::string& text);
+Status LoadStateDict(Module* module, std::string text);
 
 }  // namespace autocts::nn
 

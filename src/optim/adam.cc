@@ -8,10 +8,16 @@
 namespace autocts::optim {
 
 Adam::Adam(std::vector<Variable> parameters, Options options)
-    : Optimizer(std::move(parameters)), options_(options) {
-  learning_rate_ = options.learning_rate;
+    : parameters_(std::move(parameters)),
+      options_(options),
+      learning_rate_(options.learning_rate) {
   first_moment_.resize(parameters_.size());
   second_moment_.resize(parameters_.size());
+}
+
+void Adam::ZeroGrad() {
+  AUTOCTS_TRACE_SCOPE("optim/zero_grad");
+  for (Variable& parameter : parameters_) parameter.ClearGrad();
 }
 
 AdamState Adam::ExportState() const {
@@ -105,6 +111,35 @@ void Adam::Step() {
       pw[j] -= lr * m_hat / (std::sqrt(v_hat) + options_.epsilon);
     }
   }
+}
+
+bool ClipGradNormChecked(const std::vector<Variable>& parameters,
+                         double max_norm, double* pre_clip_norm) {
+  AUTOCTS_TRACE_SCOPE("optim/clip_grad_norm");
+  AUTOCTS_CHECK_GT(max_norm, 0.0);
+  double total_sq = 0.0;
+  for (const Variable& parameter : parameters) {
+    if (!parameter.has_grad()) continue;
+    total_sq += SumSquares(parameter.grad());
+  }
+  const double total = std::sqrt(total_sq);
+  if (pre_clip_norm != nullptr) *pre_clip_norm = total;
+  // IEEE comparisons with NaN are false, so an unguarded `total > max_norm`
+  // would pass a NaN norm through unclipped; an Inf norm is worse, scaling
+  // every gradient by max_norm/Inf == 0 and turning Inf entries into NaN
+  // (Inf * 0). Clipping cannot repair either state — leave the gradients
+  // untouched and tell the caller to skip the step.
+  if (!std::isfinite(total)) return false;
+  if (total > max_norm) {
+    const double scale = max_norm / (total + 1e-12);
+    for (const Variable& parameter : parameters) {
+      if (!parameter.has_grad()) continue;
+      // Grad tensors are owned by the parameter nodes; scale in place.
+      Tensor grad = parameter.grad();
+      ScaleInPlace(&grad, scale);
+    }
+  }
+  return true;
 }
 
 }  // namespace autocts::optim

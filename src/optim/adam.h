@@ -7,8 +7,8 @@
 
 #include <vector>
 
+#include "autograd/variable.h"
 #include "common/status.h"
-#include "optim/optimizer.h"
 
 namespace autocts::optim {
 
@@ -23,7 +23,8 @@ struct AdamState {
   std::vector<Tensor> second_moment;  // undefined entry = slot never stepped
 };
 
-class Adam : public Optimizer {
+// Owns handles (shared aliases) to the parameters it steps.
+class Adam {
  public:
   struct Options {
     double learning_rate = 1e-3;
@@ -35,7 +36,16 @@ class Adam : public Optimizer {
 
   Adam(std::vector<Variable> parameters, Options options);
 
-  void Step() override;
+  // Applies one update using the accumulated gradients; parameters with no
+  // gradient are skipped.
+  void Step();
+
+  // Clears all accumulated gradients.
+  void ZeroGrad();
+
+  // Replaces the learning rate (the recovery policy's backoff).
+  void SetLearningRate(double lr) { learning_rate_ = lr; }
+  double learning_rate() const { return learning_rate_; }
 
   // Deep-copies the optimizer state (moments + step count).
   AdamState ExportState() const;
@@ -52,11 +62,23 @@ class Adam : public Optimizer {
   int64_t step_count() const { return step_count_; }
 
  private:
+  std::vector<Variable> parameters_;
   Options options_;
+  double learning_rate_;
   int64_t step_count_ = 0;
   std::vector<Tensor> first_moment_;
   std::vector<Tensor> second_moment_;
 };
+
+// Rescales all gradients so their global L2 norm is at most `max_norm` and
+// reports whether the step is safe to apply: returns true when the
+// pre-clip norm was finite (gradients clipped as usual), false when it was
+// NaN or +-Inf (gradients untouched, since scaling cannot repair them; the
+// caller must skip the optimizer step — see common/numerics.h for the
+// recovery policy built on top). `pre_clip_norm` (optional) receives the
+// norm.
+bool ClipGradNormChecked(const std::vector<Variable>& parameters,
+                         double max_norm, double* pre_clip_norm = nullptr);
 
 }  // namespace autocts::optim
 

@@ -1,6 +1,6 @@
 #include "serve/model_artifact.h"
 
-#include <sstream>
+#include <algorithm>
 
 #include "common/file_io.h"
 #include "common/text_codec.h"
@@ -13,28 +13,20 @@ constexpr char kFormatName[] = "autocts-model-artifact";
 
 Status ParseDoubleList(std::string_view text, const std::string& label,
                        int64_t expected, std::vector<double>* out) {
-  if (!CountFits(expected, static_cast<int64_t>(text.size()))) {
+  TokenCursor in(text);
+  if (!CountFits(expected, in.bytes_left())) {
     return Status::InvalidArgument("truncated values in: " + label);
   }
   out->assign(expected, 0.0);
-  for (int64_t i = 0; i < expected; ++i) {
-    if (!ParseExactDouble(NextToken(&text), &(*out)[i])) {
+  for (double& value : *out) {
+    if (!in.Double(&value)) {
       return Status::InvalidArgument("truncated values in: " + label);
     }
   }
-  if (!NextToken(&text).empty()) {
+  if (!in.AtEnd()) {
     return Status::InvalidArgument("trailing values in: " + label);
   }
   return Status::Ok();
-}
-
-// Embeds a multi-line sub-document as `count_key = N` followed by N
-// repeated `line_key = <line>` records.
-void AppendLines(TextWriter* writer, const std::string& count_key,
-                 const std::string& line_key,
-                 const std::vector<std::string>& lines) {
-  writer->AddInt(count_key, static_cast<int64_t>(lines.size()));
-  for (const std::string& l : lines) writer->Add(line_key, l);
 }
 
 // The geometry fields size the model's weights, and the decoder bounds them
@@ -106,44 +98,43 @@ std::string EncodeModelArtifact(const ModelArtifact& artifact) {
   writer.AddInt("zero_is_missing", artifact.meta.zero_is_missing ? 1 : 0);
 
   writer.AddInt("scaler_mask_null", artifact.scaler.mask_null ? 1 : 0);
-  writer.Add("scaler_null_value",
-             FormatExactDouble(artifact.scaler.null_value));
+  writer.Record("scaler_null_value").Double(artifact.scaler.null_value).End();
   writer.AddInt("scaler_features",
                 static_cast<int64_t>(artifact.scaler.means.size()));
-  std::ostringstream means;
-  for (size_t f = 0; f < artifact.scaler.means.size(); ++f) {
-    means << (f == 0 ? "" : " ") << FormatExactDouble(artifact.scaler.means[f]);
+  for (const auto& [key, values] :
+       {std::pair{"scaler_means", &artifact.scaler.means},
+        std::pair{"scaler_stddevs", &artifact.scaler.stddevs}}) {
+    writer.Record(key);
+    for (double value : *values) writer.Double(value);
+    writer.End();
   }
-  writer.Add("scaler_means", means.str());
-  std::ostringstream stddevs;
-  for (size_t f = 0; f < artifact.scaler.stddevs.size(); ++f) {
-    stddevs << (f == 0 ? "" : " ")
-            << FormatExactDouble(artifact.scaler.stddevs[f]);
-  }
-  writer.Add("scaler_stddevs", stddevs.str());
 
-  std::ostringstream adjacency;
-  adjacency << (artifact.adjacency.defined() ? 1 : 0);
+  writer.Record("adjacency").Int(artifact.adjacency.defined() ? 1 : 0);
   if (artifact.adjacency.defined()) {
-    nn::AppendTensorText(artifact.adjacency, &adjacency);
+    nn::AppendTensorText(artifact.adjacency, &writer);
   }
-  writer.Add("adjacency", adjacency.str());
+  writer.End();
 
-  std::vector<std::string> genotype_lines;
-  std::istringstream genotype_text(artifact.genotype.ToText());
-  for (std::string line; std::getline(genotype_text, line);) {
-    genotype_lines.push_back(line);
+  // The genotype and the state dict nest their records one per line,
+  // "genotype = <genotype record>" and "state = <state-dict record>", each
+  // run after its count.
+  const std::string genotype_text = artifact.genotype.ToText();
+  writer.AddInt("genotype_lines",
+                std::count(genotype_text.begin(), genotype_text.end(), '\n'));
+  for (std::string_view rest = genotype_text; !rest.empty();) {
+    writer.Add("genotype", NextLine(&rest));
   }
-  AppendLines(&writer, "genotype_lines", "genotype", genotype_lines);
-  AppendLines(&writer, "state_lines", "state",
-              nn::StateDictLines(artifact.state));
+  writer.AddInt("state_lines", static_cast<int64_t>(
+                                   artifact.state.params.size() +
+                                   artifact.state.buffers.size()));
+  nn::AppendStateDict(artifact.state, "state = ", &writer);
 
-  return SealText(writer.ToString());
+  return SealText(writer.Release());
 }
 
-StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& text) {
-  StatusOr<TextReader> parsed =
-      OpenSealedText(text, kFormatName, ModelArtifact::kFormatVersion);
+StatusOr<ModelArtifact> DecodeModelArtifact(std::string text) {
+  StatusOr<TextReader> parsed = OpenSealedText(
+      std::move(text), kFormatName, ModelArtifact::kFormatVersion);
   if (!parsed.ok()) return parsed.status();
   const TextReader& reader = parsed.value();
 
@@ -184,55 +175,58 @@ StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& text) {
     return Status::InvalidArgument("target_feature out of range");
   }
 
-  StatusOr<std::string> null_value = reader.Get("scaler_null_value");
+  StatusOr<std::string_view> null_value = reader.Get("scaler_null_value");
   if (!null_value.ok()) return null_value.status();
   if (!ParseExactDouble(null_value.value(), &artifact.scaler.null_value)) {
     return Status::InvalidArgument("bad scaler_null_value: " +
-                                   null_value.value());
+                                   std::string(null_value.value()));
   }
   StatusOr<int64_t> features = reader.GetInt("scaler_features");
   if (!features.ok()) return features.status();
   if (features.value() != artifact.meta.in_features) {
     return Status::InvalidArgument("scaler feature count mismatch");
   }
-  StatusOr<std::string> means = reader.Get("scaler_means");
-  if (!means.ok()) return means.status();
-  Status status = ParseDoubleList(means.value(), "scaler_means",
-                                  features.value(), &artifact.scaler.means);
-  if (!status.ok()) return status;
-  StatusOr<std::string> stddevs = reader.Get("scaler_stddevs");
-  if (!stddevs.ok()) return stddevs.status();
-  status = ParseDoubleList(stddevs.value(), "scaler_stddevs",
-                           features.value(), &artifact.scaler.stddevs);
-  if (!status.ok()) return status;
+  Status status;
+  for (const auto& [key, values] :
+       {std::pair{"scaler_means", &artifact.scaler.means},
+        std::pair{"scaler_stddevs", &artifact.scaler.stddevs}}) {
+    StatusOr<std::string_view> record = reader.Get(key);
+    if (!record.ok()) return record.status();
+    status = ParseDoubleList(record.value(), key, features.value(), values);
+    if (!status.ok()) return status;
+  }
 
-  StatusOr<std::string> adjacency = reader.Get("adjacency");
+  StatusOr<std::string_view> adjacency = reader.Get("adjacency");
   if (!adjacency.ok()) return adjacency.status();
   {
-    std::string_view record = adjacency.value();
-    const std::string_view defined = NextToken(&record);
+    TokenCursor in(adjacency.value());
+    const std::string_view defined = in.Word();
     if (defined == "1") {
-      status = nn::ParseTensorText(record, "adjacency", &artifact.adjacency);
+      status = nn::ParseTensorText(in.rest(), "adjacency", &artifact.adjacency);
       if (!status.ok()) return status;
     } else if (defined != "0") {
       return Status::InvalidArgument("malformed adjacency record");
-    } else if (!NextToken(&record).empty()) {
+    } else if (!in.AtEnd()) {
       return Status::InvalidArgument("trailing tokens in adjacency record");
     }
   }
 
-  StatusOr<std::vector<std::string>> lines =
+  StatusOr<std::vector<std::string_view>> lines =
       reader.GetCounted("genotype_lines", "genotype");
   if (!lines.ok()) return lines.status();
   std::string genotype_text;
-  for (const std::string& line : lines.value()) genotype_text += line + "\n";
-  StatusOr<core::Genotype> genotype = core::Genotype::FromText(genotype_text);
+  for (const std::string_view line : lines.value()) {
+    genotype_text += line;
+    genotype_text += '\n';
+  }
+  StatusOr<core::Genotype> genotype =
+      core::Genotype::FromText(std::move(genotype_text));
   if (!genotype.ok()) return genotype.status();
-  artifact.genotype = genotype.value();
+  artifact.genotype = std::move(genotype).value();
 
   lines = reader.GetCounted("state_lines", "state");
   if (!lines.ok()) return lines.status();
-  for (const std::string& line : lines.value()) {
+  for (const std::string_view line : lines.value()) {
     status = nn::ParseStateLine(line, &artifact.state);
     if (!status.ok()) return status;
   }

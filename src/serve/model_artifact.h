@@ -66,7 +66,7 @@ ModelArtifact MakeModelArtifact(const core::DerivedModel& model,
 // dict's shapes (and num_nodes against the adjacency), so the model of
 // every artifact that decodes is sized by bytes the file holds.
 std::string EncodeModelArtifact(const ModelArtifact& artifact);
-StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& text);
+StatusOr<ModelArtifact> DecodeModelArtifact(std::string text);
 
 // File wrappers: atomic write (previous generation kept as "<path>.prev"),
 // load, and load-with-fallback (LoadFileOrPrev in common/file_io.h).

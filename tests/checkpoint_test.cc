@@ -20,7 +20,9 @@
 #include "common/file_io.h"
 #include "common/parallel.h"
 #include "common/text_codec.h"
+#include "common/metrics_registry.h"
 #include "core/search_checkpoint.h"
+#include "core/search_metrics.h"
 #include "core/searcher.h"
 #include "data/synthetic/generators.h"
 #include "models/model_zoo.h"
@@ -391,6 +393,52 @@ TEST(SearcherCheckpoint, PrevFallbackRecoversWhenNewestGenerationIsCorrupt) {
   EXPECT_EQ(resumed.final_validation_loss, baseline.final_validation_loss);
   RemoveGenerations(path);
   RemoveGenerations(base_path);
+}
+
+// A sealed checkpoint whose metrics block is hostile: it rewrites the
+// registered counter steps_total as a gauge and reseals. The checkpoint
+// decodes, DecodeState refuses the block with InvalidArgument (the
+// searcher's next GetCounter of that name would abort), metrics restart
+// empty, and the search resumes to the uninterrupted result bit for bit.
+TEST(SearcherCheckpoint, HostileMetricsBlockRestartsMetricsOnly) {
+  const PreparedData data = TinyData();
+  const SearchResult baseline = JointSearcher(TinyOptions()).Search(data);
+
+  const std::string path = TempPath("hostile_metrics");
+  RemoveGenerations(path);
+  obs::MetricsRegistry killed_registry;
+  SearchOptions killed_options = CheckpointedOptions(path);
+  killed_options.metrics = &killed_registry;
+  killed_options.post_checkpoint_hook = [](int64_t ordinal,
+                                           const std::string&) {
+    if (ordinal == 0) throw KillSignal{};
+  };
+  EXPECT_THROW(JointSearcher(killed_options).Search(data), KillSignal);
+  {
+    StatusOr<std::string> text = ReadFileToString(path);
+    ASSERT_TRUE(text.ok());
+    StatusOr<std::string> payload = UnsealText(text.value());
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    std::string edited = payload.value();
+    const std::string counter = "\nmetrics = counter steps_total ";
+    const size_t at = edited.find(counter);
+    ASSERT_NE(at, std::string::npos);
+    edited.replace(at, edited.find('\n', at + 1) - at,
+                   "\nmetrics = gauge steps_total 0x1p+0");
+    ASSERT_TRUE(
+        AtomicWriteFile(path, SealText(edited), /*keep_previous=*/false).ok());
+  }
+
+  obs::MetricsRegistry registry;
+  SearchOptions resume_options = CheckpointedOptions(path);
+  resume_options.metrics = &registry;
+  resume_options.resume = true;
+  const SearchResult resumed = JointSearcher(resume_options).Search(data);
+  EXPECT_EQ(resumed.genotype, baseline.genotype);
+  EXPECT_EQ(resumed.final_validation_loss, baseline.final_validation_loss);
+  // The restarted registry counted only the steps after the resume.
+  EXPECT_EQ(registry.GetCounter(core::kMetricStepsTotal)->value(), 6);
+  RemoveGenerations(path);
 }
 
 TEST(SearcherCheckpoint, PrevFallbackRecoversWhenNewestGenerationIsUnhealthy) {

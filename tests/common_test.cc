@@ -105,7 +105,7 @@ TEST(TextCodec, RoundTripAllTypes) {
   writer.AddInt("nodes", 207);
   writer.Add("edge", "0 1 gdcc");
   writer.Add("edge", "1 2 dgcn");
-  StatusOr<TextReader> reader = TextReader::Parse(writer.ToString());
+  StatusOr<TextReader> reader = TextReader::Parse(writer.Release());
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(reader.value().Get("name").value(), "metr-la");
   EXPECT_EQ(reader.value().GetInt("nodes").value(), 207);
@@ -113,10 +113,12 @@ TEST(TextCodec, RoundTripAllTypes) {
   EXPECT_EQ(reader.value().GetAll("edge")[1], "1 2 dgcn");
 }
 
-TEST(TextCodec, MissingKeyIsNotFound) {
+// A document without a record it must hold is malformed input.
+TEST(TextCodec, MissingKeyIsInvalidArgument) {
   StatusOr<TextReader> reader = TextReader::Parse("a = 1\n");
   ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader.value().Get("b").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(reader.value().Get("b").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(TextCodec, MalformedLineRejected) {
@@ -220,6 +222,92 @@ TEST(TextCodec, NextTokenSplitsOnIstreamWhitespace) {
   EXPECT_EQ(NextToken(&text), "d");
   EXPECT_EQ(NextToken(&text), "");
   EXPECT_TRUE(text.empty());
+}
+
+TEST(TextCodec, NextLineEndsAtEachNewline) {
+  std::string_view text = "a = 1\n\nb\r\nlast";
+  EXPECT_EQ(NextLine(&text), "a = 1");
+  EXPECT_EQ(NextLine(&text), "");
+  EXPECT_EQ(NextLine(&text), "b\r");
+  EXPECT_EQ(NextLine(&text), "last");
+  EXPECT_TRUE(text.empty());
+  // A final newline opens no empty line.
+  text = "x\n";
+  EXPECT_EQ(NextLine(&text), "x");
+  EXPECT_TRUE(text.empty());
+}
+
+TEST(TextCodec, WriterJoinsTokensWithSingleSpaces) {
+  TextWriter writer;
+  writer.Record("r").Int(-3).Int(18446744073709551615u).Double(0.1).Word("w");
+  writer.End();
+  writer.Record("empty").End();
+  writer.Add("k", "v w");
+  writer.AddInt("n", 7);
+  EXPECT_EQ(writer.Release(),
+            "r = -3 18446744073709551615 0x1.999999999999ap-4 w\n"
+            "empty = \n"
+            "k = v w\n"
+            "n = 7\n");
+}
+
+// A short document sits inline in a std::string, so moving the string
+// would move its bytes. The reader keeps its text on the heap: its views
+// stay valid when the reader moves and in its slices.
+TEST(TextCodec, ReaderViewsSurviveMovesAndSlices) {
+  StatusOr<TextReader> parsed = TextReader::Parse("a = 1\nb = 2\n");
+  ASSERT_TRUE(parsed.ok());
+  TextReader moved = std::move(parsed).value();
+  const TextReader reader = std::move(moved);
+  EXPECT_EQ(reader.Get("b").value(), "2");
+  ASSERT_EQ(reader.entries().size(), 2u);
+  const TextReader slice = reader.Slice(1, 2);
+  EXPECT_FALSE(slice.Get("a").ok());
+  EXPECT_EQ(slice.GetInt("b").value(), 2);
+}
+
+TEST(TokenCursor, ReadsEachKindAndTheRestOfTheRecord) {
+  TokenCursor in(" -7 18446744073709551615 0x1p-1 0.25 word free text ");
+  int64_t i = 0;
+  uint64_t u = 0;
+  double d = 0.0;
+  ASSERT_TRUE(in.Int(&i));
+  EXPECT_EQ(i, -7);
+  ASSERT_TRUE(in.Int(&u));
+  EXPECT_EQ(u, 18446744073709551615u);
+  ASSERT_TRUE(in.Double(&d));
+  EXPECT_EQ(d, 0.5);
+  ASSERT_TRUE(in.Double(&d));  // The 17-digit decimal form of older files.
+  EXPECT_EQ(d, 0.25);
+  EXPECT_EQ(in.Word(), "word");
+  EXPECT_EQ(StripWhitespace(in.rest()), "free text");
+  EXPECT_EQ(in.bytes_left(), 11);
+  EXPECT_FALSE(in.AtEnd());
+  EXPECT_EQ(in.Word(), "free");
+  EXPECT_EQ(in.Word(), "text");
+  EXPECT_TRUE(in.AtEnd());
+  EXPECT_EQ(in.Word(), "");
+  EXPECT_FALSE(in.Int(&i));
+}
+
+// No writer writes a '+' sign, a glued suffix or a '-' on an unsigned word
+// (which `operator>>` wraps to 2^64 - 1), so the grammar refuses them.
+TEST(TokenCursor, RefusesSignsAndSuffixesNoWriterWrites) {
+  int64_t i = 0;
+  uint64_t u = 0;
+  double d = 0.0;
+  for (const char* token : {"+5", "5x", "0x10", "1.0", "9223372036854775808",
+                            "-9223372036854775809", "abc"}) {
+    EXPECT_FALSE(TokenCursor(token).Int(&i)) << token;
+  }
+  for (const char* token : {"-1", "+1", "18446744073709551616", "1e3"}) {
+    EXPECT_FALSE(TokenCursor(token).Int(&u)) << token;
+  }
+  for (const char* token : {"+1.0", "0x", "1e999", "0x1p+0x", "--1"}) {
+    EXPECT_FALSE(TokenCursor(token).Double(&d)) << token;
+  }
+  EXPECT_TRUE(TokenCursor("-9223372036854775808").Int(&i));
+  EXPECT_EQ(i, std::numeric_limits<int64_t>::min());
 }
 
 TEST(Crc32, MatchesKnownVectorsAndDetectsChanges) {

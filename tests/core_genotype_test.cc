@@ -245,6 +245,23 @@ TEST(Genotype, FromTextRejectsGarbage) {
             StatusCode::kInvalidArgument);
 }
 
+// Edge records read through the one token grammar, which refuses what no
+// writer writes: trailing tokens after the operator, a '+' sign, and a
+// number glued to the operator ("1gdcc", which `operator>>` reads as 1 and
+// "gdcc").
+TEST(Genotype, EdgeRecordsRefuseWhatNoWriterWrites) {
+  const std::string valid =
+      "nodes_per_block = 2\nnum_blocks = 1\nblock_input = 0\n";
+  ASSERT_TRUE(Genotype::FromText(valid + "edge = 0 0 1 gdcc\n").ok());
+  for (const std::string edge :
+       {"edge = 0 0 1 gdcc extra\n", "edge = 0 +0 1 gdcc\n",
+        "edge = 0 0 1gdcc\n", "edge = 0 0 1\n"}) {
+    EXPECT_EQ(Genotype::FromText(valid + edge).status().code(),
+              StatusCode::kInvalidArgument)
+        << edge;
+  }
+}
+
 TEST(Genotype, HistogramAndPrettyString) {
   const Genotype g = ExampleGenotype();
   const auto histogram = g.OperatorHistogram();

@@ -24,7 +24,7 @@
 #include "data/synthetic/generators.h"
 #include "models/model_zoo.h"
 #include "models/trainer.h"
-#include "optim/optimizer.h"
+#include "optim/adam.h"
 #include "tensor/tensor_ops.h"
 
 namespace autocts {
@@ -183,9 +183,9 @@ TEST(AttributeDivergence, NamesParameterForLeafInjectedGradient) {
 }
 
 // ---------------------------------------------------------------------------
-// ClipGradNorm regressions: NaN > max_norm is false, so the unchecked
-// version used to pass non-finite gradients through untouched — and an Inf
-// norm would have scaled them all to NaN.
+// ClipGradNormChecked regressions: NaN > max_norm is false, so an unchecked
+// clip would pass non-finite gradients through untouched — and an Inf norm
+// would scale them all to NaN.
 // ---------------------------------------------------------------------------
 
 TEST(ClipGradNormChecked, RefusesNonFiniteNormAndLeavesGradsUntouched) {
@@ -214,10 +214,12 @@ TEST(ClipGradNormChecked, ClipsFiniteNormsAsBefore) {
   EXPECT_DOUBLE_EQ(norm, 5.0);
   EXPECT_NEAR(w.grad().data()[0], 0.6, 1e-9);
   EXPECT_NEAR(w.grad().data()[1], 0.8, 1e-9);
-  // The legacy entry point reports the same pre-clip norm.
+  // Below the threshold the norm is reported and the gradients kept.
   Variable v(Tensor::Zeros({2}), true);
   v.AccumulateGrad(Tensor::FromVector({2}, {3.0, 4.0}));
-  EXPECT_DOUBLE_EQ(optim::ClipGradNorm({v}, 10.0), 5.0);
+  EXPECT_TRUE(optim::ClipGradNormChecked({v}, 10.0, &norm));
+  EXPECT_DOUBLE_EQ(norm, 5.0);
+  EXPECT_EQ(v.grad().data()[0], 3.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@
 #include <cstring>
 
 #include "autograd/variable_ops.h"
+#include "core/searcher.h"
 #include "optim/adam.h"
-#include "optim/lr_schedule.h"
 #include "tensor/tensor_ops.h"
 
 namespace autocts {
@@ -194,29 +194,32 @@ TEST(Adam, LazyMomentSlotsSurviveExportImport) {
   EXPECT_EQ(unused_b.value().item(), 5.0);
 }
 
-TEST(ClipGradNorm, RescalesOnlyWhenAboveThreshold) {
+TEST(ClipGradNormChecked, RescalesOnlyWhenAboveThreshold) {
   Variable a(Tensor::FromVector({2}, {0.0, 0.0}), true);
   Variable loss = ag::SumAll(ag::MulScalar(a, 3.0));
   loss.Backward();  // grad = [3, 3], norm = sqrt(18) ~ 4.24
-  const double before = optim::ClipGradNorm({a}, 1.0);
+  double before = 0.0;
+  EXPECT_TRUE(optim::ClipGradNormChecked({a}, 1.0, &before));
   EXPECT_NEAR(before, std::sqrt(18.0), 1e-9);
   EXPECT_NEAR(Norm(a.grad()), 1.0, 1e-6);
 
   // Below the threshold: untouched.
   a.ClearGrad();
   ag::SumAll(ag::MulScalar(a, 0.1)).Backward();
-  optim::ClipGradNorm({a}, 10.0);
+  EXPECT_TRUE(optim::ClipGradNormChecked({a}, 10.0));
   EXPECT_NEAR(a.grad().data()[0], 0.1, 1e-12);
 }
 
+// The search temperature (Section 3.2.2): 5.0 * 0.9^epoch, floored at 0.001.
 TEST(Schedules, ExponentialDecaysToFloor) {
-  optim::ExponentialSchedule schedule(5.0, 0.9, 0.001);
-  EXPECT_DOUBLE_EQ(schedule.At(0), 5.0);
-  EXPECT_NEAR(schedule.At(1), 4.5, 1e-12);
-  EXPECT_NEAR(schedule.At(2), 4.05, 1e-12);
-  EXPECT_DOUBLE_EQ(schedule.At(1000), 0.001);  // Clamped at the floor.
+  EXPECT_DOUBLE_EQ(core::SearchTemperature(0), 5.0);
+  EXPECT_NEAR(core::SearchTemperature(1), 4.5, 1e-12);
+  EXPECT_NEAR(core::SearchTemperature(2), 4.05, 1e-12);
+  EXPECT_DOUBLE_EQ(core::SearchTemperature(1000), 0.001);  // The floor.
   // Monotone decreasing.
-  for (int e = 0; e < 50; ++e) EXPECT_GE(schedule.At(e), schedule.At(e + 1));
+  for (int e = 0; e < 50; ++e) {
+    EXPECT_GE(core::SearchTemperature(e), core::SearchTemperature(e + 1));
+  }
 }
 
 TEST(Optimizer, SetLearningRateTakesEffect) {

@@ -19,7 +19,6 @@
 #include <cctype>
 #include <cstdlib>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -126,14 +125,14 @@ std::string EncodeFixture(const std::string& name, const std::string& state,
   writer.Add("format", kFormatName);
   writer.AddInt("version", kFormatVersion);
   writer.Add("model", name);
-  std::istringstream stream(state);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(stream, line)) lines.push_back(line);
+  std::vector<std::string_view> lines;
+  for (std::string_view rest = state; !rest.empty();) {
+    lines.push_back(NextLine(&rest));
+  }
   writer.AddInt("state_lines", static_cast<int64_t>(lines.size()));
-  for (const std::string& l : lines) writer.Add("state", l);
+  for (const std::string_view line : lines) writer.Add("state", line);
   writer.Add("forecast", forecast_hex);
-  return SealText(writer.ToString());
+  return SealText(writer.Release());
 }
 
 struct Fixture {
@@ -146,24 +145,24 @@ StatusOr<Fixture> DecodeFixture(const std::string& text,
   StatusOr<TextReader> reader =
       OpenSealedText(text, kFormatName, kFormatVersion);
   if (!reader.ok()) return reader.status();
-  StatusOr<std::string> model = reader.value().Get("model");
+  StatusOr<std::string_view> model = reader.value().Get("model");
   if (!model.ok() || model.value() != name) {
     return Status::InvalidArgument("fixture names a different model");
   }
   StatusOr<int64_t> state_lines = reader.value().GetInt("state_lines");
   if (!state_lines.ok()) return state_lines.status();
-  const std::vector<std::string> lines = reader.value().GetAll("state");
+  const std::vector<std::string_view> lines = reader.value().GetAll("state");
   if (static_cast<int64_t>(lines.size()) != state_lines.value()) {
     return Status::InvalidArgument("state line count mismatch");
   }
   Fixture fixture;
-  for (const std::string& line : lines) {
+  for (const std::string_view line : lines) {
     fixture.state += line;
     fixture.state.push_back('\n');
   }
-  StatusOr<std::string> forecast = reader.value().Get("forecast");
+  StatusOr<std::string_view> forecast = reader.value().Get("forecast");
   if (!forecast.ok()) return forecast.status();
-  fixture.forecast_hex = std::move(forecast).value();
+  fixture.forecast_hex = forecast.value();
   return fixture;
 }
 

@@ -64,8 +64,12 @@ TEST(ModelArtifact, EncodeDecodeRoundTripIsByteExact) {
   EXPECT_EQ(serve::EncodeModelArtifact(decoded.value()), text);
   EXPECT_EQ(decoded.value().meta.num_nodes, artifact.meta.num_nodes);
   EXPECT_EQ(decoded.value().meta.seed, artifact.meta.seed);
-  EXPECT_EQ(nn::StateDictLines(decoded.value().state),
-            nn::StateDictLines(artifact.state));
+  const auto state_text = [](const nn::StateDict& state) {
+    TextWriter writer;
+    nn::AppendStateDict(state, "", &writer);
+    return writer.Release();
+  };
+  EXPECT_EQ(state_text(decoded.value().state), state_text(artifact.state));
   EXPECT_EQ(decoded.value().genotype.ToText(), artifact.genotype.ToText());
 }
 

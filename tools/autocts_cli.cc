@@ -164,6 +164,7 @@
 
 #include "common/cancellation.h"
 #include "common/fault.h"
+#include "common/file_io.h"
 #include "common/signal_handler.h"
 #include "common/text_codec.h"
 #include "core/cost_model.h"
@@ -329,11 +330,9 @@ models::TrainConfig TrainConfigFromArgs(const Args& args) {
 
 // Loads a genotype text file (shared by evaluate and export-artifact).
 StatusOr<core::Genotype> LoadGenotypeFile(const std::string& path) {
-  std::ifstream stream(path);
-  if (!stream) return Status::NotFound("cannot open " + path);
-  const std::string text{std::istreambuf_iterator<char>(stream),
-                         std::istreambuf_iterator<char>()};
-  return core::Genotype::FromText(text);
+  StatusOr<std::string> text = ReadFileToString(path);
+  if (!text.ok()) return text.status();
+  return core::Genotype::FromText(std::move(text).value());
 }
 
 // Printed by search and evaluate when the run recovered from an anomaly.

@@ -21,10 +21,12 @@
 # sweeps are lifetime-bug habitat), the network suites
 # (wire_codec_test and net_test, label "net", whose hostile-bytes fuzz
 # loops, raw-socket disconnect cases, and connection-handler threads are
-# exactly what ASan is for), and the kernel suites (tensor_test,
+# exactly what ASan is for), the kernel suites (tensor_test,
 # property_test and parallel_test, label "kernels", whose strided walks and
-# folded matmuls are raw offset arithmetic) are additionally run under
-# AddressSanitizer
+# folded matmuls are raw offset arithmetic), and the text-codec suites
+# (common_test, core_genotype_test and observability_test, label "codec",
+# whose readers keep views into the buffers they parse) are additionally
+# run under AddressSanitizer
 # in a separate build directory: their kill/resume, fault-injection, retry/rollback,
 # and storage-recycling paths are exactly where lifetime bugs would hide.
 # Set AUTOCTS_SKIP_ASAN=1 to skip that pass (e.g. on machines without ASan
@@ -87,9 +89,11 @@ if [[ -z "${AUTOCTS_SANITIZE:-}" && -z "${AUTOCTS_SKIP_ASAN:-}" ]]; then
       --target serve_test --target serve_golden_test \
       --target bounded_queue_test --target wire_codec_test \
       --target net_test --target tensor_test --target property_test \
-      --target parallel_test
+      --target parallel_test --target common_test \
+      --target core_genotype_test --target observability_test
   ctest --test-dir build-address \
-      -L 'faultinject|faultio|pool|e2e|serve|net|kernels' --output-on-failure
+      -L 'faultinject|faultio|pool|e2e|serve|net|kernels|codec' \
+      --output-on-failure
   # With the pool disabled every release is a real free, restoring ASan's
   # use-after-free precision on tensor storage.
   AUTOCTS_TENSOR_POOL=0 ctest --test-dir build-address -L pool \
