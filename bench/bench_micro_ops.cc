@@ -1,15 +1,23 @@
 // google-benchmark microbenchmarks of the substrate primitives that
 // dominate search and training cost: matmul, causal convolution, attention,
-// diffusion GCN, a full mixed edge, and one supernet forward/backward.
+// diffusion GCN, a full mixed edge, and one supernet forward/backward; and
+// of the layers of a model-artifact load: the CRC, the hex-float values
+// (read and written) and the whole decode.
 #include <benchmark/benchmark.h>
 
 #include "alloc_count.h"
 #include "common/buffer_pool.h"
+#include "common/file_io.h"
 #include "common/parallel.h"
+#include "common/text_codec.h"
+#include "core/evaluator.h"
 #include "core/micro_dag.h"
+#include "core/supernet.h"
+#include "data/synthetic/generators.h"
 #include "graph/adjacency.h"
 #include "nn/conv.h"
 #include "ops/op_registry.h"
+#include "serve/model_artifact.h"
 #include "tensor/tensor_ops.h"
 
 namespace autocts {
@@ -238,6 +246,97 @@ void BM_MicroDagCellForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MicroDagCellForward);
+
+// The checksum of every sealed file and wire frame, over 1 MiB.
+void BM_Crc32(benchmark::State& state) {
+  Rng rng(9);
+  std::string bytes(size_t{1} << 20, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32);
+
+// One weight value of a state record: "%a" tokens of weight-sized doubles,
+// whose fractions use all 13 digits.
+void BM_ParseExactDouble(benchmark::State& state) {
+  Rng rng(10);
+  std::vector<std::string> tokens(4096);
+  for (std::string& token : tokens) {
+    token = FormatExactDouble(rng.Normal(0.0, 0.1));
+  }
+  double value = 0.0;
+  for (auto _ : state) {
+    for (const std::string& token : tokens) {
+      benchmark::DoNotOptimize(ParseExactDouble(token, &value));
+      benchmark::DoNotOptimize(value);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(tokens.size()));
+}
+BENCHMARK(BM_ParseExactDouble);
+
+// Its inverse: weight-sized doubles written into one record.
+void BM_TextWriterDouble(benchmark::State& state) {
+  Rng rng(10);
+  std::vector<double> values(4096);
+  for (double& value : values) value = rng.Normal(0.0, 0.1);
+  for (auto _ : state) {
+    TextWriter writer;
+    writer.Record("w");
+    for (const double value : values) writer.Double(value);
+    benchmark::DoNotOptimize(writer.Release());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(values.size()));
+}
+BENCHMARK(BM_TextWriterDouble);
+
+// The artifact of the model a fixed-seed supernet derives, untrained, at
+// the geometry perfbench's serve_tcp serves (12 nodes, P = Q = 12, hidden
+// 16).
+const std::string& FixedSeedArtifactText() {
+  static const std::string text = [] {
+    data::TrafficSpeedConfig speed;
+    speed.num_nodes = 12;
+    speed.num_steps = 1440;
+    speed.seed = 7;
+    data::WindowSpec window;
+    window.input_length = 12;
+    window.output_length = 12;
+    const models::PreparedData prepared = models::PrepareData(
+        data::GenerateTrafficSpeed(speed), window, 0.7, 0.1);
+    const int64_t hidden = 16;
+    const uint64_t seed = 7;
+    const core::Supernet supernet(
+        core::SupernetConfig(),
+        models::MakeModelContext(prepared, hidden, seed));
+    const std::unique_ptr<core::DerivedModel> model =
+        core::BuildDerivedModel(supernet.Derive(), prepared, hidden, seed);
+    return serve::EncodeModelArtifact(
+        serve::MakeModelArtifact(*model, prepared, hidden, seed));
+  }();
+  return text;
+}
+
+// A model-artifact load after the file read: the seal's CRC, the record
+// index, the state-dict values and the geometry checks.
+void BM_DecodeModelArtifact(benchmark::State& state) {
+  const std::string& text = FixedSeedArtifactText();
+  for (auto _ : state) {
+    StatusOr<serve::ModelArtifact> artifact = serve::DecodeModelArtifact(text);
+    AUTOCTS_CHECK(artifact.ok());
+    benchmark::DoNotOptimize(artifact);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(text.size()));
+  state.counters["artifact_bytes"] = static_cast<double>(text.size());
+}
+BENCHMARK(BM_DecodeModelArtifact)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace autocts

@@ -1,5 +1,6 @@
 #include "common/file_io.h"
 
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -18,21 +19,36 @@ namespace {
 constexpr char kCrcKey[] = "crc32 = ";
 constexpr size_t kCrcKeySize = sizeof(kCrcKey) - 1;
 
-// Table-driven CRC-32 (reflected 0xEDB88320 = reversed IEEE polynomial).
-const uint32_t* Crc32Table() {
-  static uint32_t table[256];
-  static const bool initialized = [] {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-      }
-      table[i] = crc;
+// Slicing-by-8 CRC-32 tables for the reflected IEEE polynomial
+// (0xEDB88320). kCrcTables[0] is the classic byte table; kCrcTables[k][b]
+// is the CRC register after byte b and then k zero bytes, so eight
+// independent lookups fold eight bytes into the register at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
     }
-    return true;
-  }();
-  (void)initialized;
-  return table;
+    tables[0][i] = crc;
+  }
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (size_t i = 0; i < 256; ++i) {
+      const uint32_t previous = tables[k - 1][i];
+      tables[k][i] = (previous >> 8) ^ tables[0][previous & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+// The four bytes at `p` as a little-endian word, on any host.
+uint32_t LoadLittleEndian32(const unsigned char* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+         uint32_t{p[3]} << 24;
 }
 
 std::string ErrnoText(int error_number, bool injected) {
@@ -60,10 +76,17 @@ void BestEffortRemove(const std::string& path) {
 }  // namespace
 
 uint32_t Crc32(const char* data, size_t size) {
-  const uint32_t* table = Crc32Table();
+  const CrcTables& t = kCrcTables;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ static_cast<unsigned char>(data[i])) & 0xFFu];
+  for (; size >= 8; size -= 8, bytes += 8) {
+    const uint32_t low = crc ^ LoadLittleEndian32(bytes);
+    crc = t[7][low & 0xFFu] ^ t[6][(low >> 8) & 0xFFu] ^
+          t[5][(low >> 16) & 0xFFu] ^ t[4][low >> 24] ^ t[3][bytes[4]] ^
+          t[2][bytes[5]] ^ t[1][bytes[6]] ^ t[0][bytes[7]];
+  }
+  for (; size > 0; --size, ++bytes) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }

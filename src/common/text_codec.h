@@ -27,17 +27,22 @@
 
 namespace autocts {
 
-// Formats `value` as a C99 hexadecimal float ("%a", e.g. "0x1.999999999999ap-4"
-// for 0.1). Unlike fixed-precision decimal output, the hex form is an exact
-// image of the bits, so every finite double — including denormals — parses
-// back bit-identically via ParseExactDouble.
+// Formats `value` as a C99 hexadecimal float, spelled as glibc's "%a"
+// spells it (e.g. "0x1.999999999999ap-4" for 0.1, "0x0.0000000000001p-1022"
+// for the smallest denormal) but built from the bits, so the bytes do not
+// depend on the C library. Unlike fixed-precision decimal output, the hex
+// form is an exact image of the bits, so every finite double — including
+// denormals — parses back bit-identically via ParseExactDouble.
 std::string FormatExactDouble(double value);
 
-// Parses one floating-point token with std::from_chars: hexadecimal after an
-// optional '-' and "0x" (FormatExactDouble's form), decimal, "inf" or "nan"
-// otherwise (the 17-digit decimal form of older files). Returns false
-// unless the entire token was consumed and the value is in range; a '+',
-// a second sign ("0x-1p0") or "0X" is refused.
+// Parses one floating-point token. After an optional '-' and "0x" it must
+// be hexadecimal exactly as FormatExactDouble writes it (lowercase digits,
+// no trailing fraction zero, a signed exponent without leading zeros, a
+// denormal as "0x0.<digits>p-1022"), and its bits are built directly from
+// the digits; any other hex spelling is refused. Every other token is read
+// with std::from_chars: decimal, "inf" or "nan" (the 17-digit decimal form
+// of older files). Returns false unless the entire token was consumed and
+// the value is in range; a '+' is refused.
 bool ParseExactDouble(std::string_view token, double* value);
 
 // Parses a base-10 integer token: digits after an optional '-' (a signed

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <sstream>
+#include <string_view>
 
 #include "common/file_io.h"
 #include "common/logging.h"
@@ -308,6 +312,232 @@ TEST(TokenCursor, RefusesSignsAndSuffixesNoWriterWrites) {
   }
   EXPECT_TRUE(TokenCursor("-9223372036854775808").Int(&i));
   EXPECT_EQ(i, std::numeric_limits<int64_t>::min());
+}
+
+// A random double's bits, weighted toward the values with a spelling of
+// their own: +-0, denormals, fractions ending in zero digits and the
+// extreme exponents; a third are uniform bit patterns (NaN and inf too).
+uint64_t WeightedDoubleBits(Rng* rng) {
+  const uint64_t sign = rng->Next() & (uint64_t{1} << 63);
+  uint64_t fraction = rng->Next() & ((uint64_t{1} << 52) - 1);
+  if (rng->Bernoulli(0.5)) {
+    fraction &= ~uint64_t{0} << (4 * rng->UniformInt(14));
+  }
+  static constexpr uint64_t kExtremeExponents[] = {1, 2, 1022, 1023, 1024,
+                                                   2045, 2046};
+  switch (rng->UniformInt(6)) {
+    case 0:
+      return sign;
+    case 1:
+      return sign | fraction;  // A denormal (or zero).
+    case 2:
+      return sign | kExtremeExponents[rng->UniformInt(7)] << 52 | fraction;
+    case 3:
+      return sign | static_cast<uint64_t>(1 + rng->UniformInt(2046)) << 52 |
+             fraction;
+    default:
+      return rng->Next();
+  }
+}
+
+// Bit-identical, or both NaN of the same sign ("nan" and "-nan" keep no
+// payload).
+void ExpectSameDouble(double want, double got, std::string_view token) {
+  if (std::isnan(want)) {
+    EXPECT_TRUE(std::isnan(got)) << token;
+    EXPECT_EQ(std::signbit(want), std::signbit(got)) << token;
+    return;
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(want), std::bit_cast<uint64_t>(got))
+      << token;
+}
+
+TEST(TextCodec, ExactDoubleRoundTripsWeightedRandomBits) {
+  Rng rng(24);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double value = std::bit_cast<double>(WeightedDoubleBits(&rng));
+    const std::string text = FormatExactDouble(value);
+    double parsed = 0.0;
+    ASSERT_TRUE(ParseExactDouble(text, &parsed)) << text;
+    ExpectSameDouble(value, parsed, text);
+  }
+}
+
+// The writer builds glibc's "%a" spelling from the bits: pinned for the
+// non-finite values, and equal to glibc's printf on a million weighted
+// random doubles wherever the C library is glibc.
+TEST(TextCodec, FormatExactDoubleSpellsAsGlibcPrintf) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(FormatExactDouble(kInf), "inf");
+  EXPECT_EQ(FormatExactDouble(-kInf), "-inf");
+  EXPECT_EQ(FormatExactDouble(nan), "nan");
+  EXPECT_EQ(FormatExactDouble(-nan), "-nan");
+  EXPECT_EQ(FormatExactDouble(0.1), "0x1.999999999999ap-4");
+#if defined(__GLIBC__)
+  Rng rng(27);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double value = std::bit_cast<double>(WeightedDoubleBits(&rng));
+    char buffer[64];
+    std::snprintf(buffer, sizeof(buffer), "%a", value);
+    ASSERT_EQ(FormatExactDouble(value), buffer);
+  }
+#endif
+}
+
+// The acceptance rule of ParseExactDouble, written against std::from_chars:
+// a hex token is taken exactly when FormatExactDouble writes it for the
+// value from_chars reads, any other token exactly when from_chars reads all
+// of it.
+bool ReferenceParseExactDouble(std::string_view token, double* value) {
+  const char* last = token.data() + token.size();
+  const bool negative = token.starts_with('-');
+  const std::string_view body = token.substr(negative ? 1 : 0);
+  double parsed = 0.0;
+  if (body.starts_with("0x")) {
+    const auto [end, ec] = std::from_chars(body.data() + 2, last, parsed,
+                                           std::chars_format::hex);
+    if (ec != std::errc() || end != last) return false;
+    if (negative) parsed = -parsed;
+    if (FormatExactDouble(parsed) != token) return false;
+  } else {
+    const auto [end, ec] = std::from_chars(token.data(), last, parsed);
+    if (ec != std::errc() || end != last) return false;
+  }
+  *value = parsed;
+  return true;
+}
+
+TEST(TextCodec, ParseExactDoubleAcceptsMutatedTokensLikeTheReference) {
+  constexpr std::string_view kAlphabet = "0123456789abcdefABCDEFxXpP+-.eEin ";
+  Rng rng(25);
+  for (int i = 0; i < 200'000; ++i) {
+    const double value = std::bit_cast<double>(WeightedDoubleBits(&rng));
+    std::string token;
+    if (rng.Bernoulli(0.75)) {
+      token = FormatExactDouble(value);
+    } else {
+      char buffer[40];
+      std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+      token = buffer;
+    }
+    for (int64_t edits = 1 + rng.UniformInt(2); edits > 0; --edits) {
+      const size_t at = static_cast<size_t>(rng.UniformInt(
+          static_cast<int64_t>(token.size()) + 1));
+      const char c = kAlphabet[static_cast<size_t>(
+          rng.UniformInt(static_cast<int64_t>(kAlphabet.size())))];
+      switch (rng.UniformInt(3)) {
+        case 0:
+          if (at < token.size()) token[at] = c;
+          break;
+        case 1:
+          token.insert(at, 1, c);
+          break;
+        default:
+          if (at < token.size()) token.erase(at, 1);
+      }
+    }
+    double want = 0.0;
+    double got = 0.0;
+    const bool accepted = ParseExactDouble(token, &got);
+    ASSERT_EQ(accepted, ReferenceParseExactDouble(token, &want)) << token;
+    if (accepted) ExpectSameDouble(want, got, token);
+  }
+}
+
+// Hex spellings that no writer produces. std::from_chars reads each of them
+// in full; the "%a" grammar refuses them like a '+' sign.
+TEST(TextCodec, ParseExactDoubleRefusesHexSpellingsNoWriterWrites) {
+  for (const char* token : {
+           "0x1.Ap+0",               // uppercase digit
+           "0x1.8P+0",               // uppercase exponent mark
+           "0x1.8p1", "0x1p0",       // unsigned exponent
+           "0x1.fffffffffffff8p+0",  // more than 13 digits
+           "0x1p-1023",              // a denormal spelled as a normal
+           "0x.8p1",                 // no lead digit
+           "0x1.80p+0", "0x1.p+0",   // trailing fraction zero, empty fraction
+           "0x1p+01", "0x1p-0",      // exponent leading zero, "-0"
+           "0x2p+0", "0x0.8p-1021",  // lead digit, denormal exponent
+           "0x0.0p-1022", "-0x0p-0",
+       }) {
+    const std::string_view text = token;
+    double parsed = 0.0;
+    const auto [end, ec] = std::from_chars(
+        text.data() + (text[0] == '-' ? 3 : 2), text.data() + text.size(),
+        parsed, std::chars_format::hex);
+    EXPECT_TRUE(ec == std::errc() && end == text.data() + text.size())
+        << token;
+    EXPECT_FALSE(ParseExactDouble(token, &parsed)) << token;
+  }
+  // The spellings at the edges of the grammar, with their exact bits.
+  const std::pair<const char*, uint64_t> accepted[] = {
+      {"0x0p+0", 0},
+      {"-0x0p+0", uint64_t{1} << 63},
+      {"0x0.0000000000001p-1022", 1},
+      {"0x0.8p-1022", uint64_t{1} << 51},
+      {"0x1p-1022", uint64_t{1} << 52},
+      {"0x1p+0", uint64_t{1023} << 52},
+      {"-0x1.8p+1",
+       uint64_t{1} << 63 | uint64_t{1024} << 52 | uint64_t{1} << 51},
+      {"0x1.fffffffffffffp+1023", 0x7FEFFFFFFFFFFFFFu},
+  };
+  for (const auto& [token, bits] : accepted) {
+    double parsed = 0.0;
+    ASSERT_TRUE(ParseExactDouble(token, &parsed)) << token;
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed), bits) << token;
+    EXPECT_EQ(FormatExactDouble(parsed), token);
+  }
+}
+
+// Every byte splits tokens, ends a record and is stripped exactly when
+// istream extraction skips it.
+TEST(TextCodec, WhitespaceIsTheIstreamSetOnEveryByte) {
+  for (int byte = 0; byte < 256; ++byte) {
+    const char c = static_cast<char>(byte);
+    const std::string text = std::string("a") + c + "b";
+    std::istringstream stream(text);
+    std::string first;
+    stream >> first;
+    const bool space = first == "a";
+    std::string_view rest = text;
+    EXPECT_EQ(NextToken(&rest), first) << byte;
+    EXPECT_EQ(NextToken(&rest), space ? "b" : "") << byte;
+    EXPECT_EQ(TokenCursor(std::string(1, c)).AtEnd(), space) << byte;
+    const std::string padded = std::string(1, c) + "x" + c;
+    EXPECT_EQ(StripWhitespace(padded), space ? "x" : padded) << byte;
+  }
+}
+
+// Bit-at-a-time CRC-32, the definition the table-driven Crc32 implements.
+uint32_t BitwiseCrc32(const char* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= static_cast<unsigned char>(data[i]);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(26);
+  std::string bytes(64 * 1024 + 16, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.Next());
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t size = 0; size <= 300; ++size) {
+      ASSERT_EQ(Crc32(bytes.data() + offset, size),
+                BitwiseCrc32(bytes.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+  for (int i = 0; i < 64; ++i) {
+    const size_t offset = static_cast<size_t>(rng.UniformInt(16));
+    const size_t size = static_cast<size_t>(rng.UniformInt(64 * 1024 + 1));
+    ASSERT_EQ(Crc32(bytes.data() + offset, size),
+              BitwiseCrc32(bytes.data() + offset, size))
+        << "offset " << offset << " size " << size;
+  }
 }
 
 TEST(Crc32, MatchesKnownVectorsAndDetectsChanges) {

@@ -110,6 +110,14 @@
 //   --candidate-step-budget N  evaluate-topk: per-candidate train-batch
 //                   budget, same failure semantics
 //
+// Option values must parse in full, or the CLI exits 2 ("bad value"):
+//   integer options take decimal digits after an optional '-' (no '+');
+//   fractional options (--cost-weight, --lr-backoff, --deadline, --timeout,
+//   ...) take a decimal number ("0.125", "1e-3", "inf") or a hex-float
+//   spelled exactly as the files write it ("0x1p-3": lowercase, a signed
+//   exponent, no trailing fraction zero). "0x1.0p-3", "0x1p3" and
+//   "0x1.8P+1" are refused.
+//
 // Signals and exit codes:
 //   SIGINT/SIGTERM request a graceful shutdown: search and evaluate-topk
 //   finish persisting, write a final checkpoint, and exit; a --resume run

@@ -23,10 +23,10 @@
 # loops, raw-socket disconnect cases, and connection-handler threads are
 # exactly what ASan is for), the kernel suites (tensor_test,
 # property_test and parallel_test, label "kernels", whose strided walks and
-# folded matmuls are raw offset arithmetic), and the text-codec suites
-# (common_test, core_genotype_test and observability_test, label "codec",
-# whose readers keep views into the buffers they parse) are additionally
-# run under AddressSanitizer
+# folded matmuls are raw offset arithmetic), and the codec suites
+# (common_test, core_genotype_test, observability_test, wire_codec_test and
+# sealed_format_test, label "codec", whose readers keep views into the
+# buffers they parse) are additionally run under AddressSanitizer
 # in a separate build directory: their kill/resume, fault-injection, retry/rollback,
 # and storage-recycling paths are exactly where lifetime bugs would hide.
 # Set AUTOCTS_SKIP_ASAN=1 to skip that pass (e.g. on machines without ASan
@@ -42,6 +42,11 @@
 # cancellation_test's EvalCancellation cases do that) are exercised
 # concurrently, and TSan is the tool that proves those paths race-free.
 # Set AUTOCTS_SKIP_TSAN=1 to skip.
+#
+# The codec suites (label "codec") also run under UndefinedBehaviorSanitizer:
+# the CRC, the hex-float writer and parser and the wire codec are shifts, bit
+# casts and table lookups indexed by untrusted bytes. This pass always runs,
+# unless AUTOCTS_SANITIZE already sanitizes the whole build.
 #
 # Optional: AUTOCTS_SANITIZE=thread|address|undefined ./tools/tier1_verify.sh
 # runs the whole build under the matching sanitizer (separate build
@@ -114,4 +119,13 @@ if [[ -z "${AUTOCTS_SANITIZE:-}" && -z "${AUTOCTS_SKIP_TSAN:-}" ]]; then
   AUTOCTS_NUM_THREADS=4 ctest --test-dir build-thread \
       -R 'observability_test|determinism_test|parallel_test|buffer_pool_test|eval_scheduler_test|bounded_queue_test|cancellation_test' \
       --output-on-failure
+fi
+
+# UBSan pass over the codec suites.
+if [[ -z "${AUTOCTS_SANITIZE:-}" ]]; then
+  cmake -B build-undefined -S . -DAUTOCTS_SANITIZE=undefined
+  cmake --build build-undefined -j"$(nproc)" --target common_test \
+      --target core_genotype_test --target observability_test \
+      --target wire_codec_test --target sealed_format_test
+  ctest --test-dir build-undefined -L codec --output-on-failure
 fi
